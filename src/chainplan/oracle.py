@@ -160,10 +160,6 @@ def verify_plan(
             replay_problem = f"step {step_no} names unknown vNF {step.vnf_id!r}"
             work = None
             break
-        if step.source is not Placement.SMARTNIC or step.target is not Placement.CPU:
-            replay_problem = f"step {step_no} ({step.vnf_id}) is not a SmartNIC-to-CPU move"
-            work = None
-            break
         if work.vnfs[idx].placement is not Placement.SMARTNIC:
             replay_problem = (
                 f"step {step_no} migrates {step.vnf_id!r} which is not on the SmartNIC "

@@ -7,14 +7,16 @@ vNF and may split a SmartNIC run in two, paying two extra crossings.
 
 Both pick the candidate with the smallest SmartNIC capacity (it releases the
 most SmartNIC utilization per step), skip candidates the CPU cannot absorb,
-and stop as soon as the SmartNIC fits strictly under capacity.
+and stop as soon as the SmartNIC fits strictly under capacity. A candidate
+the CPU cannot absorb is dropped for the rest of the plan, so each vNF
+appears at most once in `rejected_candidates`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping
+from typing import Collection, Mapping
 
 from .model import LoadState, Placement, ServiceChain, VnfSpec
 from .resources import is_overloaded, utilization
@@ -48,20 +50,18 @@ class PlanOutcome(Enum):
 
 @dataclass(frozen=True)
 class MigrationStep:
+    """One SmartNIC-to-CPU move of the pool's minimum-capacity vNF."""
+
     vnf_id: str
-    source: Placement
-    target: Placement
-    reason: str = REASON_MIN_CAPACITY
-    selected_as_candidate: bool = True
 
 
 @dataclass(frozen=True)
 class MigrationPlan:
     """Ordered migration steps plus the outcome and resulting chain.
 
-    `rejected_candidates` lists vNFs that were selected but skipped because
-    the CPU could not absorb them. `post_chain` is the input chain with
-    exactly `steps` applied, in order.
+    `rejected_candidates` lists, in selection order and once each, the vNFs
+    that were selected but skipped because the CPU could not absorb them.
+    `post_chain` is the input chain with exactly `steps` applied, in order.
     """
 
     steps: tuple[MigrationStep, ...]
@@ -91,55 +91,29 @@ def identify_borders(chain: ServiceChain) -> BorderSets:
 
 def select_candidate(
     chain: ServiceChain,
-    borders: BorderSets,
+    pool: Collection[int],
     specs: Mapping[str, VnfSpec],
-) -> str | None:
-    """Border member with minimum SmartNIC capacity; lowest chain index on ties."""
-    if not borders.union:
+) -> int | None:
+    """Pool index with minimum SmartNIC capacity; lowest chain index on ties."""
+    if not pool:
         return None
-    idx = min(borders.union, key=lambda i: (specs[chain.vnfs[i].spec].cap_smartnic, i))
-    return chain.vnfs[idx].id
+    return min(pool, key=lambda i: (specs[chain.vnfs[i].spec].cap_smartnic, i))
 
 
 def check_cpu_headroom(
     chain: ServiceChain,
     specs: Mapping[str, VnfSpec],
-    candidate: str,
+    index: int,
     load: LoadState,
 ) -> bool:
-    """Would moving `candidate` keep the CPU strictly under capacity?
+    """Would moving the vNF at `index` keep the CPU strictly under capacity?
 
     The CPU sum reflects the chain as passed in, so migrations applied
     earlier in the same planning round are already counted.
     """
     cpu = utilization(chain, specs, Placement.CPU, load).utilization
-    spec = specs[chain.vnfs[chain.index_of(candidate)].spec]
+    spec = specs[chain.vnfs[index].spec]
     return cpu + load.theta_cur / spec.cap_cpu < 1.0
-
-
-def check_alleviated(
-    chain: ServiceChain,
-    specs: Mapping[str, VnfSpec],
-    candidate: str,
-    load: LoadState,
-) -> bool:
-    """Is the SmartNIC strictly under capacity once `candidate` is gone?"""
-    total = sum(
-        load.theta_cur / specs[v.spec].cap_smartnic
-        for v in chain.vnfs
-        if v.placement is Placement.SMARTNIC and v.id != candidate
-    )
-    return total < 1.0
-
-
-@dataclass(frozen=True)
-class _Iteration:
-    """One selection round, kept so tests can audit the greedy choice."""
-
-    pool: tuple[tuple[int, str, float], ...]  # (chain index, vnf id, smartnic capacity)
-    selected: str
-    headroom_ok: bool
-    alleviated: bool | None  # None when the candidate was rejected
 
 
 def _plan(
@@ -148,64 +122,40 @@ def _plan(
     load: LoadState,
     *,
     borders_only: bool,
-) -> tuple[MigrationPlan, tuple[_Iteration, ...]]:
+) -> MigrationPlan:
     if not is_overloaded(chain, specs, Placement.SMARTNIC, load):
-        return MigrationPlan((), PlanOutcome.NOT_OVERLOADED, (), chain), ()
-
-    work = chain
-    steps: list[MigrationStep] = []
-    rejected: list[tuple[str, str]] = []
-    iterations: list[_Iteration] = []
+        return MigrationPlan((), PlanOutcome.NOT_OVERLOADED, (), chain)
 
     if borders_only:
-        borders = identify_borders(chain)
-        left, right = set(borders.left), set(borders.right)
-        pool: set[int] = set()
+        pool = set(identify_borders(chain).union)
     else:
-        left, right = set(), set()
         pool = {i for i, v in enumerate(chain.vnfs) if v.placement is Placement.SMARTNIC}
-
+    work = chain
+    steps: list[MigrationStep] = []
+    rejected: list[int] = []
     outcome = PlanOutcome.SCALE_OUT_REQUIRED
-    while True:
-        candidates = sorted(left | right) if borders_only else sorted(pool)
-        snapshot = tuple(
-            (i, work.vnfs[i].id, specs[work.vnfs[i].spec].cap_smartnic) for i in candidates
-        )
-        if not candidates:
-            break
-        idx = min(candidates, key=lambda i: (specs[work.vnfs[i].spec].cap_smartnic, i))
-        cand_id = work.vnfs[idx].id
-
-        if not check_cpu_headroom(work, specs, cand_id, load):
-            rejected.append((cand_id, REJECT_CPU_HEADROOM))
-            iterations.append(_Iteration(snapshot, cand_id, False, None))
-            left.discard(idx)
-            right.discard(idx)
-            pool.discard(idx)
+    while (idx := select_candidate(work, pool, specs)) is not None:
+        pool.discard(idx)
+        if not check_cpu_headroom(work, specs, idx, load):
+            rejected.append(idx)
             continue
-
-        alleviated = check_alleviated(work, specs, cand_id, load)
-        steps.append(MigrationStep(cand_id, Placement.SMARTNIC, Placement.CPU))
+        steps.append(MigrationStep(work.vnfs[idx].id))
         work = work.with_placement(idx, Placement.CPU)
-        iterations.append(_Iteration(snapshot, cand_id, True, alleviated))
-
-        if borders_only:
-            was_left, was_right = idx in left, idx in right
-            left.discard(idx)
-            right.discard(idx)
-            # A migrated border exposes its same-side SmartNIC neighbor.
-            if was_left and idx + 1 < len(work.vnfs) and work.vnfs[idx + 1].placement is Placement.SMARTNIC:
-                left.add(idx + 1)
-            if was_right and idx - 1 >= 0 and work.vnfs[idx - 1].placement is Placement.SMARTNIC:
-                right.add(idx - 1)
-        else:
-            pool.discard(idx)
-
-        if alleviated:
+        if not is_overloaded(work, specs, Placement.SMARTNIC, load):
             outcome = PlanOutcome.RESOLVED
             break
+        # A migrated vNF's SmartNIC neighbors become borders. A rejected one
+        # stays out: the CPU sum only grows, so it would be rejected again.
+        for j in (idx - 1, idx + 1):
+            if (
+                0 <= j < len(work.vnfs)
+                and work.vnfs[j].placement is Placement.SMARTNIC
+                and j not in rejected
+            ):
+                pool.add(j)
 
-    return MigrationPlan(tuple(steps), outcome, tuple(rejected), work), tuple(iterations)
+    rejections = tuple((chain.vnfs[i].id, REJECT_CPU_HEADROOM) for i in rejected)
+    return MigrationPlan(tuple(steps), outcome, rejections, work)
 
 
 def plan_pam(
@@ -217,7 +167,7 @@ def plan_pam(
     SmartNIC already fits, and ScaleOutRequired when the border pool empties
     while the SmartNIC is still over capacity.
     """
-    return _plan(chain, specs, load, borders_only=True)[0]
+    return _plan(chain, specs, load, borders_only=True)
 
 
 def plan_naive(
@@ -229,4 +179,4 @@ def plan_naive(
     crossings. The CPU headroom check is kept even though a pure bottleneck
     rule would skip it; without it the baseline could emit infeasible plans.
     """
-    return _plan(chain, specs, load, borders_only=False)[0]
+    return _plan(chain, specs, load, borders_only=False)

@@ -1,7 +1,8 @@
 """Strict scenario (JSON) and trace (CSV) file formats.
 
-The scenario schema is strict: unknown keys are rejected at every level so
-golden files stay authoritative. Specs resolve against the built-in capacity
+The scenario schema is strict: unknown and duplicate keys are rejected at
+every level so golden files stay authoritative, and every number in either
+format must be finite. Specs resolve against the built-in capacity
 profile, with `spec_overrides` patching known names field-by-field or
 defining new ones (which must carry both capacities).
 """
@@ -11,6 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -65,7 +67,13 @@ def _require_keys(data: dict, allowed: set[str], where: str) -> None:
 def _number(value: object, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ScenarioFormatError(f"{where} must be a number, got {value!r}")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:  # an int beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise ScenarioFormatError(f"{where} must be a finite number, got {value!r}")
+    return number
 
 
 def _string(value: object, where: str) -> str:
@@ -165,11 +173,29 @@ def scenario_from_dict(data: object) -> Scenario:
     return scenario
 
 
+@dataclass(frozen=True)
+class _Constant:
+    """A bare NaN or +-Infinity, held until the object hook knows its key."""
+
+    name: str
+
+
+def _strict_object(pairs: list[tuple[str, object]]) -> dict:
+    data: dict = {}
+    for key, value in pairs:
+        if key in data:
+            raise ScenarioFormatError(f"duplicate key {key!r}")
+        if isinstance(value, _Constant):
+            raise ScenarioFormatError(f"{key} must be a finite number, got {value.name}")
+        data[key] = value
+    return data
+
+
 def load_scenario(path: str | Path) -> Scenario:
     """Parse, resolve and validate a scenario file."""
     text = Path(path).read_text()
     try:
-        data = json.loads(text)
+        data = json.loads(text, parse_constant=_Constant, object_pairs_hook=_strict_object)
     except json.JSONDecodeError as exc:
         raise ScenarioFormatError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
     return scenario_from_dict(data)
@@ -228,6 +254,8 @@ def load_trace(path: str | Path) -> tuple[TracePoint, ...]:
             t, theta = float(row[0]), float(row[1])
         except ValueError as exc:
             raise ScenarioFormatError(f"{path}: line {lineno}: {exc}") from exc
+        if not (math.isfinite(t) and math.isfinite(theta)):
+            raise ScenarioFormatError(f"{path}: line {lineno}: values must be finite")
         if points and t <= points[-1].t:
             raise ScenarioFormatError(
                 f"{path}: line {lineno}: t must be strictly increasing"

@@ -133,7 +133,7 @@ class TestVerifyPlan:
     def test_bogus_interior_plan_fails_the_crossing_check(self, fig1_chain, fig1_specs):
         load = LoadState(1.2)
         bogus = MigrationPlan(
-            steps=(MigrationStep("Monitor", S, C),),
+            steps=(MigrationStep("Monitor"),),
             outcome=PlanOutcome.RESOLVED,
             rejected_candidates=(),
             post_chain=fig1_chain.with_placement(2, C),
@@ -147,7 +147,7 @@ class TestVerifyPlan:
     def test_crossing_check_can_be_disabled_for_baselines(self, fig1_chain, fig1_specs):
         load = LoadState(1.2)
         bogus = MigrationPlan(
-            steps=(MigrationStep("Monitor", S, C),),
+            steps=(MigrationStep("Monitor"),),
             outcome=PlanOutcome.RESOLVED,
             rejected_candidates=(),
             post_chain=fig1_chain.with_placement(2, C),
@@ -160,7 +160,7 @@ class TestVerifyPlan:
     def test_mismatched_post_chain_fails_reachability(self, fig1_chain, fig1_specs):
         load = LoadState(1.2)
         bogus = MigrationPlan(
-            steps=(MigrationStep("Logger", S, C),),
+            steps=(MigrationStep("Logger"),),
             outcome=PlanOutcome.RESOLVED,
             rejected_candidates=(),
             post_chain=fig1_chain,  # claims nothing moved

@@ -18,16 +18,15 @@ from chainplan import (
     ServiceChain,
     VnfInstance,
     VnfSpec,
-    check_alleviated,
     check_cpu_headroom,
     count_crossings,
     identify_borders,
+    is_overloaded,
     plan_naive,
     plan_pam,
     select_candidate,
     utilization,
 )
-from chainplan.planner import _plan
 
 S = Placement.SMARTNIC
 C = Placement.CPU
@@ -109,11 +108,11 @@ class TestIdentifyBorders:
 class TestSelectCandidate:
     def test_logger_beats_firewall(self, fig1_chain, fig1_specs):
         borders = identify_borders(fig1_chain)
-        assert select_candidate(fig1_chain, borders, fig1_specs) == "Logger"
+        assert select_candidate(fig1_chain, borders.union, fig1_specs) == 1  # Logger
 
     def test_empty_union_returns_none(self, fig1_chain, fig1_specs):
         empty = BorderSets(frozenset(), frozenset())
-        assert select_candidate(fig1_chain, empty, fig1_specs) is None
+        assert select_candidate(fig1_chain, empty.union, fig1_specs) is None
 
     def test_equal_capacities_tie_break_on_lowest_index(self):
         specs = {
@@ -131,35 +130,44 @@ class TestSelectCandidate:
         )
         borders = identify_borders(chain)
         assert borders.union == {1, 3}
-        assert select_candidate(chain, borders, specs) == "a"
+        assert select_candidate(chain, borders.union, specs) == 1  # "a"
+
+
+LOGGER = 1  # chain index of Logger in the golden chain
 
 
 class TestCpuHeadroom:
     def test_golden_chain_logger_at_1_2(self, fig1_chain, fig1_specs):
-        assert check_cpu_headroom(fig1_chain, fig1_specs, "Logger", LoadState(1.2))
+        assert check_cpu_headroom(fig1_chain, fig1_specs, LOGGER, LoadState(1.2))
         assert oracle_script.cpu_headroom_values()[1.2] < 1.0
 
     def test_zero_load_always_passes(self, fig1_chain, fig1_specs):
-        assert check_cpu_headroom(fig1_chain, fig1_specs, "Logger", LoadState(0.0))
+        assert check_cpu_headroom(fig1_chain, fig1_specs, LOGGER, LoadState(0.0))
 
     def test_golden_chain_logger_at_1_5_fails(self, fig1_chain, fig1_specs):
-        assert not check_cpu_headroom(fig1_chain, fig1_specs, "Logger", LoadState(1.5))
+        assert not check_cpu_headroom(fig1_chain, fig1_specs, LOGGER, LoadState(1.5))
         assert oracle_script.cpu_headroom_values()[1.5] >= 1.0
 
 
 class TestAlleviated:
+    """The planner's stop rule: the SmartNIC fits once the candidate has moved."""
+
+    @staticmethod
+    def alleviated(chain, specs, index, load):
+        return not is_overloaded(chain.with_placement(index, C), specs, S, load)
+
     def test_golden_chain_without_logger(self, fig1_chain, fig1_specs):
-        assert check_alleviated(fig1_chain, fig1_specs, "Logger", LoadState(1.2))
+        assert self.alleviated(fig1_chain, fig1_specs, LOGGER, LoadState(1.2))
 
     def test_candidate_is_only_smartnic_vnf(self, fig1_specs):
         chain = ServiceChain(
             (VnfInstance("x", "LoadBalancer", C), VnfInstance("Logger", "Logger", S))
         )
-        assert check_alleviated(chain, fig1_specs, "Logger", LoadState(100.0))
+        assert self.alleviated(chain, fig1_specs, 1, LoadState(100.0))
 
     def test_monitor_override_at_1_6_fails(self, fig1_chain):
         specs = golden.monitor_bottleneck_specs()
-        assert not check_alleviated(fig1_chain, specs, "Logger", LoadState(1.6))
+        assert not self.alleviated(fig1_chain, specs, LOGGER, LoadState(1.6))
 
 
 class TestPlanPam:
@@ -206,10 +214,34 @@ class TestPlanPam:
 
     def test_steps_are_smartnic_to_cpu(self, fig1_chain):
         plan = plan_pam(fig1_chain, golden.two_step_specs(), LoadState(1.6))
+        assert plan.steps
         for step in plan.steps:
-            assert step.source is S
-            assert step.target is C
-            assert step.selected_as_candidate
+            i = fig1_chain.index_of(step.vnf_id)
+            assert fig1_chain.vnfs[i].placement is S
+            assert plan.post_chain.vnfs[i].placement is C
+
+    def test_rejected_border_is_not_readmitted_when_its_neighbor_migrates(self):
+        # v2 fails the headroom check; migrating v1 then makes v2 a left
+        # border too, but the CPU sum only grew, so it stays rejected.
+        specs = {
+            "A": VnfSpec("A", cap_smartnic=1.5, cap_cpu=4.0),
+            "B": VnfSpec("B", cap_smartnic=1.0, cap_cpu=0.5),
+            "H": VnfSpec("H", cap_smartnic=5.0, cap_cpu=3.0),
+            "D": VnfSpec("D", cap_smartnic=2.0, cap_cpu=40.0),
+        }
+        chain = ServiceChain(
+            (
+                VnfInstance("v0", "H", C),
+                VnfInstance("v1", "A", S),
+                VnfInstance("v2", "B", S),
+                VnfInstance("v3", "H", C),
+                VnfInstance("v4", "D", S),
+            )
+        )
+        plan = plan_pam(chain, specs, LoadState(0.9))
+        assert plan.outcome is PlanOutcome.RESOLVED
+        assert [s.vnf_id for s in plan.steps] == ["v1", "v4"]
+        assert plan.rejected_candidates == (("v2", "cpu_headroom"),)
 
     def test_singleton_segment_migrated_once(self):
         specs = {
@@ -314,15 +346,33 @@ class TestPlanProperties:
                 for step in plan.steps:
                     work = work.with_placement(work.index_of(step.vnf_id), C)
                 assert work == plan.post_chain
+                rejected = [vnf_id for vnf_id, _ in plan.rejected_candidates]
+                assert len(rejected) == len(set(rejected))
 
     def test_selected_candidate_always_releases_the_most(self):
+        # Replay each plan: every step is a candidate of the chain it applies
+        # to, and every candidate that sorts ahead of it was rejected.
+        def border_pool(chain):
+            return identify_borders(chain).union
+
+        def smartnic_pool(chain):
+            return {i for i, v in enumerate(chain.vnfs) if v.placement is S}
+
         rng = random.Random(15)
         for _ in range(200):
             chain, specs, load = randgen.random_scenario(rng)
-            _, iterations = _plan(chain, specs, load, borders_only=True)
-            for it in iterations:
-                best = min(it.pool, key=lambda entry: (entry[2], entry[0]))
-                assert it.selected == best[1]
+            for planner, pool_of in ((plan_pam, border_pool), (plan_naive, smartnic_pool)):
+                plan = planner(chain, specs, load)
+                rejected = {vnf_id for vnf_id, _ in plan.rejected_candidates}
+                work = chain
+                for step in plan.steps:
+                    idx = work.index_of(step.vnf_id)
+                    pool = pool_of(work)
+                    assert idx in pool
+                    key = lambda i: (specs[work.vnfs[i].spec].cap_smartnic, i)
+                    ahead = {work.vnfs[i].id for i in pool if key(i) < key(idx)}
+                    assert ahead <= rejected
+                    work = work.with_placement(idx, C)
 
     def test_determinism_byte_identical_plans(self):
         rng = random.Random(16)

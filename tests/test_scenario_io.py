@@ -112,6 +112,29 @@ class TestLoadScenario:
         with pytest.raises(ScenarioFormatError, match="theta_cur"):
             scenario_from_dict(doc)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), 10**400])
+    def test_non_finite_number_names_the_key(self, value):
+        doc = fig1_doc()
+        doc["spec_overrides"]["C2"]["cap_cpu"] = value
+        with pytest.raises(ScenarioFormatError, match=r"spec_overrides\[C2\]\.cap_cpu must be a finite number"):
+            scenario_from_dict(doc)
+
+    @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+    def test_json_constant_names_the_key(self, tmp_path, constant):
+        path = tmp_path / "nan.scenario.json"
+        text = golden.FIG1_SCENARIO.read_text()
+        assert '"theta_cur": 1.2' in text
+        path.write_text(text.replace('"theta_cur": 1.2', f'"theta_cur": {constant}'))
+        with pytest.raises(ScenarioFormatError, match=f"theta_cur must be a finite number, got {constant}"):
+            load_scenario(path)
+
+    def test_duplicate_key_is_named(self, tmp_path):
+        path = tmp_path / "dup.scenario.json"
+        text = golden.FIG1_SCENARIO.read_text()
+        path.write_text(text.replace('"theta_cur": 1.2', '"theta_cur": 1.2, "theta_cur": 0.5'))
+        with pytest.raises(ScenarioFormatError, match="duplicate key 'theta_cur'"):
+            load_scenario(path)
+
 
 class TestRoundTrip:
     @pytest.mark.parametrize(
@@ -170,4 +193,11 @@ class TestLoadTrace:
         path = tmp_path / "t.csv"
         path.write_text("t,theta_cur_gbps\n0.0,1.0\nx,2.0\n")
         with pytest.raises(ScenarioFormatError, match="line 3"):
+            load_trace(path)
+
+    @pytest.mark.parametrize("row", ["1.0,nan", "1.0,inf", "inf,1.0", "nan,1.0"])
+    def test_non_finite_field_reports_the_line(self, tmp_path, row):
+        path = tmp_path / "t.csv"
+        path.write_text(f"t,theta_cur_gbps\n0.0,1.0\n{row}\n")
+        with pytest.raises(ScenarioFormatError, match="line 3: values must be finite"):
             load_trace(path)
