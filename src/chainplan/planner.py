@@ -10,13 +10,24 @@ most SmartNIC utilization per step), skip candidates the CPU cannot absorb,
 and stop as soon as the SmartNIC fits strictly under capacity. A candidate
 the CPU cannot absorb is dropped for the rest of the plan, so each vNF
 appears at most once in `rejected_candidates`.
+
+A plan costs O(n + (steps + rejections) * log n) for n vNFs: the loop keeps
+the candidate pool in a heap, the placements in a mutable list and each
+device's demand as a running sum, and builds `post_chain` once at the end.
+The decisions are still those of the chain-order sums that `utilization`
+and `check_cpu_headroom` compute. A running sum differs from its chain-order
+sum by a rounding error with a proven bound, so it decides only when it lies
+farther than that bound from 1.0; inside the bound the chain-order test is
+run on the current placements.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import heapq
+import math
+from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Collection, Mapping
+from typing import Callable, Collection, Mapping
 
 from .model import LoadState, Placement, ServiceChain, VnfSpec
 from .resources import is_overloaded, utilization
@@ -126,36 +137,93 @@ def _plan(
     if not is_overloaded(chain, specs, Placement.SMARTNIC, load):
         return MigrationPlan((), PlanOutcome.NOT_OVERLOADED, (), chain)
 
-    if borders_only:
-        pool = set(identify_borders(chain).union)
-    else:
-        pool = {i for i, v in enumerate(chain.vnfs) if v.placement is Placement.SMARTNIC}
-    work = chain
-    steps: list[MigrationStep] = []
+    n = len(chain.vnfs)
+    spec_at = [specs[v.spec] for v in chain.vnfs]
+    nic_ratio = [load.theta_cur / s.cap_smartnic for s in spec_at]
+    cpu_ratio = [load.theta_cur / s.cap_cpu for s in spec_at]
+    on_nic = [v.placement is Placement.SMARTNIC for v in chain.vnfs]
+    nic = math.fsum(r for r, s in zip(nic_ratio, on_nic) if s)
+    cpu = math.fsum(r for r, s in zip(cpu_ratio, on_nic) if not s)
+    # The decisions are made on the chain-order sums of `utilization` (the
+    # stop test) and `check_cpu_headroom` (the headroom test); the running
+    # sums only filter them. With u = 2**-53 and T = 1 + the sum of every
+    # ratio of both devices (each device sum, partial or whole, is below T)
+    # and n < 2**40:
+    # - a chain-order sum of m <= n terms is within 1.01*n*u*T of the exact
+    #   one (recursive summation; a compensated `sum` is tighter);
+    # - a running sum starts correctly rounded (fsum) and takes at most n
+    #   updates of one rounding each, so it is within 1.01*(n+1)*u*T;
+    # - the headroom test adds one ratio (one more rounding) and compares a
+    #   rounded value with 1.0, which moves the threshold by at most u.
+    # In total below 1.01*(2n+5)*u*T < (n+2)*2**-50*T = tol, so a running
+    # value farther than tol from 1.0 decides as the chain-order sum would.
+    # Inside the band the chain-order test itself decides (`_below_one`).
+    tol = (n + 2) * 2.0**-50 * (1.0 + math.fsum(nic_ratio) + math.fsum(cpu_ratio))
+
+    pool = identify_borders(chain).union if borders_only else [i for i in range(n) if on_nic[i]]
+    # Same order as `select_candidate`. An index enters at most once: it then
+    # migrates (off the SmartNIC for good) or is rejected, and the CPU sum
+    # only grows, so a rejected vNF would be rejected again.
+    heap = [(spec_at[i].cap_smartnic, i) for i in pool]
+    heapq.heapify(heap)
+    queued = set(pool)
+    moved: list[int] = []
     rejected: list[int] = []
     outcome = PlanOutcome.SCALE_OUT_REQUIRED
-    while (idx := select_candidate(work, pool, specs)) is not None:
-        pool.discard(idx)
-        if not check_cpu_headroom(work, specs, idx, load):
+    while heap:
+        _, idx = heapq.heappop(heap)
+        if not _below_one(
+            cpu + cpu_ratio[idx],
+            tol,
+            lambda: check_cpu_headroom(_moved_to_cpu(chain, moved), specs, idx, load),
+        ):
             rejected.append(idx)
             continue
-        steps.append(MigrationStep(work.vnfs[idx].id))
-        work = work.with_placement(idx, Placement.CPU)
-        if not is_overloaded(work, specs, Placement.SMARTNIC, load):
+        moved.append(idx)
+        on_nic[idx] = False
+        nic -= nic_ratio[idx]
+        cpu += cpu_ratio[idx]
+        if _below_one(
+            nic,
+            tol,
+            lambda: not is_overloaded(_moved_to_cpu(chain, moved), specs, Placement.SMARTNIC, load),
+        ):
             outcome = PlanOutcome.RESOLVED
             break
-        # A migrated vNF's SmartNIC neighbors become borders. A rejected one
-        # stays out: the CPU sum only grows, so it would be rejected again.
+        # A migrated vNF's SmartNIC neighbors become borders.
         for j in (idx - 1, idx + 1):
-            if (
-                0 <= j < len(work.vnfs)
-                and work.vnfs[j].placement is Placement.SMARTNIC
-                and j not in rejected
-            ):
-                pool.add(j)
+            if 0 <= j < n and on_nic[j] and j not in queued:
+                queued.add(j)
+                heapq.heappush(heap, (spec_at[j].cap_smartnic, j))
 
+    steps = tuple(MigrationStep(chain.vnfs[i].id) for i in moved)
     rejections = tuple((chain.vnfs[i].id, REJECT_CPU_HEADROOM) for i in rejected)
-    return MigrationPlan(tuple(steps), outcome, rejections, work)
+    post_chain = _moved_to_cpu(chain, moved) if moved else chain
+    return MigrationPlan(steps, outcome, rejections, post_chain)
+
+
+def _below_one(value: float, tol: float, exact: Callable[[], bool]) -> bool:
+    """`value < 1` for a running sum within `tol` of the one `exact` tests.
+
+    NaN and an infinite `tol` fall through to `exact`.
+    """
+    if value < 1.0 - tol:
+        return True
+    if value > 1.0 + tol:
+        return False
+    return exact()
+
+
+def _moved_to_cpu(chain: ServiceChain, indices: list[int]) -> ServiceChain:
+    """`chain` with the vNFs at `indices` on the CPU.
+
+    Only those vNFs are rebuilt; `with_placements` rebuilds every one, about
+    5x slower on a 1500-vNF chain.
+    """
+    vnfs = list(chain.vnfs)
+    for i in indices:
+        vnfs[i] = replace(vnfs[i], placement=Placement.CPU)
+    return replace(chain, vnfs=tuple(vnfs))
 
 
 def plan_pam(

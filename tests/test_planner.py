@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import random
 from dataclasses import asdict, replace
 
@@ -13,6 +14,8 @@ import randgen
 from chainplan import (
     BorderSets,
     LoadState,
+    MigrationPlan,
+    MigrationStep,
     Placement,
     PlanOutcome,
     ServiceChain,
@@ -26,6 +29,7 @@ from chainplan import (
     plan_pam,
     select_candidate,
     utilization,
+    verify_plan,
 )
 
 S = Placement.SMARTNIC
@@ -413,3 +417,145 @@ class TestLoadBalancerStandIn:
                 ]
                 assert got_naive.outcome is reference[1].outcome
                 assert got_pam.post_chain.placements() == reference[0].post_chain.placements()
+
+
+def chain_order_sum(chain, specs, device, load):
+    """Device demand added left to right in chain order, as a plain loop."""
+    total = 0.0
+    for v in chain.vnfs:
+        if v.placement is device:
+            total += load.theta_cur / specs[v.spec].capacity(device)
+    return total
+
+
+def reference_plan(chain, specs, load, *, borders_only):
+    """The greedy loop spelled out with the public one-step helpers.
+
+    Rebuilds the chain and re-sums both devices every step. Returns the plan
+    and every device sum a decision compared with 1.0: the CPU sum plus the
+    candidate for each headroom test, the SmartNIC sum for each stop test.
+    """
+    if not is_overloaded(chain, specs, S, load):
+        return MigrationPlan((), PlanOutcome.NOT_OVERLOADED, (), chain), []
+    if borders_only:
+        pool = set(identify_borders(chain).union)
+    else:
+        pool = {i for i, v in enumerate(chain.vnfs) if v.placement is S}
+    work = chain
+    steps, rejected, sums = [], [], []
+    outcome = PlanOutcome.SCALE_OUT_REQUIRED
+    while (idx := select_candidate(work, pool, specs)) is not None:
+        pool.discard(idx)
+        cpu = chain_order_sum(work, specs, C, load)
+        sums.append(cpu + load.theta_cur / specs[work.vnfs[idx].spec].cap_cpu)
+        if not check_cpu_headroom(work, specs, idx, load):
+            rejected.append(idx)
+            continue
+        steps.append(MigrationStep(work.vnfs[idx].id))
+        work = work.with_placement(idx, C)
+        sums.append(chain_order_sum(work, specs, S, load))
+        if not is_overloaded(work, specs, S, load):
+            outcome = PlanOutcome.RESOLVED
+            break
+        for j in (idx - 1, idx + 1):
+            if 0 <= j < len(work.vnfs) and work.vnfs[j].placement is S and j not in rejected:
+                pool.add(j)
+    rejections = tuple((chain.vnfs[i].id, "cpu_headroom") for i in rejected)
+    return MigrationPlan(tuple(steps), outcome, rejections, work), sums
+
+
+def long_scenario(rng):
+    """100-400 vNFs with capacities scaled by chain length.
+
+    The SmartNIC starts at 1-4x its capacity and the CPU well under its own,
+    so plans take tens of steps, admit migrated vNFs' neighbours and, once
+    the CPU fills, reject candidates.
+    """
+    n = rng.randint(100, 400)
+    specs, vnfs = {}, []
+    for j in range(n):
+        name = f"nf{j}"
+        specs[name] = VnfSpec(
+            name,
+            cap_smartnic=randgen.log_uniform(rng) * n / 8,
+            cap_cpu=randgen.log_uniform(rng) * n / 2,
+        )
+        vnfs.append(VnfInstance(name, name, rng.choice((S, C))))
+    return ServiceChain(tuple(vnfs)), specs, LoadState(rng.uniform(0.5, 2.0))
+
+
+class TestMatchesReferenceLoop:
+    """plan_pam / plan_naive against the loop built from the public helpers."""
+
+    POLICIES = ((plan_pam, True), (plan_naive, False))
+
+    def check(self, chain, specs, load):
+        sums = []
+        for planner, borders_only in self.POLICIES:
+            expected, decided = reference_plan(chain, specs, load, borders_only=borders_only)
+            got = planner(chain, specs, load)
+            assert got.steps == expected.steps
+            assert got.outcome is expected.outcome
+            assert got.rejected_candidates == expected.rejected_candidates
+            assert got.post_chain == expected.post_chain
+            sums += decided
+        return sums
+
+    def test_random_scenarios(self):
+        rng = random.Random(21)
+        for _ in range(1500):
+            self.check(*randgen.random_scenario(rng))
+
+    def test_long_chains(self):
+        rng = random.Random(22)
+        mixed = 0
+        for _ in range(12):
+            chain, specs, load = long_scenario(rng)
+            self.check(chain, specs, load)
+            for planner in (plan_pam, plan_naive):
+                plan = planner(chain, specs, load)
+                mixed += len(plan.steps) >= 20 and len(plan.rejected_candidates) >= 20
+        assert mixed >= 4
+
+    def test_boundary_scenarios(self):
+        # Some decisions must compare a chain-order sum within a few ulps of
+        # 1.0, where the running sums cannot decide and the planner falls
+        # back to the chain-order test.
+        rng = random.Random(23)
+        near_one = 0
+        for _ in range(1500):
+            sums = self.check(*randgen.boundary_scenario(rng))
+            near_one += any(abs(s - 1.0) <= 4 * math.ulp(1.0) for s in sums)
+        assert near_one >= 10
+
+
+def boundary_witness():
+    """C,S,S,S,C at theta = 1.0 where the CPU sums to 1.0 up to rounding."""
+    caps = ((0.7, 6.0), (1.1, 3.0), (0.7, 6.0), (1.1, 3.0), (0.3, 3.0))
+    specs = {f"n{i}": VnfSpec(f"n{i}", cap_smartnic=s, cap_cpu=c) for i, (s, c) in enumerate(caps)}
+    chain = ServiceChain(
+        tuple(VnfInstance(f"n{i}", f"n{i}", p) for i, p in enumerate((C, S, S, S, C)))
+    )
+    return chain, specs, LoadState(1.0)
+
+
+class TestBoundaryWitness:
+    def test_current_plans(self):
+        chain, specs, load = boundary_witness()
+        pam = plan_pam(chain, specs, load)
+        assert pam.outcome is PlanOutcome.RESOLVED
+        assert [s.vnf_id for s in pam.steps] == ["n1", "n2"]
+        assert pam.rejected_candidates == ()
+        naive = plan_naive(chain, specs, load)
+        assert naive.outcome is PlanOutcome.SCALE_OUT_REQUIRED
+        assert [s.vnf_id for s in naive.steps] == ["n2"]
+        assert naive.rejected_candidates == (("n1", "cpu_headroom"), ("n3", "cpu_headroom"))
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="headroom adds cpu + theta/cap where the oracle sums the post chain in "
+        "chain order; the post chain's CPU reads 1.0",
+    )
+    def test_oracle_accepts_pam_plan(self):
+        chain, specs, load = boundary_witness()
+        assert verify_plan(chain, specs, load, plan_pam(chain, specs, load)).passed
