@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
@@ -18,10 +19,13 @@ from chainplan import (
     VnfInstance,
     VnfSpec,
     border_peel_closure,
+    count_crossings,
     enumerate_placements,
+    plan_naive,
     plan_pam,
     verify_plan,
 )
+from chainplan.oracle import MAX_ORACLE_CHAIN
 
 S = Placement.SMARTNIC
 C = Placement.CPU
@@ -216,6 +220,29 @@ class TestBorderPeelClosure:
         assert vectors == {(S, S, C), (S, C, C), (C, C, C)}
 
 
+def chain_from(placements: str, caps) -> tuple[ServiceChain, dict[str, VnfSpec]]:
+    """vNF i is `nf{i}` with (SmartNIC, CPU) capacities caps[i], on "S" or "C"."""
+    specs = {
+        f"nf{i}": VnfSpec(f"nf{i}", cap_smartnic=s, cap_cpu=c) for i, (s, c) in enumerate(caps)
+    }
+    chain = ServiceChain(
+        tuple(
+            VnfInstance(f"nf{i}", f"nf{i}", S if p == "S" else C)
+            for i, p in enumerate(placements)
+        )
+    )
+    return chain, specs
+
+
+def greedy_limitation(cpu_padding: int = 0):
+    """The 9-vNF chain of `TestKnownGreedyLimitation`, with `cpu_padding`
+    light CPU vNFs added to its CPU run; the padding changes no decision."""
+    caps = [(0.74, 7.29), (0.57, 0.79), (3.75, 6.81), (2.57, 2.68), (4.64, 1.84),
+            (8.62, 1.51), (0.58, 13.99), (0.5, 1.82), (1.01, 12.03)]
+    caps[3:3] = [(1.0, 1000.0)] * cpu_padding
+    return (*chain_from("SSC" + "C" * cpu_padding + "SSSSSS", caps), LoadState(0.321))
+
+
 class TestKnownGreedyLimitation:
     def test_min_capacity_first_can_miss_a_peelable_solution(self):
         # The loop must migrate the smallest-capacity border whenever the CPU
@@ -223,20 +250,7 @@ class TestKnownGreedyLimitation:
         # needed, while leaving nf0+nf1 (utilization 0.997) in place and
         # draining the right segment is feasible. The brute-force check
         # reports the missed placement as a witness.
-        s_caps = (0.74, 0.57, 3.75, 2.57, 4.64, 8.62, 0.58, 0.5, 1.01)
-        c_caps = (7.29, 0.79, 6.81, 2.68, 1.84, 1.51, 13.99, 1.82, 12.03)
-        placements = "SSCSSSSSS"
-        specs = {
-            f"nf{i}": VnfSpec(f"nf{i}", cap_smartnic=s, cap_cpu=c)
-            for i, (s, c) in enumerate(zip(s_caps, c_caps))
-        }
-        chain = ServiceChain(
-            tuple(
-                VnfInstance(f"nf{i}", f"nf{i}", S if p == "S" else C)
-                for i, p in enumerate(placements)
-            )
-        )
-        load = LoadState(0.321)
+        chain, specs, load = greedy_limitation()
         plan = plan_pam(chain, specs, load)
         assert plan.outcome is PlanOutcome.SCALE_OUT_REQUIRED
         report = verify_plan(chain, specs, load, plan)
@@ -245,3 +259,151 @@ class TestKnownGreedyLimitation:
         assert set(failed) == {"scale_out_certified"}
         assert "S,S,C,C,C,C,C,C,C" in failed["scale_out_certified"].detail
         assert dict(report.info)["global_feasible_subset"] != "none"
+
+
+def label(vec) -> str:
+    return ",".join("S" if p is S else "C" for p in vec)
+
+
+def reference_global_subset(chain, specs, load) -> tuple[str, bool]:
+    """`global_feasible_subset` by the full scan `verify_plan` used to run.
+
+    Also says whether a record up to the first witness needs the walk's
+    in-band recheck: it is reachable, adds no crossings, neither chain-order
+    sum exceeds 1.0 by more than 4 ulps and one lies within 4 ulps of 1.0.
+    The walk's band is wider than 4 ulps and it prunes nothing such a record
+    lies under, so it visits that leaf and decides it in chain order.
+    """
+    base_crossings = count_crossings(chain)
+    input_vec = chain.placements()
+    theta = load.theta_cur
+    near_one = False
+    for record in enumerate_placements(chain, specs, load):
+        vec = record.placement_vector
+        reachable = all(not (a is C and b is S) for a, b in zip(input_vec, vec))
+        if not reachable or record.crossings > base_crossings:
+            continue
+        nic = sum(theta / specs[v.spec].cap_smartnic for v, p in zip(chain.vnfs, vec) if p is S)
+        cpu = sum(theta / specs[v.spec].cap_cpu for v, p in zip(chain.vnfs, vec) if p is C)
+        edge = 4 * math.ulp(1.0)
+        near_one |= max(nic, cpu) <= 1.0 + edge and min(abs(nic - 1.0), abs(cpu - 1.0)) <= edge
+        if record.feasible_smartnic and record.feasible_cpu:
+            return label(vec), near_one
+    return "none", near_one
+
+
+class TestGlobalFeasibleSubset:
+    """`verify_plan`'s pruned walk against the full scan, on ScaleOutRequired plans."""
+
+    def check(self, chain, specs, load) -> list[tuple[str, bool]]:
+        plans = [planner(chain, specs, load) for planner in (plan_pam, plan_naive)]
+        plans = [plan for plan in plans if plan.outcome is PlanOutcome.SCALE_OUT_REQUIRED]
+        if not plans:
+            return []
+        expected = reference_global_subset(chain, specs, load)
+        for plan in plans:
+            report = verify_plan(chain, specs, load, plan)
+            assert dict(report.info)["global_feasible_subset"] == expected[0]
+        return [expected] * len(plans)
+
+    def test_random_scenarios(self):
+        rng = random.Random(53)
+        results = []
+        for _ in range(80):
+            results += self.check(*randgen.random_scenario(rng, max_len=12))
+        assert len(results) >= 50
+        assert any(found == "none" for found, _ in results)
+
+    def test_boundary_scenarios(self):
+        # Witnesses are rare (a few per 500 plans), and some leaves sum to
+        # within a few ulps of 1.0, where the carried sums cannot decide.
+        rng = random.Random(51)
+        results = []
+        for _ in range(800):
+            results += self.check(*randgen.boundary_scenario(rng, max_len=8))
+        found = {expected for expected, _ in results}
+        assert "none" in found and len(found) > 1
+        assert sum(near_one for _, near_one in results) >= 10
+
+    @pytest.mark.parametrize(
+        "placements, caps, expected",
+        [
+            # On one device, ratios 0.1, 0.2, 0.7 sum to 1.0 in chain order
+            # (no fit) and to 0.9999999999999999 in the walk's order; 0.7,
+            # 0.2, 0.1 the other way round (a fit that the walk reads as 1.0).
+            # The walk adds the SmartNIC stay sum from the right, and the CPU
+            # sum from the input's CPU vNFs before the moved ones.
+            ("SSS", [(10.0, 100.0), (5.0, 100.0), (1 / 0.7, 100.0)], "none"),
+            ("SSS", [(1 / 0.7, 100.0), (5.0, 100.0), (10.0, 100.0)], "S,S,S"),
+            ("SCC", [(1.0, 10.0), (100.0, 5.0), (100.0, 1 / 0.7)], "none"),
+            ("SCC", [(1.0, 1 / 0.7), (100.0, 5.0), (100.0, 10.0)], "C,C,C"),
+        ],
+    )
+    def test_chain_order_decides_inside_the_band(self, placements, caps, expected):
+        chain, specs = chain_from(placements, caps)
+        load = LoadState(1.0)
+        # A claimed ScaleOutRequired plan runs the scan whatever the planners decide.
+        claim = MigrationPlan((), PlanOutcome.SCALE_OUT_REQUIRED, (), chain)
+        assert reference_global_subset(chain, specs, load) == (expected, True)
+        assert dict(verify_plan(chain, specs, load, claim).info)["global_feasible_subset"] == expected
+
+    def test_first_of_several_fits_is_reported(self, fig1_chain, fig1_specs):
+        # On the fig1 chain at 1.2 Gbps several subsets fit; counting order
+        # puts C,C,S,S,C (index 0b10011) first.
+        chain, specs, load = fig1_chain, fig1_specs, LoadState(1.2)
+        claim = MigrationPlan((), PlanOutcome.SCALE_OUT_REQUIRED, (), chain)
+        report = verify_plan(chain, specs, load, claim)
+        assert reference_global_subset(chain, specs, load)[0] == "C,C,S,S,C"
+        assert dict(report.info)["global_feasible_subset"] == "C,C,S,S,C"
+
+    def test_known_limitation_witness(self):
+        chain, specs, load = greedy_limitation()
+        assert self.check(chain, specs, load) == [("S,S,C,C,C,C,C,C,C", False)]
+
+
+def brute_force_subset(chain, specs, load) -> str:
+    """First feasible subset of the SmartNIC vNFs moved to the CPU, in
+    binary-counting order over chain positions, with chain-order sums."""
+    theta = load.theta_cur
+    nic_positions = [j for j, v in enumerate(chain.vnfs) if v.placement is S]
+    base_crossings = count_crossings(chain)
+    for mask in range(1 << len(nic_positions)):
+        vec = list(chain.placements())
+        for bit, j in enumerate(nic_positions):
+            if (mask >> bit) & 1:
+                vec[j] = C
+        nic = sum(theta / specs[v.spec].cap_smartnic for v, p in zip(chain.vnfs, vec) if p is S)
+        cpu = sum(theta / specs[v.spec].cap_cpu for v, p in zip(chain.vnfs, vec) if p is C)
+        crossings = count_crossings(chain.with_placements(tuple(vec)))
+        if nic < 1.0 and cpu < 1.0 and crossings <= base_crossings:
+            return label(vec)
+    return "none"
+
+
+class TestAtTheCap:
+    """20-vNF chains (MAX_ORACLE_CHAIN) with at most 10 SmartNIC vNFs."""
+
+    def test_padded_limitation_chain_has_the_brute_force_witness(self):
+        chain, specs, load = greedy_limitation(cpu_padding=11)
+        assert len(chain) == MAX_ORACLE_CHAIN
+        plan = plan_pam(chain, specs, load)
+        assert plan.outcome is PlanOutcome.SCALE_OUT_REQUIRED
+        expected = brute_force_subset(chain, specs, load)
+        assert expected == "S,S" + ",C" * 18
+        assert dict(verify_plan(chain, specs, load, plan).info)["global_feasible_subset"] == expected
+
+    def test_random_chains_match_brute_force(self):
+        rng = random.Random(54)
+        checked = 0
+        while checked < 3:
+            on_nic = set(rng.sample(range(MAX_ORACLE_CHAIN), 10))
+            placements = "".join("S" if j in on_nic else "C" for j in range(MAX_ORACLE_CHAIN))
+            caps = [(randgen.log_uniform(rng), randgen.log_uniform(rng)) for _ in placements]
+            chain, specs = chain_from(placements, caps)
+            load = LoadState(rng.uniform(0.05, 0.4))
+            plan = plan_pam(chain, specs, load)
+            if plan.outcome is not PlanOutcome.SCALE_OUT_REQUIRED:
+                continue
+            report = verify_plan(chain, specs, load, plan)
+            assert dict(report.info)["global_feasible_subset"] == brute_force_subset(chain, specs, load)
+            checked += 1
