@@ -153,10 +153,7 @@ def _cmd_plan(args: argparse.Namespace) -> int:
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     scenario = _load(args)
-    trace = load_trace(args.trace)
-    if not trace:
-        raise ScenarioFormatError(f"{args.trace}: trace has no data rows")
-    records = run_trace(scenario, trace, args.policy)
+    records = run_trace(scenario, load_trace(args.trace), args.policy)
     emit_report(records, "csv", args.out)
     if args.svg:
         emit_report(records, "svg", args.svg)

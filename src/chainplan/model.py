@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Mapping
@@ -145,6 +146,15 @@ def builtin_table1() -> dict[str, VnfSpec]:
     return {s.name: s for s in specs}
 
 
+# (field, violated when fails(value, 0), code, message) for each VnfSpec number.
+_SPEC_RULES = (
+    ("cap_smartnic", operator.le, "non_positive_capacity", "capacity must be > 0"),
+    ("cap_cpu", operator.le, "non_positive_capacity", "capacity must be > 0"),
+    ("proc_latency_smartnic", operator.lt, "negative_latency", "processing latency must be >= 0"),
+    ("proc_latency_cpu", operator.lt, "negative_latency", "processing latency must be >= 0"),
+)
+
+
 def validate(scenario: Scenario) -> ValidationReport:
     """Check every model invariant.
 
@@ -175,26 +185,10 @@ def validate(scenario: Scenario) -> ValidationReport:
             )
 
     for name, spec in scenario.specs.items():
-        if spec.cap_smartnic <= 0:
-            violations.append(
-                Violation("non_positive_capacity", f"specs[{name}].cap_smartnic",
-                          f"capacity must be > 0, got {spec.cap_smartnic}")
-            )
-        if spec.cap_cpu <= 0:
-            violations.append(
-                Violation("non_positive_capacity", f"specs[{name}].cap_cpu",
-                          f"capacity must be > 0, got {spec.cap_cpu}")
-            )
-        if spec.proc_latency_smartnic < 0:
-            violations.append(
-                Violation("negative_latency", f"specs[{name}].proc_latency_smartnic",
-                          f"processing latency must be >= 0, got {spec.proc_latency_smartnic}")
-            )
-        if spec.proc_latency_cpu < 0:
-            violations.append(
-                Violation("negative_latency", f"specs[{name}].proc_latency_cpu",
-                          f"processing latency must be >= 0, got {spec.proc_latency_cpu}")
-            )
+        for field, fails, code, rule in _SPEC_RULES:
+            value = getattr(spec, field)
+            if fails(value, 0):
+                violations.append(Violation(code, f"specs[{name}].{field}", f"{rule}, got {value}"))
 
     if scenario.load.theta_cur < 0:
         violations.append(

@@ -7,15 +7,14 @@ the space is 2^n.
 
 from __future__ import annotations
 
-import math
 from collections import deque
 from dataclasses import dataclass
 from typing import Iterator, Mapping
 
 from .model import LoadState, Placement, ServiceChain, VnfSpec
 from .perf import count_crossings
-from .planner import MigrationPlan, PlanOutcome, _below_one, identify_borders
-from .resources import utilization
+from .planner import MigrationPlan, PlanOutcome, identify_borders
+from .resources import below_one, chain_sum, demand_ratios, rounding_band, utilization
 
 MAX_ORACLE_CHAIN = 20
 
@@ -77,9 +76,7 @@ def enumerate_placements(
     """
     _check_length(chain)
     n = len(chain)
-    theta = load.theta_cur
-    s_ratio = [theta / specs[v.spec].cap_smartnic for v in chain.vnfs]
-    c_ratio = [theta / specs[v.spec].cap_cpu for v in chain.vnfs]
+    s_ratio, c_ratio = demand_ratios(chain, specs, load)
     input_vec = chain.placements()
 
     records = []
@@ -87,8 +84,8 @@ def enumerate_placements(
         vec = tuple(
             Placement.CPU if (k >> j) & 1 else Placement.SMARTNIC for j in range(n)
         )
-        s_util = sum(s_ratio[j] for j in range(n) if vec[j] is Placement.SMARTNIC)
-        c_util = sum(c_ratio[j] for j in range(n) if vec[j] is Placement.CPU)
+        s_util = chain_sum(s_ratio[j] for j in range(n) if vec[j] is Placement.SMARTNIC)
+        c_util = chain_sum(c_ratio[j] for j in range(n) if vec[j] is Placement.CPU)
         seq = (chain.ingress_anchor, *vec, chain.egress_anchor)
         crossings = sum(1 for a, b in zip(seq, seq[1:]) if a is not b)
         migrations = sum(
@@ -149,9 +146,7 @@ def _first_reachable_witness(
     one of them rules out every leaf below.
     """
     n = len(chain)
-    theta = load.theta_cur
-    s_ratio = [theta / specs[v.spec].cap_smartnic for v in chain.vnfs]
-    c_ratio = [theta / specs[v.spec].cap_cpu for v in chain.vnfs]
+    s_ratio, c_ratio = demand_ratios(chain, specs, load)
     # row[j + 1] is vNF j's placement, between the anchors. The anchors and
     # the input's CPU vNFs are decided from the start; the walk writes each
     # SmartNIC position as it decides it, before anything to its left.
@@ -162,47 +157,24 @@ def _first_reachable_witness(
     cross0 = sum(
         1 for i in range(n + 1) if row[i] is not row[i + 1] and not (free_at[i] or free_at[i + 1])
     )
-    cpu0 = sum(c_ratio[j] for j in range(n) if row[j + 1] is Placement.CPU)
-    # The leaf test is the reference scan's: chain-order `sum(...) < 1.0` on
-    # both devices. The carried sums only filter it. With u = 2**-53 and
-    # T = 1 + the sum of every ratio of both devices (ratios are >= 0, so T
-    # bounds every partial sum) and n <= 20:
-    # - a leaf's chain-order sum is within 1.01*n*u*T of its exact sum
-    #   (recursive summation; the compensated `sum` of Python 3.12+ is
-    #   tighter);
-    # - a carried sum takes at most n float additions (the CPU one starts
-    #   from the chain-order sum of the input's CPU vNFs), so it is within
-    #   1.01*n*u*T of the exact sum of its own terms.
-    # Leaf: carried and chain-order sums differ by less than
-    # 2.02*n*u*T < (n+2)*2**-50*T = tol, so a carried value farther than tol
-    # from 1.0 decides as the chain-order test would (`_below_one`); inside
-    # the band the chain-order test itself decides.
-    # Pruning: a leaf below a node holds all of the node's decided terms, so
-    # its exact sum is at least theirs. A carried value past 1 + tol has an
-    # exact sum above 1 + tol - 1.01*n*u*T, so every leaf below has a
-    # chain-order sum above 1 + tol - 2.02*n*u*T > 1 and fails. The argument
-    # runs through exact sums only: float `sum` need not be monotone.
-    # Crossings only accumulate, so decided ones past `base_crossings` rule
-    # out every leaf below too. A negative or NaN ratio voids the bounds:
-    # tol is then infinite, nothing is pruned on sums and every leaf takes
-    # the chain-order test. T is summed with `sum` (it overflows to inf, the
-    # same fallback, where `fsum` would raise); its rounding is far inside
-    # the slack between 2.02 and 8.
-    ratios = s_ratio + c_ratio
-    tol = (n + 2) * 2.0**-50 * (1.0 + sum(ratios)) if all(r >= 0.0 for r in ratios) else math.inf
+
+    def device_sum(ratios: list[float], device: Placement) -> float:
+        return chain_sum([ratios[j] for j in range(n) if row[j + 1] is device])
+
+    cpu0 = device_sum(c_ratio, Placement.CPU)
+    # The leaf test is the reference scan's chain-order `chain_sum(...) < 1.0`
+    # on both devices; the carried sums decide it outside the rounding band
+    # (`below_one`). A carried sum past 1 + tol rules out every leaf below,
+    # since a leaf holds all of its terms (see `rounding_band`); crossings
+    # only accumulate, so decided ones past `base_crossings` do too.
+    tol = rounding_band(s_ratio, c_ratio)
     limit = 1.0 + tol
 
     def walk(t: int, nic: float, cpu: float, cross: int) -> tuple[Placement, ...] | None:
         if t < 0:
-            if _below_one(
-                nic,
-                tol,
-                lambda: sum(s_ratio[j] for j in range(n) if row[j + 1] is Placement.SMARTNIC) < 1.0,
-            ) and _below_one(
-                cpu,
-                tol,
-                lambda: sum(c_ratio[j] for j in range(n) if row[j + 1] is Placement.CPU) < 1.0,
-            ):
+            if below_one(
+                nic, tol, lambda: device_sum(s_ratio, Placement.SMARTNIC) < 1.0
+            ) and below_one(cpu, tol, lambda: device_sum(c_ratio, Placement.CPU) < 1.0):
                 return tuple(row[1:-1])
             return None
         p = free[t]
@@ -299,10 +271,10 @@ def verify_plan(
 
     # (d) ScaleOutRequired must survive the border-peeling closure.
     if plan.outcome is PlanOutcome.SCALE_OUT_REQUIRED:
-        base_crossings = count_crossings(chain)
+        # No crossing test: migrating a border changes the count by 0 or -2.
         witness = None
         for state in border_peel_closure(chain):
-            if count_crossings(state) <= base_crossings and _fully_feasible(state, specs, load):
+            if _fully_feasible(state, specs, load):
                 witness = state
                 break
         ok = witness is None
@@ -314,7 +286,7 @@ def verify_plan(
 
         # Informational only: border migration can never reach interior vNFs,
         # so also report whether any SmartNIC-to-CPU subset at all would fit.
-        global_witness = _first_reachable_witness(chain, specs, load, base_crossings)
+        global_witness = _first_reachable_witness(chain, specs, load, count_crossings(chain))
         info.append(
             (
                 "global_feasible_subset",

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .model import ServiceChain, VnfSpec
-from .resources import max_chain_throughput
+from .resources import chain_sum, max_chain_throughput
 
 
 @dataclass(frozen=True)
@@ -31,7 +31,7 @@ def count_crossings(chain: ServiceChain) -> int:
 def estimate_latency(
     chain: ServiceChain, specs: Mapping[str, VnfSpec], pcie_latency_us: float
 ) -> float:
-    proc = sum(specs[v.spec].proc_latency(v.placement) for v in chain.vnfs)
+    proc = chain_sum([specs[v.spec].proc_latency(v.placement) for v in chain.vnfs])
     return proc + count_crossings(chain) * pcie_latency_us
 
 

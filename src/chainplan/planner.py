@@ -16,9 +16,9 @@ the candidate pool in a heap, the placements in a mutable list and each
 device's demand as a running sum, and builds `post_chain` once at the end.
 The decisions are still those of the chain-order sums that `utilization`
 and `check_cpu_headroom` compute. A running sum differs from its chain-order
-sum by a rounding error with a proven bound, so it decides only when it lies
-farther than that bound from 1.0; inside the bound the chain-order test is
-run on the current placements.
+sum by a rounding error with a proven bound (`resources.rounding_band`), so
+it decides only when it lies farther than that bound from 1.0; inside the
+bound the chain-order sum over the current placements decides.
 """
 
 from __future__ import annotations
@@ -27,10 +27,12 @@ import heapq
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Callable, Collection, Mapping
+from typing import Collection, Mapping
 
 from .model import LoadState, Placement, ServiceChain, VnfSpec
-from .resources import is_overloaded, utilization
+from .resources import (
+    below_one, chain_sum, demand_ratios, is_overloaded, rounding_band, utilization
+)
 
 REJECT_CPU_HEADROOM = "cpu_headroom"
 REASON_MIN_CAPACITY = "min_smartnic_capacity"
@@ -138,33 +140,22 @@ def _plan(
         return MigrationPlan((), PlanOutcome.NOT_OVERLOADED, (), chain)
 
     n = len(chain.vnfs)
-    spec_at = [specs[v.spec] for v in chain.vnfs]
-    nic_ratio = [load.theta_cur / s.cap_smartnic for s in spec_at]
-    cpu_ratio = [load.theta_cur / s.cap_cpu for s in spec_at]
+    cap_nic = [specs[v.spec].cap_smartnic for v in chain.vnfs]
+    nic_ratio, cpu_ratio = demand_ratios(chain, specs, load)
+    tol = rounding_band(nic_ratio, cpu_ratio)
     on_nic = [v.placement is Placement.SMARTNIC for v in chain.vnfs]
     nic = math.fsum(r for r, s in zip(nic_ratio, on_nic) if s)
     cpu = math.fsum(r for r, s in zip(cpu_ratio, on_nic) if not s)
-    # The decisions are made on the chain-order sums of `utilization` (the
-    # stop test) and `check_cpu_headroom` (the headroom test); the running
-    # sums only filter them. With u = 2**-53 and T = 1 + the sum of every
-    # ratio of both devices (each device sum, partial or whole, is below T)
-    # and n < 2**40:
-    # - a chain-order sum of m <= n terms is within 1.01*n*u*T of the exact
-    #   one (recursive summation; a compensated `sum` is tighter);
-    # - a running sum starts correctly rounded (fsum) and takes at most n
-    #   updates of one rounding each, so it is within 1.01*(n+1)*u*T;
-    # - the headroom test adds one ratio (one more rounding) and compares a
-    #   rounded value with 1.0, which moves the threshold by at most u.
-    # In total below 1.01*(2n+5)*u*T < (n+2)*2**-50*T = tol, so a running
-    # value farther than tol from 1.0 decides as the chain-order sum would.
-    # Inside the band the chain-order test itself decides (`_below_one`).
-    tol = (n + 2) * 2.0**-50 * (1.0 + math.fsum(nic_ratio) + math.fsum(cpu_ratio))
+
+    def device_sum(ratios: list[float], on_smartnic: bool) -> float:
+        # `utilization(...).utilization` on the current placements.
+        return chain_sum([r for r, s in zip(ratios, on_nic) if s == on_smartnic])
 
     pool = identify_borders(chain).union if borders_only else [i for i in range(n) if on_nic[i]]
     # Same order as `select_candidate`. An index enters at most once: it then
     # migrates (off the SmartNIC for good) or is rejected, and the CPU sum
     # only grows, so a rejected vNF would be rejected again.
-    heap = [(spec_at[i].cap_smartnic, i) for i in pool]
+    heap = [(cap_nic[i], i) for i in pool]
     heapq.heapify(heap)
     queued = set(pool)
     moved: list[int] = []
@@ -172,10 +163,9 @@ def _plan(
     outcome = PlanOutcome.SCALE_OUT_REQUIRED
     while heap:
         _, idx = heapq.heappop(heap)
-        if not _below_one(
-            cpu + cpu_ratio[idx],
-            tol,
-            lambda: check_cpu_headroom(_moved_to_cpu(chain, moved), specs, idx, load),
+        # Inside the band: `check_cpu_headroom`, then `not is_overloaded`.
+        if not below_one(
+            cpu + cpu_ratio[idx], tol, lambda: device_sum(cpu_ratio, False) + cpu_ratio[idx] < 1.0
         ):
             rejected.append(idx)
             continue
@@ -183,47 +173,26 @@ def _plan(
         on_nic[idx] = False
         nic -= nic_ratio[idx]
         cpu += cpu_ratio[idx]
-        if _below_one(
-            nic,
-            tol,
-            lambda: not is_overloaded(_moved_to_cpu(chain, moved), specs, Placement.SMARTNIC, load),
-        ):
+        if below_one(nic, tol, lambda: not device_sum(nic_ratio, True) >= 1.0):
             outcome = PlanOutcome.RESOLVED
             break
         # A migrated vNF's SmartNIC neighbors become borders.
         for j in (idx - 1, idx + 1):
             if 0 <= j < n and on_nic[j] and j not in queued:
                 queued.add(j)
-                heapq.heappush(heap, (spec_at[j].cap_smartnic, j))
+                heapq.heappush(heap, (cap_nic[j], j))
 
     steps = tuple(MigrationStep(chain.vnfs[i].id) for i in moved)
     rejections = tuple((chain.vnfs[i].id, REJECT_CPU_HEADROOM) for i in rejected)
-    post_chain = _moved_to_cpu(chain, moved) if moved else chain
+    post_chain = chain
+    if moved:
+        # Only the moved vNFs are rebuilt; `with_placements` rebuilds every
+        # one, about 5x slower on a 1500-vNF chain.
+        vnfs = list(chain.vnfs)
+        for i in moved:
+            vnfs[i] = replace(vnfs[i], placement=Placement.CPU)
+        post_chain = replace(chain, vnfs=tuple(vnfs))
     return MigrationPlan(steps, outcome, rejections, post_chain)
-
-
-def _below_one(value: float, tol: float, exact: Callable[[], bool]) -> bool:
-    """`value < 1` for a running sum within `tol` of the one `exact` tests.
-
-    NaN and an infinite `tol` fall through to `exact`.
-    """
-    if value < 1.0 - tol:
-        return True
-    if value > 1.0 + tol:
-        return False
-    return exact()
-
-
-def _moved_to_cpu(chain: ServiceChain, indices: list[int]) -> ServiceChain:
-    """`chain` with the vNFs at `indices` on the CPU.
-
-    Only those vNFs are rebuilt; `with_placements` rebuilds every one, about
-    5x slower on a 1500-vNF chain.
-    """
-    vnfs = list(chain.vnfs)
-    for i in indices:
-        vnfs[i] = replace(vnfs[i], placement=Placement.CPU)
-    return replace(chain, vnfs=tuple(vnfs))
 
 
 def plan_pam(

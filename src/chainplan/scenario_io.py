@@ -237,7 +237,8 @@ def save_scenario(scenario: Scenario, path: str | Path) -> None:
 
 
 def load_trace(path: str | Path) -> tuple[TracePoint, ...]:
-    """Parse a trace CSV with header t,theta_cur_gbps; t must strictly increase."""
+    """Parse a trace CSV with header t,theta_cur_gbps and at least one data
+    row; t must strictly increase."""
     text = Path(path).read_text()
     rows = list(csv.reader(io.StringIO(text)))
     if not rows or tuple(rows[0]) != TRACE_HEADER:
@@ -265,4 +266,6 @@ def load_trace(path: str | Path) -> tuple[TracePoint, ...]:
                 f"{path}: line {lineno}: theta_cur_gbps must be >= 0"
             )
         points.append(TracePoint(t, theta))
+    if not points:
+        raise ScenarioFormatError(f"{path}: trace has no data rows")
     return tuple(points)

@@ -35,8 +35,17 @@ def crossings(placements, ingress="S", egress="S"):
     return sum(1 for a, b in zip(seq, seq[1:]) if a != b)
 
 
+def left_to_right(values):
+    """Float sum in list order. Builtin `sum` compensates rounding from
+    Python 3.12 on; the frozen values are plain left-to-right sums."""
+    total = 0
+    for value in values:
+        total += value
+    return total
+
+
 def device_utilization(theta, caps):
-    return sum(theta / cap for cap in caps)
+    return left_to_right(theta / cap for cap in caps)
 
 
 def golden_smartnic_utilization(theta=1.2):
@@ -64,8 +73,8 @@ def bisect_max_throughput(smartnic_caps, cpu_caps, hi=1e6, iters=200):
     lo = 0.0
     for _ in range(iters):
         mid = (lo + hi) / 2.0
-        s = sum(mid / c for c in smartnic_caps)
-        c = sum(mid / c for c in cpu_caps)
+        s = left_to_right(mid / c for c in smartnic_caps)
+        c = left_to_right(mid / c for c in cpu_caps)
         if s >= 1.0 or c >= 1.0:
             hi = mid
         else:
@@ -101,8 +110,8 @@ def golden_minimum_migration_sets(theta=1.2):
         moved = frozenset(
             n for n, a, b in zip(GOLDEN_CHAIN, GOLDEN_PLACEMENT, bits) if a == "S" and b == "C"
         )
-        s_util = sum(theta / CAPS[n][0] for n, p in zip(GOLDEN_CHAIN, bits) if p == "S")
-        c_util = sum(theta / CAPS[n][1] for n, p in zip(GOLDEN_CHAIN, bits) if p == "C")
+        s_util = left_to_right(theta / CAPS[n][0] for n, p in zip(GOLDEN_CHAIN, bits) if p == "S")
+        c_util = left_to_right(theta / CAPS[n][1] for n, p in zip(GOLDEN_CHAIN, bits) if p == "C")
         if s_util < 1.0 and c_util < 1.0 and crossings(bits) <= base_cross:
             feasible_moves.append(moved)
     smallest = min(len(m) for m in feasible_moves)

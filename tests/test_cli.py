@@ -93,6 +93,19 @@ class TestSimulateCommand:
             assert code == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_trace_without_data_rows_is_exit_one(self, capsys, tmp_path):
+        trace = tmp_path / "empty.trace.csv"
+        trace.write_text("t,theta_cur_gbps\n")
+        out_csv = tmp_path / "timeline.csv"
+        code, _, err = run(
+            capsys,
+            "simulate", "--scenario", str(golden.FIG1_SCENARIO),
+            "--trace", str(trace), "--policy", "pam", "--out", str(out_csv),
+        )
+        assert code == 1
+        assert f"{trace}: trace has no data rows" in err
+        assert not out_csv.exists()
+
 
 class TestCompareCommand:
     def test_text_output(self, capsys):

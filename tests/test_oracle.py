@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -26,6 +27,7 @@ from chainplan import (
     verify_plan,
 )
 from chainplan.oracle import MAX_ORACLE_CHAIN
+from chainplan.resources import chain_sum
 
 S = Placement.SMARTNIC
 C = Placement.CPU
@@ -219,6 +221,19 @@ class TestBorderPeelClosure:
         assert (C, S, C) not in vectors
         assert vectors == {(S, S, C), (S, C, C), (C, C, C)}
 
+    def test_no_state_adds_crossings(self):
+        # Migrating a border changes the crossing count by 0 or -2, which is
+        # why `verify_plan`'s scale-out check has no crossing test.
+        rng = random.Random(55)
+        for _ in range(300):
+            chain = replace(
+                randgen.random_scenario(rng)[0],
+                ingress_anchor=rng.choice((S, C)),
+                egress_anchor=rng.choice((S, C)),
+            )
+            base = count_crossings(chain)
+            assert all(count_crossings(state) <= base for state in border_peel_closure(chain))
+
 
 def chain_from(placements: str, caps) -> tuple[ServiceChain, dict[str, VnfSpec]]:
     """vNF i is `nf{i}` with (SmartNIC, CPU) capacities caps[i], on "S" or "C"."""
@@ -283,8 +298,8 @@ def reference_global_subset(chain, specs, load) -> tuple[str, bool]:
         reachable = all(not (a is C and b is S) for a, b in zip(input_vec, vec))
         if not reachable or record.crossings > base_crossings:
             continue
-        nic = sum(theta / specs[v.spec].cap_smartnic for v, p in zip(chain.vnfs, vec) if p is S)
-        cpu = sum(theta / specs[v.spec].cap_cpu for v, p in zip(chain.vnfs, vec) if p is C)
+        nic = chain_sum(theta / specs[v.spec].cap_smartnic for v, p in zip(chain.vnfs, vec) if p is S)
+        cpu = chain_sum(theta / specs[v.spec].cap_cpu for v, p in zip(chain.vnfs, vec) if p is C)
         edge = 4 * math.ulp(1.0)
         near_one |= max(nic, cpu) <= 1.0 + edge and min(abs(nic - 1.0), abs(cpu - 1.0)) <= edge
         if record.feasible_smartnic and record.feasible_cpu:
@@ -372,8 +387,8 @@ def brute_force_subset(chain, specs, load) -> str:
         for bit, j in enumerate(nic_positions):
             if (mask >> bit) & 1:
                 vec[j] = C
-        nic = sum(theta / specs[v.spec].cap_smartnic for v, p in zip(chain.vnfs, vec) if p is S)
-        cpu = sum(theta / specs[v.spec].cap_cpu for v, p in zip(chain.vnfs, vec) if p is C)
+        nic = chain_sum(theta / specs[v.spec].cap_smartnic for v, p in zip(chain.vnfs, vec) if p is S)
+        cpu = chain_sum(theta / specs[v.spec].cap_cpu for v, p in zip(chain.vnfs, vec) if p is C)
         crossings = count_crossings(chain.with_placements(tuple(vec)))
         if nic < 1.0 and cpu < 1.0 and crossings <= base_crossings:
             return label(vec)

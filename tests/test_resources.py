@@ -17,6 +17,7 @@ from chainplan import (
     max_chain_throughput,
     utilization,
 )
+from chainplan.resources import below_one, chain_sum, demand_ratios, rounding_band
 
 S = Placement.SMARTNIC
 C = Placement.CPU
@@ -74,6 +75,45 @@ class TestUtilization:
             before = utilization(chain, specs, S, load).utilization
             after = utilization(bigger, specs, S, load).utilization
             assert after >= before
+
+
+class TestSummationOrder:
+    def test_chain_sum_adds_left_to_right(self):
+        # The two orders round to different sides of 1.0; builtin `sum`
+        # compensates from Python 3.12 on and gives neither on every version.
+        assert chain_sum([0.1, 0.2, 0.7]) == (0.1 + 0.2) + 0.7 == 1.0
+        assert chain_sum([0.7, 0.2, 0.1]) == (0.7 + 0.2) + 0.1 < 1.0
+
+    def test_chain_sum_starts_from_int_zero(self):
+        assert chain_sum([]) == 0 and type(chain_sum([])) is int
+        assert chain_sum(iter([1, 2, 3])) == 6 and type(chain_sum([1, 2, 3])) is int
+
+    def test_utilization_is_the_chain_sum_of_demand_ratios(self):
+        rng = random.Random(11)
+        for _ in range(50):
+            chain, specs, load = randgen.random_scenario(rng)
+            nic, cpu = demand_ratios(chain, specs, load)
+            for device, ratios in ((S, nic), (C, cpu)):
+                hosted = [r for r, v in zip(ratios, chain.vnfs) if v.placement is device]
+                report = utilization(chain, specs, device, load)
+                assert [r for _, r in report.per_vnf] == hosted
+                assert report.utilization == chain_sum(hosted)
+
+    def test_rounding_band_is_infinite_without_a_bound(self):
+        assert 0.0 < rounding_band([0.5, 2.0], [0.25, 0.1]) < 1e-12
+        assert rounding_band([0.5, -0.1], [0.25, 0.1]) == float("inf")
+        assert rounding_band([0.5, 2.0], [float("nan"), 0.1]) == float("inf")
+
+    def test_below_one_asks_the_chain_order_test_only_inside_the_band(self):
+        def fail() -> bool:
+            raise AssertionError("decided outside the band")
+
+        tol = 1e-12
+        assert below_one(1.0 - 2 * tol, tol, fail)
+        assert not below_one(1.0 + 2 * tol, tol, fail)
+        assert below_one(1.0, tol, lambda: True)
+        assert not below_one(1.0 - 2 * tol, float("inf"), lambda: False)
+        assert below_one(float("nan"), tol, lambda: True)
 
 
 class TestIsOverloaded:

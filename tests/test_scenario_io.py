@@ -171,6 +171,12 @@ class TestLoadTrace:
         points = load_trace(golden.RAMP_TRACE)
         assert [(p.t, p.theta_cur) for p in points] == [(0.0, 0.5), (1.0, 1.2)]
 
+    def test_header_only_is_rejected(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("t,theta_cur_gbps\n\n")
+        with pytest.raises(ScenarioFormatError, match="no data rows"):
+            load_trace(path)
+
     def test_header_must_match(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_text("time,gbps\n0,1\n")
