@@ -21,20 +21,17 @@ from .oracle import (
     enumerate_placements,
     verify_plan,
 )
-from .perf import PerfEstimate, count_crossings, estimate_latency, estimate_perf
+from .perf import count_crossings, estimate_latency
 from .planner import (
-    BorderSets,
     MigrationPlan,
     MigrationStep,
     PlanOutcome,
-    check_cpu_headroom,
     identify_borders,
     plan_naive,
     plan_pam,
-    select_candidate,
 )
 from .reports import emit_report, parse_timeline_csv, timeline_to_csv
-from .resources import UtilizationReport, is_overloaded, max_chain_throughput, utilization
+from .resources import is_overloaded, max_chain_throughput, utilization
 from .scenario_io import (
     ScenarioFormatError,
     ScenarioValidationError,
@@ -51,13 +48,11 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DEFAULT_PCIE_LATENCY_US",
-    "BorderSets",
     "ChainTooLongError",
     "ComparisonReport",
     "LoadState",
     "MigrationPlan",
     "MigrationStep",
-    "PerfEstimate",
     "PlacementRecord",
     "Placement",
     "PlanOutcome",
@@ -68,7 +63,6 @@ __all__ = [
     "ServiceChain",
     "TimelineRecord",
     "TracePoint",
-    "UtilizationReport",
     "ValidationReport",
     "VerificationReport",
     "Violation",
@@ -76,13 +70,11 @@ __all__ = [
     "VnfSpec",
     "border_peel_closure",
     "builtin_table1",
-    "check_cpu_headroom",
     "compare",
     "count_crossings",
     "emit_report",
     "enumerate_placements",
     "estimate_latency",
-    "estimate_perf",
     "identify_borders",
     "is_overloaded",
     "load_scenario",
@@ -95,7 +87,6 @@ __all__ = [
     "save_scenario",
     "scenario_from_dict",
     "scenario_to_dict",
-    "select_candidate",
     "timeline_to_csv",
     "utilization",
     "validate",

@@ -85,7 +85,7 @@ def _plan_payload(scenario: Scenario, policy: str, plan: MigrationPlan) -> dict:
     before, after = scenario.chain, plan.post_chain
 
     def util(chain, device):
-        return utilization(chain, scenario.specs, device, load).utilization
+        return utilization(chain, scenario.specs, device, load)
 
     return {
         "policy": policy,

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -22,9 +23,6 @@ class Placement(Enum):
             if member.value == text:
                 return member
         raise ValueError(f"unknown placement {text!r} (expected 'SmartNIC' or 'CPU')")
-
-    def other(self) -> "Placement":
-        return Placement.CPU if self is Placement.SMARTNIC else Placement.SMARTNIC
 
 
 @dataclass(frozen=True)
@@ -84,15 +82,6 @@ class ServiceChain:
         vnfs = list(self.vnfs)
         vnfs[index] = replace(vnfs[index], placement=placement)
         return replace(self, vnfs=tuple(vnfs))
-
-    def with_placements(self, placements: tuple[Placement, ...]) -> "ServiceChain":
-        if len(placements) != len(self.vnfs):
-            raise ValueError("placement vector length does not match chain length")
-        vnfs = tuple(replace(v, placement=p) for v, p in zip(self.vnfs, placements))
-        return replace(self, vnfs=vnfs)
-
-    def on_device(self, device: Placement) -> tuple[VnfInstance, ...]:
-        return tuple(v for v in self.vnfs if v.placement is device)
 
 
 @dataclass(frozen=True)
@@ -195,10 +184,12 @@ def validate(scenario: Scenario) -> ValidationReport:
             Violation("negative_load", "load.theta_cur",
                       f"throughput must be >= 0, got {scenario.load.theta_cur}")
         )
-    if scenario.pcie_latency_us < 0:
-        violations.append(
-            Violation("negative_pcie_latency", "pcie_latency_us",
-                      f"crossing latency must be >= 0, got {scenario.pcie_latency_us}")
-        )
+    pcie = scenario.pcie_latency_us
+    if pcie < 0:
+        violations.append(Violation("negative_pcie_latency", "pcie_latency_us",
+                                    f"crossing latency must be >= 0, got {pcie}"))
+    elif not math.isfinite(pcie):  # NaN or +inf
+        violations.append(Violation("non_finite_pcie_latency", "pcie_latency_us",
+                                    f"crossing latency must be finite, got {pcie}"))
 
     return ValidationReport(tuple(violations))

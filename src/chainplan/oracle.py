@@ -110,7 +110,7 @@ def border_peel_closure(chain: ServiceChain) -> Iterator[ServiceChain]:
     while queue:
         cur = queue.popleft()
         yield cur
-        for i in sorted(identify_borders(cur).union):
+        for i in sorted(identify_borders(cur)):
             nxt = cur.with_placement(i, Placement.CPU)
             vec = nxt.placements()
             if vec not in seen:
@@ -122,8 +122,8 @@ def _fully_feasible(
     chain: ServiceChain, specs: Mapping[str, VnfSpec], load: LoadState
 ) -> bool:
     return (
-        utilization(chain, specs, Placement.SMARTNIC, load).utilization < 1.0
-        and utilization(chain, specs, Placement.CPU, load).utilization < 1.0
+        utilization(chain, specs, Placement.SMARTNIC, load) < 1.0
+        and utilization(chain, specs, Placement.CPU, load) < 1.0
     )
 
 
@@ -249,8 +249,8 @@ def verify_plan(
 
     # (b) Resolved means strictly feasible on both devices.
     if plan.outcome is PlanOutcome.RESOLVED:
-        s_util = utilization(plan.post_chain, specs, Placement.SMARTNIC, load).utilization
-        c_util = utilization(plan.post_chain, specs, Placement.CPU, load).utilization
+        s_util = utilization(plan.post_chain, specs, Placement.SMARTNIC, load)
+        c_util = utilization(plan.post_chain, specs, Placement.CPU, load)
         ok = s_util < 1.0 and c_util < 1.0
         detail = "" if ok else (
             f"post placement {_vector_label(plan.post_chain.placements())} has "

@@ -1,4 +1,4 @@
-"""PCIe crossing counts and the additive latency/throughput estimate.
+"""PCIe crossing counts and the additive latency estimate.
 
 Latency is modeled as per-vNF processing time on its device plus a fixed
 cost per SmartNIC/CPU crossing; no queueing. Crossing-count deltas between
@@ -8,18 +8,10 @@ do not depend on the device.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping
 
 from .model import ServiceChain, VnfSpec
-from .resources import chain_sum, max_chain_throughput
-
-
-@dataclass(frozen=True)
-class PerfEstimate:
-    crossings: int
-    latency_us: float
-    max_throughput_gbps: float
+from .resources import chain_sum
 
 
 def count_crossings(chain: ServiceChain) -> int:
@@ -34,13 +26,3 @@ def estimate_latency(
     proc = chain_sum([specs[v.spec].proc_latency(v.placement) for v in chain.vnfs])
     return proc + count_crossings(chain) * pcie_latency_us
 
-
-def estimate_perf(
-    chain: ServiceChain, specs: Mapping[str, VnfSpec], pcie_latency_us: float
-) -> PerfEstimate:
-    """Bundle crossings, latency, and the sustainable-throughput bound."""
-    return PerfEstimate(
-        crossings=count_crossings(chain),
-        latency_us=estimate_latency(chain, specs, pcie_latency_us),
-        max_throughput_gbps=max_chain_throughput(chain, specs),
-    )

@@ -15,10 +15,11 @@ A plan costs O(n + (steps + rejections) * log n) for n vNFs: the loop keeps
 the candidate pool in a heap, the placements in a mutable list and each
 device's demand as a running sum, and builds `post_chain` once at the end.
 The decisions are still those of the chain-order sums that `utilization`
-and `check_cpu_headroom` compute. A running sum differs from its chain-order
-sum by a rounding error with a proven bound (`resources.rounding_band`), so
-it decides only when it lies farther than that bound from 1.0; inside the
-bound the chain-order sum over the current placements decides.
+computes (for headroom, the CPU's plus the candidate's ratio). A running sum
+differs from its chain-order sum by a rounding error with a proven bound
+(`resources.rounding_band`), so it decides only when it lies farther than
+that bound from 1.0; inside the bound the chain-order sum over the current
+placements decides.
 """
 
 from __future__ import annotations
@@ -27,32 +28,13 @@ import heapq
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Collection, Mapping
+from typing import Mapping
 
 from .model import LoadState, Placement, ServiceChain, VnfSpec
-from .resources import (
-    below_one, chain_sum, demand_ratios, is_overloaded, rounding_band, utilization
-)
+from .resources import below_one, chain_sum, demand_ratios, is_overloaded, rounding_band
 
 REJECT_CPU_HEADROOM = "cpu_headroom"
 REASON_MIN_CAPACITY = "min_smartnic_capacity"
-
-
-@dataclass(frozen=True)
-class BorderSets:
-    """Chain indices of SmartNIC vNFs adjacent to a CPU neighbor.
-
-    `left` members have their upstream neighbor on the CPU, `right` members
-    their downstream one; anchors count as neighbors. A singleton SmartNIC
-    run is in both sets.
-    """
-
-    left: frozenset[int]
-    right: frozenset[int]
-
-    @property
-    def union(self) -> frozenset[int]:
-        return self.left | self.right
 
 
 class PlanOutcome(Enum):
@@ -83,50 +65,14 @@ class MigrationPlan:
     post_chain: ServiceChain
 
 
-def identify_borders(chain: ServiceChain) -> BorderSets:
-    """Find the SmartNIC vNFs whose neighbor (anchors included) is on the CPU.
-
-    With the default SmartNIC anchors a chain-head SmartNIC vNF is not a
-    left border: its upstream neighbor is the NIC itself.
-    """
+def identify_borders(chain: ServiceChain) -> frozenset[int]:
+    """Chain indices of the SmartNIC vNFs with a neighbor on the CPU. Anchors
+    count, so with SmartNIC anchors a chain-head vNF borders only downstream."""
     seq = chain.placement_sequence()
-    left: set[int] = set()
-    right: set[int] = set()
-    for i, vnf in enumerate(chain.vnfs):
-        if vnf.placement is not Placement.SMARTNIC:
-            continue
-        if seq[i] is Placement.CPU:
-            left.add(i)
-        if seq[i + 2] is Placement.CPU:
-            right.add(i)
-    return BorderSets(frozenset(left), frozenset(right))
-
-
-def select_candidate(
-    chain: ServiceChain,
-    pool: Collection[int],
-    specs: Mapping[str, VnfSpec],
-) -> int | None:
-    """Pool index with minimum SmartNIC capacity; lowest chain index on ties."""
-    if not pool:
-        return None
-    return min(pool, key=lambda i: (specs[chain.vnfs[i].spec].cap_smartnic, i))
-
-
-def check_cpu_headroom(
-    chain: ServiceChain,
-    specs: Mapping[str, VnfSpec],
-    index: int,
-    load: LoadState,
-) -> bool:
-    """Would moving the vNF at `index` keep the CPU strictly under capacity?
-
-    The CPU sum reflects the chain as passed in, so migrations applied
-    earlier in the same planning round are already counted.
-    """
-    cpu = utilization(chain, specs, Placement.CPU, load).utilization
-    spec = specs[chain.vnfs[index].spec]
-    return cpu + load.theta_cur / spec.cap_cpu < 1.0
+    return frozenset(
+        i for i, v in enumerate(chain.vnfs)
+        if v.placement is Placement.SMARTNIC and Placement.CPU in (seq[i], seq[i + 2])
+    )
 
 
 def _plan(
@@ -144,17 +90,20 @@ def _plan(
     nic_ratio, cpu_ratio = demand_ratios(chain, specs, load)
     tol = rounding_band(nic_ratio, cpu_ratio)
     on_nic = [v.placement is Placement.SMARTNIC for v in chain.vnfs]
-    nic = math.fsum(r for r, s in zip(nic_ratio, on_nic) if s)
-    cpu = math.fsum(r for r, s in zip(cpu_ratio, on_nic) if not s)
+    try:
+        nic = math.fsum(r for r, s in zip(nic_ratio, on_nic) if s)
+        cpu = math.fsum(r for r, s in zip(cpu_ratio, on_nic) if not s)
+    except OverflowError:  # ratios >= 0: past the float range, decide in chain order
+        nic = cpu = tol = math.inf
 
     def device_sum(ratios: list[float], on_smartnic: bool) -> float:
-        # `utilization(...).utilization` on the current placements.
+        # `utilization(...)` on the current placements.
         return chain_sum([r for r, s in zip(ratios, on_nic) if s == on_smartnic])
 
-    pool = identify_borders(chain).union if borders_only else [i for i in range(n) if on_nic[i]]
-    # Same order as `select_candidate`. An index enters at most once: it then
-    # migrates (off the SmartNIC for good) or is rejected, and the CPU sum
-    # only grows, so a rejected vNF would be rejected again.
+    pool = identify_borders(chain) if borders_only else [i for i in range(n) if on_nic[i]]
+    # An index enters at most once: it then migrates (off the SmartNIC for
+    # good) or is rejected, and the CPU sum only grows, so a rejected vNF
+    # would be rejected again.
     heap = [(cap_nic[i], i) for i in pool]
     heapq.heapify(heap)
     queued = set(pool)
@@ -163,7 +112,8 @@ def _plan(
     outcome = PlanOutcome.SCALE_OUT_REQUIRED
     while heap:
         _, idx = heapq.heappop(heap)
-        # Inside the band: `check_cpu_headroom`, then `not is_overloaded`.
+        # Inside the band: the chain-order CPU sum plus the candidate, then
+        # `not is_overloaded`.
         if not below_one(
             cpu + cpu_ratio[idx], tol, lambda: device_sum(cpu_ratio, False) + cpu_ratio[idx] < 1.0
         ):
@@ -186,8 +136,8 @@ def _plan(
     rejections = tuple((chain.vnfs[i].id, REJECT_CPU_HEADROOM) for i in rejected)
     post_chain = chain
     if moved:
-        # Only the moved vNFs are rebuilt; `with_placements` rebuilds every
-        # one, about 5x slower on a 1500-vNF chain.
+        # Only the moved vNFs are rebuilt; rebuilding every one is about 5x
+        # slower on a 1500-vNF chain.
         vnfs = list(chain.vnfs)
         for i in moved:
             vnfs[i] = replace(vnfs[i], placement=Placement.CPU)

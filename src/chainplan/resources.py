@@ -11,7 +11,6 @@ that keep a sum up to date decide with `below_one` as the chain_sum would.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .model import LoadState, Placement, ServiceChain, VnfSpec
@@ -26,40 +25,25 @@ def chain_sum(values: Iterable[float]) -> float:
     return total
 
 
-@dataclass(frozen=True)
-class UtilizationReport:
-    """Demand ratio on one device; exceeds 1 when the device is a hot spot.
-
-    The ratio is not clamped: a value above 1 shows how far over capacity the
-    demand is.
-    """
-
-    device: Placement
-    utilization: float
-    per_vnf: tuple[tuple[str, float], ...]
-
-
 def utilization(
     chain: ServiceChain,
     specs: Mapping[str, VnfSpec],
     device: Placement,
     load: LoadState,
-) -> UtilizationReport:
+) -> float:
     """Summed demand ratio theta_cur / capacity over the vNFs hosted on `device`.
 
-    Anchors contribute nothing; a device hosting no vNFs reports 0.
+    Not clamped: a value of 1 or more shows how far over capacity a hot spot
+    is. Anchors contribute nothing; a device hosting no vNFs reports 0.
     """
     theta = load.theta_cur
-    per_vnf = []
     # The chain_sum of the ratios, added in this loop: a second pass made
     # trace replay about 3% slower.
     total = 0
     for v in chain.vnfs:
         if v.placement is device:
-            ratio = theta / specs[v.spec].capacity(device)
-            per_vnf.append((v.id, ratio))
-            total += ratio
-    return UtilizationReport(device, total, tuple(per_vnf))
+            total += theta / specs[v.spec].capacity(device)
+    return total
 
 
 def is_overloaded(
@@ -69,7 +53,7 @@ def is_overloaded(
     load: LoadState,
 ) -> bool:
     """A device is a hot spot when demand reaches capacity (ratio >= 1)."""
-    return utilization(chain, specs, device, load).utilization >= 1.0
+    return utilization(chain, specs, device, load) >= 1.0
 
 
 def max_chain_throughput(chain: ServiceChain, specs: Mapping[str, VnfSpec]) -> float:

@@ -70,8 +70,8 @@ def run_trace(
                 t=point.t,
                 theta_cur=point.theta_cur,
                 policy=policy,
-                smartnic_util=utilization(chain, specs, Placement.SMARTNIC, load).utilization,
-                cpu_util=utilization(chain, specs, Placement.CPU, load).utilization,
+                smartnic_util=utilization(chain, specs, Placement.SMARTNIC, load),
+                cpu_util=utilization(chain, specs, Placement.CPU, load),
                 crossings=count_crossings(chain),
                 latency_us=estimate_latency(chain, specs, scenario.pcie_latency_us),
                 max_throughput_gbps=max_chain_throughput(chain, specs),

@@ -68,8 +68,8 @@ def test_criterion_2_single_step_trace_fidelity():
         plan = plan_pam(scenario.chain, scenario.specs, scenario.load)
         assert [s.vnf_id for s in plan.steps] == ["Logger"]
         assert plan.outcome is PlanOutcome.RESOLVED
-        s_util = utilization(plan.post_chain, scenario.specs, S, scenario.load).utilization
-        c_util = utilization(plan.post_chain, scenario.specs, C, scenario.load).utilization
+        s_util = utilization(plan.post_chain, scenario.specs, S, scenario.load)
+        c_util = utilization(plan.post_chain, scenario.specs, C, scenario.load)
         assert s_util == pytest.approx(0.495, abs=1e-9)
         assert c_util == pytest.approx(0.9, abs=1e-9)
         expected_s, expected_c = oracle_script.golden_post_border_migration_utils(1.2)
@@ -213,7 +213,7 @@ def _migrated_nonborder(chain, plan) -> bool:
     work = chain
     for step in plan.steps:
         idx = work.index_of(step.vnf_id)
-        if idx not in identify_borders(work).union:
+        if idx not in identify_borders(work):
             return True
         work = work.with_placement(idx, C)
     return False

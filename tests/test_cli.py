@@ -220,3 +220,59 @@ class TestPcieOverride:
         )
         assert code == 1
         assert "negative_pcie_latency" in err
+        # NaN and +inf are not negative, but are no latency either, and JSON
+        # output has no token for them.
+        for value in ("nan", "inf", "-inf"):
+            for command in (("plan", "--policy", "pam"), ("compare", "--json"), ("verify",)):
+                code, out, err = run(
+                    capsys, *command, "--scenario", str(golden.FIG1_SCENARIO),
+                    f"--pcie-latency-us={value}",
+                )
+                assert (code, out) == (1, ""), (value, command)
+                assert "at pcie_latency_us" in err
+
+
+class TestOverflowingDemand:
+    """Demand ratios whose sum is past the float range: every decision then
+    takes the chain-order sum instead of the planner's running sums."""
+
+    def test_every_command_prints_a_result(self, capsys, tmp_path):
+        scenario = tmp_path / "tiny.scenario.json"
+        scenario.write_text(json.dumps({
+            "chain": [
+                {"id": "a", "spec": "Tiny", "placement": "SmartNIC"},
+                {"id": "b", "spec": "Tiny", "placement": "SmartNIC"},
+            ],
+            "spec_overrides": {"Tiny": {"cap_smartnic": 1e-308, "cap_cpu": 4.0}},
+            "theta_cur": 1.0,
+        }))
+        trace = tmp_path / "tiny.trace.csv"
+        trace.write_text("t,theta_cur_gbps\n0.0,1.0\n")
+        out_csv = tmp_path / "timeline.csv"
+        args = ("--scenario", str(scenario))
+
+        # No border: pam cannot move anything. naive moves both vNFs and the
+        # SmartNIC's chain-order sum is then 0.
+        code, out, err = run(capsys, "plan", "--policy", "pam", "--json", *args)
+        assert code == 0 and "Traceback" not in err
+        assert json.loads(out)["outcome"] == "ScaleOutRequired"
+        code, out, err = run(capsys, "plan", "--policy", "naive", *args)
+        assert code == 0 and "Traceback" not in err
+        assert "outcome: Resolved" in out
+        assert "steps:\n  1. a: SmartNIC -> CPU\n  2. b: SmartNIC -> CPU" in out
+
+        code, out, err = run(capsys, "verify", *args)
+        assert code == 0 and "Traceback" not in err
+        assert out.strip().endswith("verified")
+        code, out, err = run(capsys, "compare", "--json", *args)
+        assert code == 0 and "Traceback" not in err
+        payload = json.loads(out)
+        assert (payload["pam"]["outcome"], payload["naive"]["outcome"]) == (
+            "ScaleOutRequired", "Resolved",
+        )
+        code, out, err = run(
+            capsys, "simulate", "--policy", "pam", "--trace", str(trace),
+            "--out", str(out_csv), *args,
+        )
+        assert code == 0 and "Traceback" not in err
+        assert "wrote 1 records" in out

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import pytest
 
@@ -28,10 +29,6 @@ class TestPlacement:
     def test_parse_rejects_unknown(self):
         with pytest.raises(ValueError, match="unknown placement"):
             Placement.parse("GPU")
-
-    def test_other(self):
-        assert Placement.SMARTNIC.other() is Placement.CPU
-        assert Placement.CPU.other() is Placement.SMARTNIC
 
 
 class TestBuiltinProfile:
@@ -125,6 +122,15 @@ class TestValidate:
     def test_negative_pcie_latency(self):
         report = validate(golden.golden_scenario(pcie=-1.0))
         assert report.codes() == ("negative_pcie_latency",)
+
+    def test_non_finite_pcie_latency(self):
+        for pcie in (math.nan, math.inf):
+            report = validate(golden.golden_scenario(pcie=pcie))
+            assert report.codes() == ("non_finite_pcie_latency",)
+            assert report.violations[0].where == "pcie_latency_us"
+        assert validate(golden.golden_scenario(pcie=-math.inf)).codes() == (
+            "negative_pcie_latency",
+        )
 
     def test_violations_name_the_offending_field(self):
         specs = golden.golden_specs()

@@ -389,7 +389,8 @@ def brute_force_subset(chain, specs, load) -> str:
                 vec[j] = C
         nic = chain_sum(theta / specs[v.spec].cap_smartnic for v, p in zip(chain.vnfs, vec) if p is S)
         cpu = chain_sum(theta / specs[v.spec].cap_cpu for v, p in zip(chain.vnfs, vec) if p is C)
-        crossings = count_crossings(chain.with_placements(tuple(vec)))
+        vnfs = tuple(replace(v, placement=p) for v, p in zip(chain.vnfs, vec))
+        crossings = count_crossings(replace(chain, vnfs=vnfs))
         if nic < 1.0 and cpu < 1.0 and crossings <= base_crossings:
             return label(vec)
     return "none"

@@ -12,7 +12,6 @@ import golden
 import independent_oracle as oracle_script
 import randgen
 from chainplan import (
-    BorderSets,
     LoadState,
     MigrationPlan,
     MigrationStep,
@@ -21,13 +20,11 @@ from chainplan import (
     ServiceChain,
     VnfInstance,
     VnfSpec,
-    check_cpu_headroom,
     count_crossings,
     identify_borders,
     is_overloaded,
     plan_naive,
     plan_pam,
-    select_candidate,
     utilization,
     verify_plan,
 )
@@ -52,41 +49,53 @@ def direct_border_scan(chain: ServiceChain) -> tuple[set[int], set[int]]:
     return left, right
 
 
+def select_candidate(chain, pool, specs):
+    """Reference pick: pool index with minimum SmartNIC capacity, lowest
+    chain index on ties; None for an empty pool."""
+    if not pool:
+        return None
+    return min(pool, key=lambda i: (specs[chain.vnfs[i].spec].cap_smartnic, i))
+
+
+def check_cpu_headroom(chain, specs, index, load):
+    """Reference headroom test: the chain-order CPU sum plus the vNF at
+    `index` stays strictly under capacity."""
+    cpu = utilization(chain, specs, C, load)
+    spec = specs[chain.vnfs[index].spec]
+    return cpu + load.theta_cur / spec.cap_cpu < 1.0
+
+
 class TestIdentifyBorders:
     def test_golden_chain(self, fig1_chain):
         borders = identify_borders(fig1_chain)
-        assert borders.left == {1}  # Logger
-        assert borders.right == {3}  # Firewall
+        assert borders == {1, 3}  # Logger, Firewall
+        assert type(borders) is frozenset
 
     def test_all_cpu_chain_has_no_borders(self):
-        borders = identify_borders(golden.chain_of("CCCC"))
-        assert borders.left == frozenset()
-        assert borders.right == frozenset()
+        assert identify_borders(golden.chain_of("CCCC")) == frozenset()
 
     def test_two_smartnic_segments(self):
         # [A@S, B@C, C@S, D@S, E@C] with SmartNIC anchors
-        borders = identify_borders(golden.chain_of("SCSSC"))
-        assert borders.left == {2}
-        assert borders.right == {0, 3}
+        assert identify_borders(golden.chain_of("SCSSC")) == {0, 2, 3}
 
     def test_all_smartnic_chain_with_smartnic_anchors_has_no_borders(self):
-        borders = identify_borders(golden.chain_of("SSS"))
-        assert borders.union == frozenset()
+        assert identify_borders(golden.chain_of("SSS")) == frozenset()
 
     def test_cpu_anchor_makes_chain_head_a_left_border(self):
-        borders = identify_borders(golden.chain_of("SS", ingress=C))
-        assert borders.left == {0}
+        chain = golden.chain_of("SS", ingress=C)
+        assert direct_border_scan(chain) == ({0}, set())
+        assert identify_borders(chain) == {0}
 
     def test_singleton_segment_is_in_both_sets(self):
-        borders = identify_borders(golden.chain_of("CSC"))
-        assert borders.left == {1}
-        assert borders.right == {1}
+        chain = golden.chain_of("CSC")
+        assert direct_border_scan(chain) == ({1}, {1})
+        assert identify_borders(chain) == {1}
 
     def test_members_are_on_smartnic(self):
         rng = random.Random(3)
         for _ in range(100):
             chain, _, _ = randgen.random_scenario(rng)
-            for i in identify_borders(chain).union:
+            for i in identify_borders(chain):
                 assert chain.vnfs[i].placement is S
 
     def test_matches_direct_scan_exhaustively(self):
@@ -95,28 +104,24 @@ class TestIdentifyBorders:
             for bits in itertools.product("SC", repeat=n):
                 for ingress, egress in itertools.product(anchors, anchors):
                     chain = golden.chain_of("".join(bits), ingress=ingress, egress=egress)
-                    borders = identify_borders(chain)
                     left, right = direct_border_scan(chain)
-                    assert borders.left == left
-                    assert borders.right == right
+                    assert identify_borders(chain) == left | right
 
     def test_matches_direct_scan_on_random_chains(self):
         rng = random.Random(4)
         for _ in range(200):
             chain, _, _ = randgen.random_scenario(rng)
-            borders = identify_borders(chain)
             left, right = direct_border_scan(chain)
-            assert (borders.left, borders.right) == (left, right)
+            assert identify_borders(chain) == left | right
 
 
 class TestSelectCandidate:
     def test_logger_beats_firewall(self, fig1_chain, fig1_specs):
         borders = identify_borders(fig1_chain)
-        assert select_candidate(fig1_chain, borders.union, fig1_specs) == 1  # Logger
+        assert select_candidate(fig1_chain, borders, fig1_specs) == 1  # Logger
 
     def test_empty_union_returns_none(self, fig1_chain, fig1_specs):
-        empty = BorderSets(frozenset(), frozenset())
-        assert select_candidate(fig1_chain, empty.union, fig1_specs) is None
+        assert select_candidate(fig1_chain, frozenset(), fig1_specs) is None
 
     def test_equal_capacities_tie_break_on_lowest_index(self):
         specs = {
@@ -133,8 +138,8 @@ class TestSelectCandidate:
             )
         )
         borders = identify_borders(chain)
-        assert borders.union == {1, 3}
-        assert select_candidate(chain, borders.union, specs) == 1  # "a"
+        assert borders == {1, 3}
+        assert select_candidate(chain, borders, specs) == 1  # "a"
 
 
 LOGGER = 1  # chain index of Logger in the golden chain
@@ -181,8 +186,8 @@ class TestPlanPam:
         assert plan.outcome is PlanOutcome.RESOLVED
         assert plan.rejected_candidates == ()
         load = LoadState(1.2)
-        s_util = utilization(plan.post_chain, fig1_specs, S, load).utilization
-        c_util = utilization(plan.post_chain, fig1_specs, C, load).utilization
+        s_util = utilization(plan.post_chain, fig1_specs, S, load)
+        c_util = utilization(plan.post_chain, fig1_specs, C, load)
         expected_s, expected_c = oracle_script.golden_post_border_migration_utils(1.2)
         assert s_util == pytest.approx(expected_s, abs=1e-12)
         assert c_util == pytest.approx(expected_c, abs=1e-12)
@@ -202,7 +207,7 @@ class TestPlanPam:
         assert count_crossings(plan.post_chain) == count_crossings(fig1_chain)
         expected_steps, expected_residual = oracle_script.two_step_hand_trace()
         assert [s.vnf_id for s in plan.steps] == expected_steps
-        s_util = utilization(plan.post_chain, specs, S, LoadState(1.6)).utilization
+        s_util = utilization(plan.post_chain, specs, S, LoadState(1.6))
         assert s_util == pytest.approx(expected_residual, abs=1e-12)
 
     def test_headroom_rejections_are_recorded(self, fig1_chain, fig1_specs):
@@ -259,8 +264,7 @@ class TestPlanPam:
                 VnfInstance("y", "pad", C),
             )
         )
-        borders = identify_borders(chain)
-        assert borders.left == borders.right == {1}
+        assert identify_borders(chain) == {1}
         plan = plan_pam(chain, specs, LoadState(1.2))
         assert [s.vnf_id for s in plan.steps] == ["mid"]
         assert plan.outcome is PlanOutcome.RESOLVED
@@ -337,8 +341,8 @@ class TestPlanProperties:
             chain, specs, load = randgen.random_scenario(rng)
             plan = plan_pam(chain, specs, load)
             if plan.outcome is PlanOutcome.RESOLVED:
-                assert utilization(plan.post_chain, specs, S, load).utilization < 1.0
-                assert utilization(plan.post_chain, specs, C, load).utilization < 1.0
+                assert utilization(plan.post_chain, specs, S, load) < 1.0
+                assert utilization(plan.post_chain, specs, C, load) < 1.0
 
     def test_post_chain_is_input_with_steps_applied(self):
         rng = random.Random(14)
@@ -357,7 +361,7 @@ class TestPlanProperties:
         # Replay each plan: every step is a candidate of the chain it applies
         # to, and every candidate that sorts ahead of it was rejected.
         def border_pool(chain):
-            return identify_borders(chain).union
+            return identify_borders(chain)
 
         def smartnic_pool(chain):
             return {i for i, v in enumerate(chain.vnfs) if v.placement is S}
@@ -429,7 +433,7 @@ def chain_order_sum(chain, specs, device, load):
 
 
 def reference_plan(chain, specs, load, *, borders_only):
-    """The greedy loop spelled out with the public one-step helpers.
+    """The greedy loop spelled out with the reference one-step helpers.
 
     Rebuilds the chain and re-sums both devices every step. Returns the plan
     and every device sum a decision compared with 1.0: the CPU sum plus the
@@ -438,7 +442,7 @@ def reference_plan(chain, specs, load, *, borders_only):
     if not is_overloaded(chain, specs, S, load):
         return MigrationPlan((), PlanOutcome.NOT_OVERLOADED, (), chain), []
     if borders_only:
-        pool = set(identify_borders(chain).union)
+        pool = set(identify_borders(chain))
     else:
         pool = {i for i, v in enumerate(chain.vnfs) if v.placement is S}
     work = chain
@@ -485,7 +489,7 @@ def long_scenario(rng):
 
 
 class TestMatchesReferenceLoop:
-    """plan_pam / plan_naive against the loop built from the public helpers."""
+    """plan_pam / plan_naive against the loop built from the reference helpers."""
 
     POLICIES = ((plan_pam, True), (plan_naive, False))
 

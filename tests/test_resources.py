@@ -25,29 +25,19 @@ C = Placement.CPU
 
 class TestUtilization:
     def test_golden_chain_smartnic_at_1_2(self, fig1_chain, fig1_specs):
-        report = utilization(fig1_chain, fig1_specs, S, LoadState(1.2))
+        util = utilization(fig1_chain, fig1_specs, S, LoadState(1.2))
         expected = 1.2 / 2 + 1.2 / 3.2 + 1.2 / 10
-        assert report.utilization == pytest.approx(1.095, abs=1e-12)
-        assert report.utilization == expected
-        assert report.utilization == oracle_script.golden_smartnic_utilization(1.2)
+        assert util == pytest.approx(1.095, abs=1e-12)
+        assert util == expected
+        assert util == oracle_script.golden_smartnic_utilization(1.2)
 
     def test_device_without_vnfs_is_zero(self, fig1_specs):
         chain = ServiceChain((VnfInstance("Logger", "Logger", C),))
-        report = utilization(chain, fig1_specs, S, LoadState(3.0))
-        assert report.utilization == 0.0
-        assert report.per_vnf == ()
+        assert utilization(chain, fig1_specs, S, LoadState(3.0)) == 0.0
 
     def test_single_vnf_at_capacity_is_exactly_one(self, fig1_specs):
         chain = ServiceChain((VnfInstance("Firewall", "Firewall", S),))
-        report = utilization(chain, fig1_specs, S, LoadState(10.0))
-        assert report.utilization == 1.0
-
-    def test_total_equals_sum_of_per_vnf(self, fig1_chain, fig1_specs):
-        report = utilization(fig1_chain, fig1_specs, S, LoadState(1.7))
-        assert report.utilization == pytest.approx(
-            sum(r for _, r in report.per_vnf), abs=1e-12
-        )
-        assert all(r >= 0 for _, r in report.per_vnf)
+        assert utilization(chain, fig1_specs, S, LoadState(10.0)) == 1.0
 
     def test_linearity_in_load(self):
         rng = random.Random(7)
@@ -55,10 +45,8 @@ class TestUtilization:
             chain, specs, load = randgen.random_scenario(rng)
             k = rng.uniform(0.0, 5.0)
             for device in (S, C):
-                base = utilization(chain, specs, device, load).utilization
-                scaled = utilization(
-                    chain, specs, device, LoadState(k * load.theta_cur)
-                ).utilization
+                base = utilization(chain, specs, device, load)
+                scaled = utilization(chain, specs, device, LoadState(k * load.theta_cur))
                 assert scaled == pytest.approx(k * base, abs=1e-12, rel=1e-12)
 
     def test_adding_a_vnf_never_decreases_utilization(self):
@@ -72,8 +60,8 @@ class TestUtilization:
                 chain.ingress_anchor,
                 chain.egress_anchor,
             )
-            before = utilization(chain, specs, S, load).utilization
-            after = utilization(bigger, specs, S, load).utilization
+            before = utilization(chain, specs, S, load)
+            after = utilization(bigger, specs, S, load)
             assert after >= before
 
 
@@ -95,9 +83,7 @@ class TestSummationOrder:
             nic, cpu = demand_ratios(chain, specs, load)
             for device, ratios in ((S, nic), (C, cpu)):
                 hosted = [r for r, v in zip(ratios, chain.vnfs) if v.placement is device]
-                report = utilization(chain, specs, device, load)
-                assert [r for _, r in report.per_vnf] == hosted
-                assert report.utilization == chain_sum(hosted)
+                assert utilization(chain, specs, device, load) == chain_sum(hosted)
 
     def test_rounding_band_is_infinite_without_a_bound(self):
         assert 0.0 < rounding_band([0.5, 2.0], [0.25, 0.1]) < 1e-12
