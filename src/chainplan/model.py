@@ -17,13 +17,6 @@ class Placement(Enum):
     SMARTNIC = "SmartNIC"
     CPU = "CPU"
 
-    @classmethod
-    def parse(cls, text: str) -> "Placement":
-        for member in cls:
-            if member.value == text:
-                return member
-        raise ValueError(f"unknown placement {text!r} (expected 'SmartNIC' or 'CPU')")
-
 
 @dataclass(frozen=True)
 class VnfSpec:
@@ -135,12 +128,12 @@ def builtin_table1() -> dict[str, VnfSpec]:
     return {s.name: s for s in specs}
 
 
-# (field, violated when fails(value, 0), code, message) for each VnfSpec number.
+# (field, holds(value, 0) must be true, code, message) per VnfSpec number; NaN fails.
 _SPEC_RULES = (
-    ("cap_smartnic", operator.le, "non_positive_capacity", "capacity must be > 0"),
-    ("cap_cpu", operator.le, "non_positive_capacity", "capacity must be > 0"),
-    ("proc_latency_smartnic", operator.lt, "negative_latency", "processing latency must be >= 0"),
-    ("proc_latency_cpu", operator.lt, "negative_latency", "processing latency must be >= 0"),
+    ("cap_smartnic", operator.gt, "non_positive_capacity", "capacity must be > 0"),
+    ("cap_cpu", operator.gt, "non_positive_capacity", "capacity must be > 0"),
+    ("proc_latency_smartnic", operator.ge, "negative_latency", "processing latency must be >= 0"),
+    ("proc_latency_cpu", operator.ge, "negative_latency", "processing latency must be >= 0"),
 )
 
 
@@ -174,12 +167,12 @@ def validate(scenario: Scenario) -> ValidationReport:
             )
 
     for name, spec in scenario.specs.items():
-        for field, fails, code, rule in _SPEC_RULES:
+        for field, holds, code, rule in _SPEC_RULES:
             value = getattr(spec, field)
-            if fails(value, 0):
+            if not holds(value, 0):
                 violations.append(Violation(code, f"specs[{name}].{field}", f"{rule}, got {value}"))
 
-    if scenario.load.theta_cur < 0:
+    if not scenario.load.theta_cur >= 0:  # NaN too
         violations.append(
             Violation("negative_load", "load.theta_cur",
                       f"throughput must be >= 0, got {scenario.load.theta_cur}")

@@ -13,7 +13,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
 
 from .model import (
@@ -29,10 +29,13 @@ from .model import (
     validate,
 )
 
-TOP_LEVEL_KEYS = {"chain", "anchors", "spec_overrides", "theta_cur", "pcie_latency_us"}
-CHAIN_ENTRY_KEYS = {"id", "spec", "placement"}
-ANCHOR_KEYS = {"ingress", "egress"}
-OVERRIDE_KEYS = {"cap_smartnic", "cap_cpu", "proc_latency_smartnic", "proc_latency_cpu"}
+TOP_LEVEL_KEYS = ("chain", "anchors", "spec_overrides", "theta_cur", "pcie_latency_us")
+CHAIN_ENTRY_KEYS = ("id", "spec", "placement")
+ANCHOR_KEYS = ("ingress", "egress")
+# Every VnfSpec number may be overridden; a new spec must carry the ones
+# without a default (both capacities).
+OVERRIDE_KEYS = tuple(f.name for f in fields(VnfSpec) if f.name != "name")
+NEW_SPEC_KEYS = tuple(f.name for f in fields(VnfSpec) if f.name != "name" and f.default is MISSING)
 
 TRACE_HEADER = ("t", "theta_cur_gbps")
 
@@ -58,10 +61,18 @@ class TracePoint:
     theta_cur: float
 
 
-def _require_keys(data: dict, allowed: set[str], where: str) -> None:
-    unknown = sorted(set(data) - allowed)
+def _object(value: object, where: str, allowed: tuple | None, required: tuple = ()) -> dict:
+    """Return value if it is an object with every required key and, unless
+    allowed is None, no key outside allowed."""
+    if not isinstance(value, dict):
+        raise ScenarioFormatError(f"{where} must be an object")
+    unknown = () if allowed is None else value.keys() - allowed
     if unknown:
-        raise ScenarioFormatError(f"unknown key(s) in {where}: {', '.join(unknown)}")
+        raise ScenarioFormatError(f"unknown key(s) in {where}: {', '.join(sorted(unknown))}")
+    for key in required:
+        if key not in value:
+            raise ScenarioFormatError(f"missing required key '{key}' in {where}")
+    return value
 
 
 def _number(value: object, where: str) -> float:
@@ -82,34 +93,28 @@ def _string(value: object, where: str) -> str:
     return value
 
 
+_PLACEMENTS = {p.value: p for p in Placement}
+
+
 def _placement(value: object, where: str) -> Placement:
-    try:
-        return Placement.parse(_string(value, where))
-    except ValueError as exc:
-        raise ScenarioFormatError(f"{where}: {exc}") from exc
+    placement = _PLACEMENTS.get(_string(value, where))
+    if placement is None:
+        expected = " or ".join(map(repr, _PLACEMENTS))
+        raise ScenarioFormatError(f"{where}: unknown placement {value!r} (expected {expected})")
+    return placement
 
 
 def scenario_from_dict(data: object) -> Scenario:
     """Build and validate a Scenario from parsed JSON."""
-    if not isinstance(data, dict):
-        raise ScenarioFormatError("scenario document must be a JSON object")
-    _require_keys(data, TOP_LEVEL_KEYS, "scenario")
-    for key in ("chain", "theta_cur"):
-        if key not in data:
-            raise ScenarioFormatError(f"missing required key '{key}'")
+    data = _object(data, "scenario", TOP_LEVEL_KEYS, required=("chain", "theta_cur"))
 
     chain_data = data["chain"]
     if not isinstance(chain_data, list):
-        raise ScenarioFormatError("'chain' must be a list")
+        raise ScenarioFormatError("chain must be a list")
     vnfs = []
     for pos, entry in enumerate(chain_data):
         where = f"chain[{pos}]"
-        if not isinstance(entry, dict):
-            raise ScenarioFormatError(f"{where} must be an object")
-        _require_keys(entry, CHAIN_ENTRY_KEYS, where)
-        for key in ("id", "spec", "placement"):
-            if key not in entry:
-                raise ScenarioFormatError(f"missing required key '{key}' in {where}")
+        entry = _object(entry, where, CHAIN_ENTRY_KEYS, required=CHAIN_ENTRY_KEYS)
         vnfs.append(
             VnfInstance(
                 id=_string(entry["id"], f"{where}.id"),
@@ -118,48 +123,22 @@ def scenario_from_dict(data: object) -> Scenario:
             )
         )
 
-    anchors = data.get("anchors", {})
-    if not isinstance(anchors, dict):
-        raise ScenarioFormatError("'anchors' must be an object")
-    _require_keys(anchors, ANCHOR_KEYS, "anchors")
-    ingress = (
-        _placement(anchors["ingress"], "anchors.ingress")
-        if "ingress" in anchors
-        else Placement.SMARTNIC
-    )
-    egress = (
-        _placement(anchors["egress"], "anchors.egress")
-        if "egress" in anchors
-        else Placement.SMARTNIC
+    anchors = _object(data.get("anchors", {}), "anchors", ANCHOR_KEYS)
+    ingress, egress = (
+        _placement(anchors[end], f"anchors.{end}") if end in anchors else Placement.SMARTNIC
+        for end in ANCHOR_KEYS
     )
 
     specs = builtin_table1()
-    overrides = data.get("spec_overrides", {})
-    if not isinstance(overrides, dict):
-        raise ScenarioFormatError("'spec_overrides' must be an object")
-    for name, entry in overrides.items():
+    for name, entry in _object(data.get("spec_overrides", {}), "spec_overrides", None).items():
         where = f"spec_overrides[{name}]"
-        if not isinstance(entry, dict):
-            raise ScenarioFormatError(f"{where} must be an object")
-        _require_keys(entry, OVERRIDE_KEYS, where)
-        fields = {key: _number(entry[key], f"{where}.{key}") for key in entry}
         base = specs.get(name)
-        if base is None:
-            for key in ("cap_smartnic", "cap_cpu"):
-                if key not in fields:
-                    raise ScenarioFormatError(
-                        f"{where} defines a new spec and must include '{key}'"
-                    )
-            specs[name] = VnfSpec(name=name, **fields)
-        else:
-            specs[name] = replace(base, **fields)
+        entry = _object(entry, where, OVERRIDE_KEYS, required=NEW_SPEC_KEYS if base is None else ())
+        numbers = {key: _number(value, f"{where}.{key}") for key, value in entry.items()}
+        specs[name] = VnfSpec(name=name, **numbers) if base is None else replace(base, **numbers)
 
     theta_cur = _number(data["theta_cur"], "theta_cur")
-    pcie = (
-        _number(data["pcie_latency_us"], "pcie_latency_us")
-        if "pcie_latency_us" in data
-        else DEFAULT_PCIE_LATENCY_US
-    )
+    pcie = _number(data.get("pcie_latency_us", DEFAULT_PCIE_LATENCY_US), "pcie_latency_us")
 
     scenario = Scenario(
         chain=ServiceChain(tuple(vnfs), ingress_anchor=ingress, egress_anchor=egress),
@@ -208,15 +187,11 @@ def scenario_to_dict(scenario: Scenario) -> dict:
     full override entries, so reloading reproduces the catalog exactly.
     """
     builtin = builtin_table1()
-    overrides = {}
-    for name, spec in scenario.specs.items():
-        if builtin.get(name) != spec:
-            overrides[name] = {
-                "cap_smartnic": spec.cap_smartnic,
-                "cap_cpu": spec.cap_cpu,
-                "proc_latency_smartnic": spec.proc_latency_smartnic,
-                "proc_latency_cpu": spec.proc_latency_cpu,
-            }
+    overrides = {
+        name: {key: getattr(spec, key) for key in OVERRIDE_KEYS}
+        for name, spec in scenario.specs.items()
+        if builtin.get(name) != spec
+    }
     return {
         "chain": [
             {"id": v.id, "spec": v.spec, "placement": v.placement.value}

@@ -22,14 +22,6 @@ class TestPlacement:
     def test_exactly_two_values(self):
         assert {p.value for p in Placement} == {"SmartNIC", "CPU"}
 
-    def test_parse_roundtrip(self):
-        for p in Placement:
-            assert Placement.parse(p.value) is p
-
-    def test_parse_rejects_unknown(self):
-        with pytest.raises(ValueError, match="unknown placement"):
-            Placement.parse("GPU")
-
 
 class TestBuiltinProfile:
     def test_capacities(self):
@@ -131,6 +123,26 @@ class TestValidate:
         assert validate(golden.golden_scenario(pcie=-math.inf)).codes() == (
             "negative_pcie_latency",
         )
+
+    @pytest.mark.parametrize("field", ["cap_smartnic", "cap_cpu"])
+    def test_nan_capacity_is_non_positive(self, field):
+        specs = golden.golden_specs()
+        specs["Logger"] = dataclasses.replace(specs["Logger"], **{field: math.nan})
+        report = validate(golden.golden_scenario(specs=specs))
+        assert report.codes() == ("non_positive_capacity",)
+        assert report.violations[0].where == f"specs[Logger].{field}"
+
+    @pytest.mark.parametrize("field", ["proc_latency_smartnic", "proc_latency_cpu"])
+    def test_nan_latency_is_negative(self, field):
+        specs = golden.golden_specs()
+        specs["Monitor"] = dataclasses.replace(specs["Monitor"], **{field: math.nan})
+        report = validate(golden.golden_scenario(specs=specs))
+        assert report.codes() == ("negative_latency",)
+        assert report.violations[0].where == f"specs[Monitor].{field}"
+
+    def test_nan_load_is_negative(self):
+        report = validate(golden.golden_scenario(theta=math.nan))
+        assert report.codes() == ("negative_load",)
 
     def test_violations_name_the_offending_field(self):
         specs = golden.golden_specs()

@@ -136,6 +136,82 @@ class TestLoadScenario:
             load_scenario(path)
 
 
+def _set(doc: dict, path: tuple, value: object) -> dict:
+    """Return doc with the value at path (keys and list indices) replaced."""
+    target = doc
+    for step in path[:-1]:
+        target = target[step]
+    target[path[-1]] = value
+    return doc
+
+
+def _drop(doc: dict, path: tuple) -> dict:
+    target = doc
+    for step in path[:-1]:
+        target = target[step]
+    del target[path[-1]]
+    return doc
+
+
+# (mutation of the fig1 document, message the reader must give). Each level
+# of the schema gets a wrong type, an unknown key and each missing required
+# key; each message names the offending key and the level.
+STRICT_READER_CASES = [
+    pytest.param(lambda d: [d], "scenario must be an object", id="top-not-object"),
+    pytest.param(lambda d: _set(d, ("comment",), "hi"), "unknown key(s) in scenario: comment", id="top-unknown-key"),
+    pytest.param(lambda d: _drop(d, ("chain",)), "missing required key 'chain' in scenario", id="top-missing-chain"),
+    pytest.param(lambda d: _drop(d, ("theta_cur",)), "missing required key 'theta_cur' in scenario", id="top-missing-theta_cur"),
+    pytest.param(lambda d: _set(d, ("chain",), {"LB": "CPU"}), "chain must be a list", id="chain-not-list"),
+    pytest.param(lambda d: _set(d, ("chain", 0), "LB"), "chain[0] must be an object", id="entry-not-object"),
+    pytest.param(lambda d: _set(d, ("chain", 0, "weight"), 2), "unknown key(s) in chain[0]: weight", id="entry-unknown-key"),
+    pytest.param(lambda d: _drop(d, ("chain", 2, "id")), "missing required key 'id' in chain[2]", id="entry-missing-id"),
+    pytest.param(lambda d: _drop(d, ("chain", 2, "spec")), "missing required key 'spec' in chain[2]", id="entry-missing-spec"),
+    pytest.param(
+        lambda d: _drop(d, ("chain", 2, "placement")), "missing required key 'placement' in chain[2]",
+        id="entry-missing-placement",
+    ),
+    pytest.param(lambda d: _set(d, ("chain", 1, "placement"), 3), "chain[1].placement must be a string, got 3", id="placement-not-string"),
+    pytest.param(lambda d: _set(d, ("anchors",), ["SmartNIC"]), "anchors must be an object", id="anchors-not-object"),
+    pytest.param(lambda d: _set(d, ("anchors", "middle"), "CPU"), "unknown key(s) in anchors: middle", id="anchors-unknown-key"),
+    pytest.param(
+        lambda d: _set(d, ("anchors", "ingress"), None), "anchors.ingress must be a string, got None",
+        id="anchors-ingress-not-string",
+    ),
+    pytest.param(
+        lambda d: _set(d, ("anchors", "egress"), "GPU"),
+        "anchors.egress: unknown placement 'GPU' (expected 'SmartNIC' or 'CPU')",
+        id="anchors-egress-unknown-placement",
+    ),
+    pytest.param(lambda d: _set(d, ("spec_overrides",), [1]), "spec_overrides must be an object", id="overrides-not-object"),
+    pytest.param(
+        lambda d: _set(d, ("spec_overrides", "C2"), 4.0), "spec_overrides[C2] must be an object",
+        id="override-not-object",
+    ),
+    pytest.param(
+        lambda d: _set(d, ("spec_overrides", "Monitor"), {"cores": 4}), "unknown key(s) in spec_overrides[Monitor]: cores",
+        id="override-unknown-key",
+    ),
+    pytest.param(
+        lambda d: _set(d, ("spec_overrides", "C2"), {"cap_cpu": 4.0}),
+        "missing required key 'cap_smartnic' in spec_overrides[C2]",
+        id="new-spec-missing-cap_smartnic",
+    ),
+    pytest.param(
+        lambda d: _set(d, ("spec_overrides", "C2"), {"cap_smartnic": 15.0}),
+        "missing required key 'cap_cpu' in spec_overrides[C2]",
+        id="new-spec-missing-cap_cpu",
+    ),
+]
+
+
+class TestStrictReader:
+    @pytest.mark.parametrize("mutate, message", STRICT_READER_CASES)
+    def test_rejection_names_the_key_and_the_level(self, mutate, message):
+        with pytest.raises(ScenarioFormatError) as excinfo:
+            scenario_from_dict(mutate(fig1_doc()))
+        assert str(excinfo.value) == message
+
+
 class TestRoundTrip:
     @pytest.mark.parametrize(
         "path",
@@ -159,6 +235,11 @@ class TestRoundTrip:
     def test_dict_round_trip_preserves_every_field(self):
         scenario = load_scenario(golden.MONITOR_BOTTLENECK_SCENARIO)
         assert scenario_from_dict(scenario_to_dict(scenario)) == scenario
+
+    def test_override_entries_list_the_spec_fields_in_declaration_order(self):
+        doc = scenario_to_dict(load_scenario(golden.MONITOR_BOTTLENECK_SCENARIO))
+        for entry in doc["spec_overrides"].values():
+            assert list(entry) == ["cap_smartnic", "cap_cpu", "proc_latency_smartnic", "proc_latency_cpu"]
 
     def test_unmodified_builtin_specs_are_not_written_as_overrides(self):
         scenario = load_scenario(golden.FIG1_SCENARIO)
