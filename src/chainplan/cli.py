@@ -145,7 +145,7 @@ def _cmd_plan(args: argparse.Namespace) -> int:
     plan = planner(scenario.chain, scenario.specs, scenario.load)
     payload = _plan_payload(scenario, args.policy, plan)
     if args.json:
-        print(json.dumps(payload, indent=2))
+        print(json.dumps(payload, indent=2, allow_nan=False))
     else:
         _print_plan_text(payload)
     return EXIT_OK
@@ -216,7 +216,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     report = compare(scenario)
     payload = _comparison_payload(report)
     if args.json:
-        print(json.dumps(payload, indent=2))
+        print(json.dumps(payload, indent=2, allow_nan=False))
     else:
         _print_comparison_text(payload)
     if args.svg:
@@ -227,10 +227,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     scenario = _load(args)
     plan = plan_pam(scenario.chain, scenario.specs, scenario.load)
-    report = verify_plan(
-        scenario.chain, scenario.specs, scenario.load, plan,
-        require_crossing_nonincrease=True,
-    )
+    report = verify_plan(scenario.chain, scenario.specs, scenario.load, plan)
     for a in report.assertions:
         line = f"{'PASS' if a.passed else 'FAIL'} {a.name}"
         if a.detail:

@@ -9,12 +9,12 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterator, Mapping
+from typing import Iterator, Mapping, Sequence
 
 from .model import LoadState, Placement, ServiceChain, VnfSpec
 from .perf import count_crossings
 from .planner import MigrationPlan, PlanOutcome, identify_borders
-from .resources import below_one, chain_sum, demand_ratios, rounding_band, utilization
+from .resources import below_one, chain_sum, demand_ratios, fits, rounding_band, utilization
 
 MAX_ORACLE_CHAIN = 20
 
@@ -57,6 +57,16 @@ def _vector_label(vec: tuple[Placement, ...]) -> str:
     return ",".join("S" if p is Placement.SMARTNIC else "C" for p in vec)
 
 
+def _hosted(ratios: list[float], vec: Sequence[Placement], device: Placement) -> list[float]:
+    """The `ratios` of the vNFs that `vec` places on `device`, in chain order."""
+    return [r for r, p in zip(ratios, vec) if p is device]
+
+
+def _both_fit(chain: ServiceChain, nic: list[float], cpu: list[float]) -> bool:
+    vec = [v.placement for v in chain.vnfs]
+    return fits(_hosted(nic, vec, Placement.SMARTNIC)) and fits(_hosted(cpu, vec, Placement.CPU))
+
+
 def _check_length(chain: ServiceChain) -> None:
     if len(chain) > MAX_ORACLE_CHAIN:
         raise ChainTooLongError(
@@ -84,8 +94,6 @@ def enumerate_placements(
         vec = tuple(
             Placement.CPU if (k >> j) & 1 else Placement.SMARTNIC for j in range(n)
         )
-        s_util = chain_sum(s_ratio[j] for j in range(n) if vec[j] is Placement.SMARTNIC)
-        c_util = chain_sum(c_ratio[j] for j in range(n) if vec[j] is Placement.CPU)
         seq = (chain.ingress_anchor, *vec, chain.egress_anchor)
         crossings = sum(1 for a, b in zip(seq, seq[1:]) if a is not b)
         migrations = sum(
@@ -93,9 +101,9 @@ def enumerate_placements(
             for j in range(n)
             if input_vec[j] is Placement.SMARTNIC and vec[j] is Placement.CPU
         )
-        records.append(
-            PlacementRecord(vec, s_util < 1.0, c_util < 1.0, crossings, migrations)
-        )
+        s_fits = fits(_hosted(s_ratio, vec, Placement.SMARTNIC))
+        c_fits = fits(_hosted(c_ratio, vec, Placement.CPU))
+        records.append(PlacementRecord(vec, s_fits, c_fits, crossings, migrations))
     return tuple(records)
 
 
@@ -118,19 +126,10 @@ def border_peel_closure(chain: ServiceChain) -> Iterator[ServiceChain]:
                 queue.append(nxt)
 
 
-def _fully_feasible(
-    chain: ServiceChain, specs: Mapping[str, VnfSpec], load: LoadState
-) -> bool:
-    return (
-        utilization(chain, specs, Placement.SMARTNIC, load) < 1.0
-        and utilization(chain, specs, Placement.CPU, load) < 1.0
-    )
-
-
 def _first_reachable_witness(
     chain: ServiceChain,
-    specs: Mapping[str, VnfSpec],
-    load: LoadState,
+    s_ratio: list[float],
+    c_ratio: list[float],
     base_crossings: int,
 ) -> tuple[Placement, ...] | None:
     """First placement, in `enumerate_placements` order, that keeps the
@@ -146,7 +145,6 @@ def _first_reachable_witness(
     one of them rules out every leaf below.
     """
     n = len(chain)
-    s_ratio, c_ratio = demand_ratios(chain, specs, load)
     # row[j + 1] is vNF j's placement, between the anchors. The anchors and
     # the input's CPU vNFs are decided from the start; the walk writes each
     # SmartNIC position as it decides it, before anything to its left.
@@ -157,24 +155,19 @@ def _first_reachable_witness(
     cross0 = sum(
         1 for i in range(n + 1) if row[i] is not row[i + 1] and not (free_at[i] or free_at[i + 1])
     )
-
-    def device_sum(ratios: list[float], device: Placement) -> float:
-        return chain_sum([ratios[j] for j in range(n) if row[j + 1] is device])
-
-    cpu0 = device_sum(c_ratio, Placement.CPU)
-    # The leaf test is the reference scan's chain-order `chain_sum(...) < 1.0`
-    # on both devices; the carried sums decide it outside the rounding band
-    # (`below_one`). A carried sum past 1 + tol rules out every leaf below,
-    # since a leaf holds all of its terms (see `rounding_band`); crossings
-    # only accumulate, so decided ones past `base_crossings` do too.
+    cpu0 = chain_sum(_hosted(c_ratio, row[1:-1], Placement.CPU))
+    # The leaf test is the reference scan's `fits` on both devices; the
+    # carried sums decide it outside the rounding band (`below_one`). A
+    # carried sum past 1 + tol rules out every leaf below, since a leaf holds
+    # all of its terms (see `rounding_band`); crossings only accumulate, so
+    # decided ones past `base_crossings` do too.
     tol = rounding_band(s_ratio, c_ratio)
     limit = 1.0 + tol
 
     def walk(t: int, nic: float, cpu: float, cross: int) -> tuple[Placement, ...] | None:
         if t < 0:
-            if below_one(
-                nic, tol, lambda: device_sum(s_ratio, Placement.SMARTNIC) < 1.0
-            ) and below_one(cpu, tol, lambda: device_sum(c_ratio, Placement.CPU) < 1.0):
+            nic_fits = below_one(nic, tol, lambda: _hosted(s_ratio, row[1:-1], Placement.SMARTNIC))
+            if nic_fits and below_one(cpu, tol, lambda: _hosted(c_ratio, row[1:-1], Placement.CPU)):
                 return tuple(row[1:-1])
             return None
         p = free[t]
@@ -218,6 +211,7 @@ def verify_plan(
     content, not exceptions.
     """
     _check_length(chain)
+    s_ratio, c_ratio = demand_ratios(chain, specs, load)
     assertions: list[AssertionResult] = []
     info: list[tuple[str, str]] = []
 
@@ -249,12 +243,14 @@ def verify_plan(
 
     # (b) Resolved means strictly feasible on both devices.
     if plan.outcome is PlanOutcome.RESOLVED:
-        s_util = utilization(plan.post_chain, specs, Placement.SMARTNIC, load)
-        c_util = utilization(plan.post_chain, specs, Placement.CPU, load)
-        ok = s_util < 1.0 and c_util < 1.0
+        # Scored on post_chain's own specs: (a) may have found it is not the
+        # input's vNFs re-placed.
+        post = plan.post_chain
+        ok = _both_fit(post, *demand_ratios(post, specs, load))
         detail = "" if ok else (
-            f"post placement {_vector_label(plan.post_chain.placements())} has "
-            f"smartnic={s_util!r}, cpu={c_util!r}"
+            f"post placement {_vector_label(post.placements())} has "
+            f"smartnic={utilization(post, specs, Placement.SMARTNIC, load)!r}, "
+            f"cpu={utilization(post, specs, Placement.CPU, load)!r}"
         )
         assertions.append(AssertionResult("resolved_feasibility", ok, detail))
 
@@ -274,7 +270,7 @@ def verify_plan(
         # No crossing test: migrating a border changes the count by 0 or -2.
         witness = None
         for state in border_peel_closure(chain):
-            if _fully_feasible(state, specs, load):
+            if _both_fit(state, s_ratio, c_ratio):
                 witness = state
                 break
         ok = witness is None
@@ -286,7 +282,7 @@ def verify_plan(
 
         # Informational only: border migration can never reach interior vNFs,
         # so also report whether any SmartNIC-to-CPU subset at all would fit.
-        global_witness = _first_reachable_witness(chain, specs, load, count_crossings(chain))
+        global_witness = _first_reachable_witness(chain, s_ratio, c_ratio, count_crossings(chain))
         info.append(
             (
                 "global_feasible_subset",

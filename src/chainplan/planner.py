@@ -14,18 +14,17 @@ appears at most once in `rejected_candidates`.
 A plan costs O(n + (steps + rejections) * log n) for n vNFs: the loop keeps
 the candidate pool in a heap, the placements in a mutable list and each
 device's demand as a running sum, and builds `post_chain` once at the end.
-The decisions are still those of the chain-order sums that `utilization`
-computes (for headroom, the CPU's plus the candidate's ratio). A running sum
-differs from its chain-order sum by a rounding error with a proven bound
+Every decision is `resources.fits` on a device's hosted ratios in chain
+order (for headroom, the CPU's followed by the candidate's). A running sum
+differs from that chain-order sum by a rounding error with a proven bound
 (`resources.rounding_band`), so it decides only when it lies farther than
-that bound from 1.0; inside the bound the chain-order sum over the current
-placements decides.
+that bound from 1.0; inside the bound `fits` on the current placements
+decides.
 """
 
 from __future__ import annotations
 
 import heapq
-import math
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Mapping
@@ -90,15 +89,13 @@ def _plan(
     nic_ratio, cpu_ratio = demand_ratios(chain, specs, load)
     tol = rounding_band(nic_ratio, cpu_ratio)
     on_nic = [v.placement is Placement.SMARTNIC for v in chain.vnfs]
-    try:
-        nic = math.fsum(r for r, s in zip(nic_ratio, on_nic) if s)
-        cpu = math.fsum(r for r, s in zip(cpu_ratio, on_nic) if not s)
-    except OverflowError:  # ratios >= 0: past the float range, decide in chain order
-        nic = cpu = tol = math.inf
 
-    def device_sum(ratios: list[float], on_smartnic: bool) -> float:
-        # `utilization(...)` on the current placements.
-        return chain_sum([r for r, s in zip(ratios, on_nic) if s == on_smartnic])
+    def hosted(ratios: list[float], on_smartnic: bool) -> list[float]:
+        return [r for r, s in zip(ratios, on_nic) if s == on_smartnic]
+
+    # An overflowing sum is inf, and so is tol then: every test takes `fits`.
+    nic = chain_sum(hosted(nic_ratio, True))
+    cpu = chain_sum(hosted(cpu_ratio, False))
 
     pool = identify_borders(chain) if borders_only else [i for i in range(n) if on_nic[i]]
     # An index enters at most once: it then migrates (off the SmartNIC for
@@ -112,18 +109,19 @@ def _plan(
     outcome = PlanOutcome.SCALE_OUT_REQUIRED
     while heap:
         _, idx = heapq.heappop(heap)
-        # Inside the band: the chain-order CPU sum plus the candidate, then
-        # `not is_overloaded`.
-        if not below_one(
-            cpu + cpu_ratio[idx], tol, lambda: device_sum(cpu_ratio, False) + cpu_ratio[idx] < 1.0
-        ):
+        cpu_next = cpu + cpu_ratio[idx]
+        if not below_one(cpu_next, tol, lambda: [*hosted(cpu_ratio, False), cpu_ratio[idx]]):
             rejected.append(idx)
             continue
         moved.append(idx)
         on_nic[idx] = False
         nic -= nic_ratio[idx]
-        cpu += cpu_ratio[idx]
-        if below_one(nic, tol, lambda: not device_sum(nic_ratio, True) >= 1.0):
+        cpu = cpu_next
+        # `fits` (`< 1`) is `not is_overloaded` (`not >= 1`) unless the sum is
+        # NaN. It is not: `is_overloaded` returned early unless the SmartNIC's
+        # chain_sum was >= 1, so no hosted ratio is NaN, and ratios >= 0 (as
+        # `validate` ensures) never sum to NaN.
+        if below_one(nic, tol, lambda: hosted(nic_ratio, True)):
             outcome = PlanOutcome.RESOLVED
             break
         # A migrated vNF's SmartNIC neighbors become borders.

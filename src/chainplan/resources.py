@@ -4,8 +4,11 @@ A vNF's resource consumption grows linearly with its throughput, so at chain
 throughput theta it uses the fraction theta / capacity of its device. Device
 utilization is the sum of those fractions over the hosted vNFs.
 
-Every device sum is a `chain_sum` (left to right, in chain order); callers
-that keep a sum up to date decide with `below_one` as the chain_sum would.
+Every device sum is a `chain_sum` (left to right, in chain order), and every
+capacity decision is `fits`: the hosted ratios' chain_sum is below 1. Callers
+that keep a sum up to date (the planner starts its sums from the hosted
+ratios' chain_sum) decide with `below_one`, which asks `fits` only when the
+carried sum is too close to 1 to stand in for the chain_sum.
 """
 
 from __future__ import annotations
@@ -23,6 +26,12 @@ def chain_sum(values: Iterable[float]) -> float:
     for value in values:
         total += value
     return total
+
+
+def fits(ratios: Iterable[float]) -> bool:
+    """The capacity test: a device hosting vNFs with these demand ratios, in
+    chain order, has headroom when their `chain_sum` is below 1."""
+    return chain_sum(ratios) < 1.0
 
 
 def utilization(
@@ -88,14 +97,15 @@ def rounding_band(nic: Sequence[float], cpu: Sequence[float]) -> float:
     cannot stand in for the `chain_sum` of its terms.
 
     `nic` and `cpu` are the `demand_ratios` of a chain of n vNFs. A carried
-    sum starts from 0, `math.fsum` or a chain_sum of some ratios of one
-    device and then adds or subtracts one ratio at a time. With u = 2**-53,
+    sum starts from 0 or from the chain_sum of some ratios of one device (the
+    planner starts from its hosted ratios, the oracle's walk from 0 and the
+    CPU's) and then adds or subtracts one ratio at a time. With u = 2**-53,
     T = 1 + the sum of all the ratios (they are >= 0, so T bounds every
     partial sum) and n < 2**40:
     - a left-to-right sum of m <= n ratios is within 1.01*n*u*T of exact;
-    - a carried sum at most n + 2 roundings from exact (fsum is one, a
-      chain_sum of m ratios m - 1, each later update one, leaving room for
-      one more ratio added to both sides of a test) is within 1.01*(n+2)*u*T.
+    - a carried sum at most n + 2 roundings from exact (a chain_sum of m
+      ratios m - 1, each later update one, leaving room for one more ratio
+      added to both sides of a test) is within 1.01*(n+2)*u*T.
     They differ by less than 1.01*(2n+2)*u*T < (n+2)*2**-50*T = tol, so a
     carried value farther than tol from 1.0 is on the chain_sum's side of
     1.0. A carried value above 1 + tol also rules out every superset of its
@@ -110,11 +120,11 @@ def rounding_band(nic: Sequence[float], cpu: Sequence[float]) -> float:
     return (len(nic) + 2) * 2.0**-50 * (1.0 + chain_sum(ratios))
 
 
-def below_one(value: float, tol: float, chain_order: Callable[[], bool]) -> bool:
-    """`value < 1` for a carried sum; inside its `rounding_band` tol (or for
-    NaN) `chain_order()` runs the same test on the chain_sum."""
+def below_one(value: float, tol: float, hosted: Callable[[], Iterable[float]]) -> bool:
+    """`fits` for `value`, a carried sum of the ratios `hosted()` returns in
+    chain order: inside its `rounding_band` tol (or for NaN) `fits` decides."""
     if value < 1.0 - tol:
         return True
     if value > 1.0 + tol:
         return False
-    return chain_order()
+    return fits(hosted())

@@ -61,11 +61,20 @@ class TracePoint:
     theta_cur: float
 
 
+class _Repeats(dict):
+    """A parsed JSON object that repeats the key `first`; `_object` rejects
+    it and names the level."""
+
+    first = ""
+
+
 def _object(value: object, where: str, allowed: tuple | None, required: tuple = ()) -> dict:
     """Return value if it is an object with every required key and, unless
     allowed is None, no key outside allowed."""
     if not isinstance(value, dict):
         raise ScenarioFormatError(f"{where} must be an object")
+    if isinstance(value, _Repeats):
+        raise ScenarioFormatError(f"duplicate key {value.first!r} in {where}")
     unknown = () if allowed is None else value.keys() - allowed
     if unknown:
         raise ScenarioFormatError(f"unknown key(s) in {where}: {', '.join(sorted(unknown))}")
@@ -152,29 +161,21 @@ def scenario_from_dict(data: object) -> Scenario:
     return scenario
 
 
-@dataclass(frozen=True)
-class _Constant:
-    """A bare NaN or +-Infinity, held until the object hook knows its key."""
-
-    name: str
-
-
 def _strict_object(pairs: list[tuple[str, object]]) -> dict:
-    data: dict = {}
-    for key, value in pairs:
-        if key in data:
-            raise ScenarioFormatError(f"duplicate key {key!r}")
-        if isinstance(value, _Constant):
-            raise ScenarioFormatError(f"{key} must be a finite number, got {value.name}")
-        data[key] = value
-    return data
+    data = dict(pairs)
+    if len(data) == len(pairs):
+        return data
+    seen: set[str] = set()
+    repeats = _Repeats(data)
+    repeats.first = next(key for key, _ in pairs if key in seen or seen.add(key))
+    return repeats
 
 
 def load_scenario(path: str | Path) -> Scenario:
     """Parse, resolve and validate a scenario file."""
     text = Path(path).read_text()
     try:
-        data = json.loads(text, parse_constant=_Constant, object_pairs_hook=_strict_object)
+        data = json.loads(text, object_pairs_hook=_strict_object)
     except json.JSONDecodeError as exc:
         raise ScenarioFormatError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
     return scenario_from_dict(data)

@@ -113,10 +113,8 @@ class ComparisonReport:
     latency_reduction_pct: float
 
 
-def _policy_result(
-    scenario: Scenario, load: LoadState, policy: str, check_crossings: bool
-) -> PolicyResult:
-    chain, specs = scenario.chain, scenario.specs
+def _policy_result(scenario: Scenario, policy: str, check_crossings: bool) -> PolicyResult:
+    chain, specs, load = scenario.chain, scenario.specs, scenario.load
     plan = _PLANNERS[policy](chain, specs, load)
     verification = None
     if len(chain) <= MAX_ORACLE_CHAIN:
@@ -136,21 +134,20 @@ def _policy_result(
     )
 
 
-def compare(scenario: Scenario, load: LoadState | None = None) -> ComparisonReport:
+def compare(scenario: Scenario) -> ComparisonReport:
     """Plan with both policies from the same start and report the deltas.
 
     The baseline is allowed to add crossings, so its verification skips the
     crossing check; everything else is certified for both plans.
     """
-    load = load if load is not None else scenario.load
-    pam = _policy_result(scenario, load, "pam", check_crossings=True)
-    naive = _policy_result(scenario, load, "naive", check_crossings=False)
+    pam = _policy_result(scenario, "pam", check_crossings=True)
+    naive = _policy_result(scenario, "naive", check_crossings=False)
     if naive.latency_after_us > 0:
         reduction = 100.0 * (naive.latency_after_us - pam.latency_after_us) / naive.latency_after_us
     else:
         reduction = 0.0
     return ComparisonReport(
-        theta_cur=load.theta_cur,
+        theta_cur=scenario.load.theta_cur,
         pcie_latency_us=scenario.pcie_latency_us,
         pam=pam,
         naive=naive,

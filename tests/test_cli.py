@@ -253,9 +253,13 @@ class TestOverflowingDemand:
 
         # No border: pam cannot move anything. naive moves both vNFs and the
         # SmartNIC's chain-order sum is then 0.
-        code, out, err = run(capsys, "plan", "--policy", "pam", "--json", *args)
+        code, out, err = run(capsys, "plan", "--policy", "pam", *args)
         assert code == 0 and "Traceback" not in err
-        assert json.loads(out)["outcome"] == "ScaleOutRequired"
+        assert "outcome: ScaleOutRequired" in out
+        # pam's SmartNIC utilization is inf, which JSON cannot carry.
+        code, out, err = run(capsys, "plan", "--policy", "pam", "--json", *args)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and "Traceback" not in err
         code, out, err = run(capsys, "plan", "--policy", "naive", *args)
         assert code == 0 and "Traceback" not in err
         assert "outcome: Resolved" in out

@@ -17,7 +17,7 @@ from chainplan import (
     max_chain_throughput,
     utilization,
 )
-from chainplan.resources import below_one, chain_sum, demand_ratios, rounding_band
+from chainplan.resources import below_one, chain_sum, demand_ratios, fits, rounding_band
 
 S = Placement.SMARTNIC
 C = Placement.CPU
@@ -91,15 +91,34 @@ class TestSummationOrder:
         assert rounding_band([0.5, 2.0], [float("nan"), 0.1]) == float("inf")
 
     def test_below_one_asks_the_chain_order_test_only_inside_the_band(self):
-        def fail() -> bool:
+        def fail() -> list[float]:
             raise AssertionError("decided outside the band")
 
         tol = 1e-12
         assert below_one(1.0 - 2 * tol, tol, fail)
         assert not below_one(1.0 + 2 * tol, tol, fail)
-        assert below_one(1.0, tol, lambda: True)
-        assert not below_one(1.0 - 2 * tol, float("inf"), lambda: False)
-        assert below_one(float("nan"), tol, lambda: True)
+        # Inside the band (or for NaN) `fits` on the hosted ratios decides.
+        assert below_one(1.0, tol, lambda: [0.7, 0.2, 0.1])
+        assert not below_one(1.0 - 2 * tol, tol * 4, lambda: [0.1, 0.2, 0.7])
+        assert not below_one(1.0 - 2 * tol, float("inf"), lambda: [1.0])
+        assert below_one(float("nan"), tol, lambda: [0.5])
+        assert not below_one(float("nan"), tol, lambda: [float("nan")])
+
+
+class TestFits:
+    def test_chain_order_decides(self):
+        # (0.1 + 0.2) + 0.7 rounds to 1.0; (0.7 + 0.2) + 0.1 stays below it.
+        assert not fits([0.1, 0.2, 0.7])
+        assert fits([0.7, 0.2, 0.1])
+        for ratios in ([0.1, 0.2, 0.7], [0.7, 0.2, 0.1]):
+            assert fits(ratios) == (chain_sum(ratios) < 1.0)
+
+    def test_an_empty_device_fits(self):
+        assert fits([])
+
+    def test_an_overflowing_sum_does_not_fit(self):
+        assert not fits([1e308, 1e308, 0.5])
+        assert not fits(iter([float("inf")]))
 
 
 class TestIsOverloaded:

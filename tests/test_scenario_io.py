@@ -123,17 +123,32 @@ class TestLoadScenario:
     def test_json_constant_names_the_key(self, tmp_path, constant):
         path = tmp_path / "nan.scenario.json"
         text = golden.FIG1_SCENARIO.read_text()
-        assert '"theta_cur": 1.2' in text
-        path.write_text(text.replace('"theta_cur": 1.2', f'"theta_cur": {constant}'))
-        with pytest.raises(ScenarioFormatError, match=f"theta_cur must be a finite number, got {constant}"):
-            load_scenario(path)
+        for key, value, where in (
+            ("theta_cur", "1.2", "theta_cur"),
+            ("cap_cpu", "4.0", "spec_overrides[C2].cap_cpu"),
+        ):
+            assert text.count(f'"{key}": {value}') == 1
+            path.write_text(text.replace(f'"{key}": {value}', f'"{key}": {constant}'))
+            with pytest.raises(ScenarioFormatError) as exc:
+                load_scenario(path)
+            got = repr(float(constant))
+            assert str(exc.value) == f"{where} must be a finite number, got {got}"
 
     def test_duplicate_key_is_named(self, tmp_path):
         path = tmp_path / "dup.scenario.json"
         text = golden.FIG1_SCENARIO.read_text()
-        path.write_text(text.replace('"theta_cur": 1.2', '"theta_cur": 1.2, "theta_cur": 0.5'))
-        with pytest.raises(ScenarioFormatError, match="duplicate key 'theta_cur'"):
-            load_scenario(path)
+        for old, key, where in (
+            ('"theta_cur": 1.2', "theta_cur", "scenario"),
+            ('"cap_cpu": 4.0', "cap_cpu", "spec_overrides[C2]"),
+            ('"spec": "Monitor"', "spec", "chain[2]"),
+            ('"egress": "SmartNIC"', "egress", "anchors"),
+            ('"C2": {"cap_smartnic": 15.0, "cap_cpu": 4.0}', "C2", "spec_overrides"),
+        ):
+            assert text.count(old) == 1
+            path.write_text(text.replace(old, f"{old}, {old}"))
+            with pytest.raises(ScenarioFormatError) as exc:
+                load_scenario(path)
+            assert str(exc.value) == f"duplicate key {key!r} in {where}"
 
 
 def _set(doc: dict, path: tuple, value: object) -> dict:
