@@ -154,16 +154,15 @@ def _line_panel(
     def sy(y: float) -> float:
         return y1 - (y - ylo) / (yhi - ylo) * (y1 - y0)
 
-    points = " ".join(f"{_fmt(sx(x))},{_fmt(sy(y))}" for x, y in zip(xs, ys))
+    coords = [(_fmt(sx(x)), _fmt(sy(y))) for x, y in zip(xs, ys)]
+    points = " ".join(f"{cx},{cy}" for cx, cy in coords)
     parts = [box, _text(x0, top + _MT - 10, title, size=14)]
     if len(xs) > 1:
         parts.append(
             f'<polyline points="{points}" fill="none" stroke="{_SERIES_COLORS[0]}" stroke-width="2"/>'
         )
-    for x, y in zip(xs, ys):
-        parts.append(
-            f'<circle cx="{_fmt(sx(x))}" cy="{_fmt(sy(y))}" r="3" fill="{_SERIES_COLORS[0]}"/>'
-        )
+    for cx, cy in coords:
+        parts.append(f'<circle cx="{cx}" cy="{cy}" r="3" fill="{_SERIES_COLORS[0]}"/>')
     parts.append(_text(x0 - 8, y1 + 4, _fmt(ylo), anchor="end"))
     parts.append(_text(x0 - 8, y0 + 4, _fmt(yhi), anchor="end"))
     parts.append(_text(x0, y1 + 16, _fmt(xlo)))

@@ -3,13 +3,13 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Mapping, Sequence
 
-from .model import LoadState, Placement, Scenario
+from .model import LoadState, Placement, Scenario, ServiceChain, VnfSpec
 from .oracle import MAX_ORACLE_CHAIN, VerificationReport, verify_plan
 from .perf import count_crossings, estimate_latency
 from .planner import MigrationPlan, PlanOutcome, plan_naive, plan_pam
-from .resources import is_overloaded, max_chain_throughput, utilization
+from .resources import chain_sum, max_chain_throughput
 from .scenario_io import TracePoint
 
 POLICIES = ("pam", "naive", "none")
@@ -41,46 +41,68 @@ def run_trace(
 
     Policy `none` never migrates; its outcome column reports `Overloaded`
     whenever the SmartNIC demand is at or past capacity.
+
+    Crossings, latency, max throughput and each device's hosted capacities
+    depend only on the chain, so they are computed once per chain state: at
+    the first point and after each point whose plan migrates something (a
+    plan that moves nothing returns the input chain object). Per point, a
+    device's utilization is the `chain_sum` of theta / cap over its cached
+    capacities in chain order, the same additions as `utilization`.
     """
     if policy not in POLICIES:
         raise ValueError(f"unknown policy {policy!r}; expected one of {POLICIES}")
     if not trace:
         raise ValueError("trace is empty")
 
+    planner = _PLANNERS.get(policy)
     chain = scenario.chain
     specs = scenario.specs
+    state = None
     cumulative = 0
     records: list[TimelineRecord] = []
     for point in trace:
-        load = LoadState(point.theta_cur)
-        if policy == "none":
-            migrated: tuple[str, ...] = ()
-            if is_overloaded(chain, specs, Placement.SMARTNIC, load):
-                outcome = "Overloaded"
-            else:
-                outcome = PlanOutcome.NOT_OVERLOADED.value
-        else:
-            plan = _PLANNERS[policy](chain, specs, load)
+        theta = point.theta_cur
+        migrated: tuple[str, ...] = ()
+        if planner is not None:
+            plan = planner(chain, specs, LoadState(theta))
             chain = plan.post_chain
             migrated = tuple(s.vnf_id for s in plan.steps)
             cumulative += len(migrated)
             outcome = plan.outcome.value
+        if chain is not state:
+            state = chain
+            crossings = count_crossings(chain)
+            latency = estimate_latency(chain, specs, scenario.pcie_latency_us)
+            max_throughput = max_chain_throughput(chain, specs)
+            nic_caps = _hosted_capacities(chain, specs, Placement.SMARTNIC)
+            cpu_caps = _hosted_capacities(chain, specs, Placement.CPU)
+        nic_util = chain_sum([theta / c for c in nic_caps])
+        if planner is None:
+            # `is_overloaded`'s rule on the sum it would take.
+            outcome = "Overloaded" if nic_util >= 1.0 else PlanOutcome.NOT_OVERLOADED.value
         records.append(
             TimelineRecord(
                 t=point.t,
-                theta_cur=point.theta_cur,
+                theta_cur=theta,
                 policy=policy,
-                smartnic_util=utilization(chain, specs, Placement.SMARTNIC, load),
-                cpu_util=utilization(chain, specs, Placement.CPU, load),
-                crossings=count_crossings(chain),
-                latency_us=estimate_latency(chain, specs, scenario.pcie_latency_us),
-                max_throughput_gbps=max_chain_throughput(chain, specs),
+                smartnic_util=nic_util,
+                cpu_util=chain_sum([theta / c for c in cpu_caps]),
+                crossings=crossings,
+                latency_us=latency,
+                max_throughput_gbps=max_throughput,
                 migrations_this_step=migrated,
                 cumulative_migrations=cumulative,
                 outcome=outcome,
             )
         )
     return tuple(records)
+
+
+def _hosted_capacities(
+    chain: ServiceChain, specs: Mapping[str, VnfSpec], device: Placement
+) -> tuple[float, ...]:
+    """Capacities on `device` of the vNFs it hosts, in chain order."""
+    return tuple(specs[v.spec].capacity(device) for v in chain.vnfs if v.placement is device)
 
 
 @dataclass(frozen=True)

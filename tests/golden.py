@@ -23,6 +23,7 @@ FIG1_SCENARIO = SCENARIO_DIR / "fig1.scenario.json"
 MONITOR_BOTTLENECK_SCENARIO = SCENARIO_DIR / "monitor_bottleneck.scenario.json"
 TWO_STEP_SCENARIO = SCENARIO_DIR / "two_step.scenario.json"
 RAMP_TRACE = TRACE_DIR / "ramp.trace.csv"
+SEASONAL_TRACE = TRACE_DIR / "seasonal.trace.csv"
 
 S = Placement.SMARTNIC
 C = Placement.CPU

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -105,6 +106,66 @@ class TestSimulateCommand:
         assert code == 1
         assert f"{trace}: trace has no data rows" in err
         assert not out_csv.exists()
+
+
+# SHA-256 of the timeline CSV and SVG that `chainplan simulate` writes for each
+# shipped scenario and policy on traces/seasonal.trace.csv (50 points that
+# rise and fall across every scenario's SmartNIC capacity). Recorded with the
+# replay loop that recomputed every column at every point.
+SEASONAL_REPLAY_SHA256 = {
+    ("fig1", "pam"): (
+        "87c4fc5a94be4ff73c28779b732d1df2016c341fd78b4f27e1c74cb5519ed76d",
+        "8cde0b6e400004a1bad0478a49a379f98a3f0d14fb8e36cb9e2001d6379d363c",
+    ),
+    ("fig1", "naive"): (
+        "3c50c501f07daeeb9b102272822c49c8cb0e15a5c51a7f0841884b29a5a358f3",
+        "b147470cc8dd75d7b23b19d08d031787283dea9d123eab025023bf76e1068f95",
+    ),
+    ("fig1", "none"): (
+        "0c9f97179b8e843e4f44548d9c093ac5f7fd6824a471d8c579660dad69feccdd",
+        "b3792023f765586859d8af793ae9b48369c67dcb2a7a931272826f96acaec562",
+    ),
+    ("monitor_bottleneck", "pam"): (
+        "a8f37cbd0107eb63b744cb35e3931ef5dcf2a4fbf791160f00e0fd72d4851831",
+        "aa774ee38fa932cdcf7f8607782a133bbf7e38b5a57677d0dd02adb9137b6562",
+    ),
+    ("monitor_bottleneck", "naive"): (
+        "385eab7a6f273b933f2ec53374e75ada7f46d2b69746f48e28cb3b38eb989e4d",
+        "d77fe1c691173dbbf3002874a9ddec80cec07836bfa407905c85dcb556f6b289",
+    ),
+    ("monitor_bottleneck", "none"): (
+        "350f81bf3ddc615810db892645fe36c7667c4f460ece0f2c98054e5f57c6c30a",
+        "3c6bdd6c8601a04deb0e42c188925e24ad9d577a935cc273e4a8466d23f0df45",
+    ),
+    ("two_step", "pam"): (
+        "f246d3b5953cc41987d0b271607b7235ac5483005af44c006fda2408a204b95b",
+        "14a0c099d6cbac50252a5b17e49f25e03baae1373ad286eb5a08ecf37256464c",
+    ),
+    ("two_step", "naive"): (
+        "4b5bc03469090fd98bd9a2d4863ed7f9ece06f599c66086e351d99b34a463a3a",
+        "2b7e8fff931c8dd46dae3851ec25a22a8e19b895e28521b386869591379300a2",
+    ),
+    ("two_step", "none"): (
+        "8669f22d63281ab08e62600442f7bf9f4a46641bdd647a448f59810c361132f0",
+        "3050b7ff6c5b7395198255989d898809e4b241049d9132b692dd4db6667539ea",
+    ),
+}
+
+
+class TestSeasonalReplayBytes:
+    @pytest.mark.parametrize("scenario, policy", sorted(SEASONAL_REPLAY_SHA256))
+    def test_timeline_files_are_byte_identical(self, capsys, tmp_path, scenario, policy):
+        out_csv, out_svg = tmp_path / "timeline.csv", tmp_path / "timeline.svg"
+        code, out, _ = run(
+            capsys,
+            "simulate", "--scenario", str(golden.SCENARIO_DIR / f"{scenario}.scenario.json"),
+            "--trace", str(golden.SEASONAL_TRACE), "--policy", policy,
+            "--out", str(out_csv), "--svg", str(out_svg),
+        )
+        assert code == 0
+        assert "wrote 50 records" in out
+        digests = tuple(hashlib.sha256(p.read_bytes()).hexdigest() for p in (out_csv, out_svg))
+        assert digests == SEASONAL_REPLAY_SHA256[scenario, policy]
 
 
 class TestCompareCommand:

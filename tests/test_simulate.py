@@ -1,18 +1,31 @@
 from __future__ import annotations
 
-from dataclasses import replace
+import math
+import random
+from dataclasses import fields, replace
 
 import pytest
 
 import golden
+import randgen
 from chainplan import (
     LoadState,
     Placement,
+    Scenario,
+    TimelineRecord,
     TracePoint,
     compare,
+    count_crossings,
+    estimate_latency,
+    is_overloaded,
     load_scenario,
     load_trace,
+    max_chain_throughput,
+    plan_naive,
+    plan_pam,
     run_trace,
+    simulate,
+    utilization,
 )
 
 S = Placement.SMARTNIC
@@ -81,6 +94,148 @@ class TestRunTrace:
         scenario = load_scenario(golden.FIG1_SCENARIO)
         with pytest.raises(ValueError, match="policy"):
             run_trace(scenario, (TracePoint(0.0, 1.0),), "best")
+
+
+def reference_run_trace(scenario, trace, policy):
+    """The replay loop that recomputes every column at every point."""
+    planners = {"pam": plan_pam, "naive": plan_naive}
+    chain, specs = scenario.chain, scenario.specs
+    cumulative = 0
+    records = []
+    for point in trace:
+        load = LoadState(point.theta_cur)
+        if policy == "none":
+            migrated = ()
+            overloaded = is_overloaded(chain, specs, S, load)
+            outcome = "Overloaded" if overloaded else "NotOverloaded"
+        else:
+            plan = planners[policy](chain, specs, load)
+            chain = plan.post_chain
+            migrated = tuple(s.vnf_id for s in plan.steps)
+            cumulative += len(migrated)
+            outcome = plan.outcome.value
+        records.append(
+            TimelineRecord(
+                t=point.t,
+                theta_cur=point.theta_cur,
+                policy=policy,
+                smartnic_util=utilization(chain, specs, S, load),
+                cpu_util=utilization(chain, specs, C, load),
+                crossings=count_crossings(chain),
+                latency_us=estimate_latency(chain, specs, scenario.pcie_latency_us),
+                max_throughput_gbps=max_chain_throughput(chain, specs),
+                migrations_this_step=migrated,
+                cumulative_migrations=cumulative,
+                outcome=outcome,
+            )
+        )
+    return tuple(records)
+
+
+def rising_and_falling_trace(rng, scenario, max_points=30):
+    """Seasonal swings around the load at which the start chain's SmartNIC
+    fills up, with the scenario's own load (where `boundary_scenario` puts
+    device sums within a few ulps of 1.0) mixed in."""
+    nic = [1.0 / scenario.specs[v.spec].cap_smartnic for v in scenario.chain.vnfs if v.placement is S]
+    full = 1.0 / sum(nic) if nic else scenario.load.theta_cur
+    period, phase = rng.uniform(3.0, 12.0), rng.uniform(0.0, 2 * math.pi)
+    points = []
+    for i in range(rng.randint(1, max_points)):
+        if rng.random() < 0.25:
+            theta = scenario.load.theta_cur
+        else:
+            swing = 1.0 + 0.7 * math.sin(2 * math.pi * i / period + phase)
+            theta = full * swing * rng.uniform(0.95, 1.05)
+        points.append(TracePoint(float(i), theta))
+    return tuple(points)
+
+
+def random_replays(seed, count):
+    rng = random.Random(seed)
+    for draw in range(count):
+        generator = randgen.random_scenario if draw % 2 else randgen.boundary_scenario
+        chain, specs, load = generator(rng)
+        scenario = Scenario(chain, specs, load, pcie_latency_us=rng.uniform(0.0, 30.0))
+        yield scenario, rising_and_falling_trace(rng, scenario)
+
+
+def field_reprs(records):
+    return [[repr(getattr(r, f.name)) for f in fields(r)] for r in records]
+
+
+class TestMatchesPerPointRecompute:
+    @pytest.mark.parametrize("policy", ("pam", "naive", "none"))
+    def test_random_and_boundary_scenarios(self, policy):
+        migrated = overloaded = 0
+        for scenario, trace in random_replays(seed=9, count=300):
+            records = run_trace(scenario, trace, policy)
+            expected = reference_run_trace(scenario, trace, policy)
+            assert records == expected
+            assert field_reprs(records) == field_reprs(expected)
+            migrated += sum(1 for r in records if r.migrations_this_step)
+            overloaded += sum(1 for r in records if r.outcome != "NotOverloaded")
+        # The sweep crosses capacity both ways and moves vNFs.
+        assert overloaded > 0
+        assert policy == "none" or migrated > 0
+
+
+class TestChainColumnsOncePerChainState:
+    COUNTED = ("count_crossings", "estimate_latency", "max_chain_throughput")
+
+    def count_calls(self, monkeypatch):
+        calls = dict.fromkeys(self.COUNTED, 0)
+        for name in self.COUNTED:
+            original = getattr(simulate, name)
+
+            def counted(*args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(simulate, name, counted)
+        return calls
+
+    def replays(self):
+        trace = load_trace(golden.SEASONAL_TRACE)
+        for path in (golden.FIG1_SCENARIO, golden.MONITOR_BOTTLENECK_SCENARIO, golden.TWO_STEP_SCENARIO):
+            yield load_scenario(path), trace
+        yield from random_replays(seed=11, count=60)
+
+    @pytest.mark.parametrize("policy", ("pam", "naive", "none"))
+    def test_once_per_distinct_chain(self, monkeypatch, policy):
+        calls = self.count_calls(monkeypatch)
+        for scenario, trace in self.replays():
+            for name in self.COUNTED:
+                calls[name] = 0
+            records = run_trace(scenario, trace, policy)
+            # The chains the records show: the start chain unless the first
+            # point migrates, then one more after every migrating point.
+            states = sum(1 for r in records if r.migrations_this_step)
+            if not records[0].migrations_this_step:
+                states += 1
+            assert policy != "none" or states == 1
+            assert calls == dict.fromkeys(self.COUNTED, states)
+
+
+class TestPolicyNoneBoundary:
+    # fig1's SmartNIC hosts capacities 2, 3.2 and 10: at this load the
+    # chain-order sum of theta / cap is exactly 1.0, and one float lower it
+    # is below 1.
+    THETA = 1.095890410958904
+
+    def outcome(self, theta):
+        scenario = load_scenario(golden.FIG1_SCENARIO)
+        (record,) = run_trace(scenario, (TracePoint(0.0, theta),), "none")
+        return record
+
+    def test_a_sum_of_exactly_one_is_overloaded(self):
+        record = self.outcome(self.THETA)
+        assert record.smartnic_util == 1.0
+        assert record.outcome == "Overloaded"
+
+    def test_the_next_float_below_is_not(self):
+        record = self.outcome(math.nextafter(self.THETA, 0.0))
+        assert record.smartnic_util < 1.0
+        assert record.outcome == "NotOverloaded"
 
 
 class TestCompare:
