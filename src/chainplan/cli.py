@@ -10,12 +10,13 @@ import argparse
 import json
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 from .model import Placement, Scenario, validate
 from .oracle import verify_plan
 from .perf import count_crossings
 from .planner import REASON_MIN_CAPACITY, MigrationPlan, plan_naive, plan_pam
-from .reports import emit_report
+from .reports import emit_report, timeline_svg, timeline_to_csv
 from .resources import utilization
 from .scenario_io import (
     ScenarioFormatError,
@@ -154,9 +155,9 @@ def _cmd_plan(args: argparse.Namespace) -> int:
 def _cmd_simulate(args: argparse.Namespace) -> int:
     scenario = _load(args)
     records = run_trace(scenario, load_trace(args.trace), args.policy)
-    emit_report(records, "csv", args.out)
+    Path(args.out).write_text(timeline_to_csv(records))
     if args.svg:
-        emit_report(records, "svg", args.svg)
+        Path(args.svg).write_text(timeline_svg(records))
     print(f"wrote {len(records)} records to {args.out}")
     return EXIT_OK
 

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import csv
 import io
+import re
 from pathlib import Path
 from typing import Sequence
 
@@ -29,26 +30,35 @@ TIMELINE_COLUMNS = (
 
 
 def timeline_to_csv(records: Sequence[TimelineRecord]) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(TIMELINE_COLUMNS)
+    """The timeline as CSV, byte for byte what `csv.writer` writes: floats
+    as `repr`, ints as `str`, and the migrated vNF ids `;`-joined."""
+    text = _CsvText()
+    lines = [",".join(TIMELINE_COLUMNS)]
     for r in records:
-        writer.writerow(
-            [
-                repr(r.t),
-                repr(r.theta_cur),
-                r.policy,
-                repr(r.smartnic_util),
-                repr(r.cpu_util),
-                r.crossings,
-                repr(r.latency_us),
-                repr(r.max_throughput_gbps),
-                ";".join(r.migrations_this_step),
-                r.cumulative_migrations,
-                r.outcome,
-            ]
+        lines.append(
+            f"{r.t!r},{r.theta_cur!r},{text[r.policy]},{r.smartnic_util!r},{r.cpu_util!r},"
+            f"{r.crossings},{r.latency_us!r},{r.max_throughput_gbps!r},"
+            f"{text[';'.join(r.migrations_this_step)]},{r.cumulative_migrations},{text[r.outcome]}"
         )
-    return out.getvalue()
+    lines.append("")
+    return "\n".join(lines)
+
+
+class _CsvText(dict):
+    """Each string field as `csv.writer` writes it, worked out once per
+    distinct string. Float reprs and ints never need quoting."""
+
+    def __missing__(self, field: str) -> str:
+        text = field
+        if _CSV_SPECIAL.search(field):
+            out = io.StringIO()
+            csv.writer(out, lineterminator="\n").writerow(["", field])
+            text = out.getvalue()[1:-1]
+        self[field] = text
+        return text
+
+
+_CSV_SPECIAL = re.compile('[,"\r\n]')
 
 
 def parse_timeline_csv(text: str) -> tuple[TimelineRecord, ...]:
@@ -148,13 +158,15 @@ def _line_panel(
     xlo, xhi = _span(xs, zero_floor=False)
     ylo, yhi = _span(ys, zero_floor=True)
 
-    def sx(x: float) -> float:
-        return x0 + (x - xlo) / (xhi - xlo) * (x1 - x0)
-
-    def sy(y: float) -> float:
-        return y1 - (y - ylo) / (yhi - ylo) * (y1 - y0)
-
-    coords = [(_fmt(sx(x)), _fmt(sy(y))) for x, y in zip(xs, ys)]
+    # Coordinates are x0 + (x - xlo) / dx * width, evaluated in that order:
+    # a precomputed scale factor width / dx would round differently.
+    dx, width = xhi - xlo, x1 - x0
+    dy, height = yhi - ylo, y1 - y0
+    # Latency and throughput change only with the chain, so few ys are
+    # distinct. 0.0 and -0.0 share a key: y - ylo is the same for both, or
+    # a zero of either sign, and y1 minus a zero is y1.
+    y_text = {y: f"{y1 - (y - ylo) / dy * height:.6g}" for y in set(ys)}
+    coords = [(f"{x0 + (x - xlo) / dx * width:.6g}", y_text[y]) for x, y in zip(xs, ys)]
     points = " ".join(f"{cx},{cy}" for cx, cy in coords)
     parts = [box, _text(x0, top + _MT - 10, title, size=14)]
     if len(xs) > 1:

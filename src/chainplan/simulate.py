@@ -37,17 +37,20 @@ class TimelineRecord:
 def run_trace(
     scenario: Scenario, trace: Sequence[TracePoint], policy: str
 ) -> tuple[TimelineRecord, ...]:
-    """Replay a load trace, planning once per point against the carried-forward chain.
+    """Replay a load trace, planning against the carried-forward chain.
 
     Policy `none` never migrates; its outcome column reports `Overloaded`
     whenever the SmartNIC demand is at or past capacity.
 
-    Crossings, latency, max throughput and each device's hosted capacities
-    depend only on the chain, so they are computed once per chain state: at
-    the first point and after each point whose plan migrates something (a
-    plan that moves nothing returns the input chain object). Per point, a
-    device's utilization is the `chain_sum` of theta / cap over its cached
-    capacities in chain order, the same additions as `utilization`.
+    Each device's hosted capacities are cached per chain state, and a
+    point's utilization is the `chain_sum` of theta / cap over them in chain
+    order, the same additions as `utilization`. The planner runs only at
+    points whose SmartNIC sum is >= 1.0: below that (or at NaN) it would stop
+    at its own `is_overloaded` test and return the chain unchanged.
+    Crossings, latency and max throughput depend only on the chain, so they
+    are computed once for each chain a record shows: the start chain unless
+    the first point migrates, then the chain after each migrating point (a
+    plan that moves nothing returns the input chain object).
     """
     if policy not in POLICIES:
         raise ValueError(f"unknown policy {policy!r}; expected one of {POLICIES}")
@@ -57,29 +60,34 @@ def run_trace(
     planner = _PLANNERS.get(policy)
     chain = scenario.chain
     specs = scenario.specs
-    state = None
+    nic_caps = _hosted_capacities(chain, specs, Placement.SMARTNIC)
+    cpu_caps = _hosted_capacities(chain, specs, Placement.CPU)
+    shown = None
     cumulative = 0
     records: list[TimelineRecord] = []
     for point in trace:
         theta = point.theta_cur
+        nic_util = chain_sum([theta / c for c in nic_caps])
         migrated: tuple[str, ...] = ()
-        if planner is not None:
+        if not nic_util >= 1.0:
+            outcome = PlanOutcome.NOT_OVERLOADED.value
+        elif planner is None:
+            outcome = "Overloaded"
+        else:
             plan = planner(chain, specs, LoadState(theta))
-            chain = plan.post_chain
-            migrated = tuple(s.vnf_id for s in plan.steps)
-            cumulative += len(migrated)
             outcome = plan.outcome.value
-        if chain is not state:
-            state = chain
+            if plan.post_chain is not chain:
+                chain = plan.post_chain
+                migrated = tuple(s.vnf_id for s in plan.steps)
+                cumulative += len(migrated)
+                nic_caps = _hosted_capacities(chain, specs, Placement.SMARTNIC)
+                cpu_caps = _hosted_capacities(chain, specs, Placement.CPU)
+                nic_util = chain_sum([theta / c for c in nic_caps])
+        if chain is not shown:
+            shown = chain
             crossings = count_crossings(chain)
             latency = estimate_latency(chain, specs, scenario.pcie_latency_us)
             max_throughput = max_chain_throughput(chain, specs)
-            nic_caps = _hosted_capacities(chain, specs, Placement.SMARTNIC)
-            cpu_caps = _hosted_capacities(chain, specs, Placement.CPU)
-        nic_util = chain_sum([theta / c for c in nic_caps])
-        if planner is None:
-            # `is_overloaded`'s rule on the sum it would take.
-            outcome = "Overloaded" if nic_util >= 1.0 else PlanOutcome.NOT_OVERLOADED.value
         records.append(
             TimelineRecord(
                 t=point.t,

@@ -1,17 +1,24 @@
 from __future__ import annotations
 
+import csv
+import io
+import random
+
 import pytest
 
 import golden
 from chainplan import (
+    TimelineRecord,
     TracePoint,
     compare,
     emit_report,
     load_scenario,
+    load_trace,
     parse_timeline_csv,
     run_trace,
     timeline_to_csv,
 )
+from chainplan import reports
 from chainplan.reports import TIMELINE_COLUMNS
 
 
@@ -56,6 +63,135 @@ class TestTimelineCsv:
     def test_bad_header_rejected(self):
         with pytest.raises(ValueError, match="header"):
             parse_timeline_csv("a,b\n1,2\n")
+
+
+def reference_timeline_csv(records):
+    """The emitter as a `csv.writer` loop."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(TIMELINE_COLUMNS)
+    for r in records:
+        writer.writerow(
+            [
+                repr(r.t),
+                repr(r.theta_cur),
+                r.policy,
+                repr(r.smartnic_util),
+                repr(r.cpu_util),
+                r.crossings,
+                repr(r.latency_us),
+                repr(r.max_throughput_gbps),
+                ";".join(r.migrations_this_step),
+                r.cumulative_migrations,
+                r.outcome,
+            ]
+        )
+    return out.getvalue()
+
+
+ODD_FLOATS = (1e-07, 1e16, float("inf"), -0.0, 0.0, 5e-324, 1.095890410958904, 0.1 + 0.2)
+ODD_TEXT = ("", "a,b", 'say "hi"', "cr\rhere", "lf\nhere", "a;b", " spaced ", "Überwacher", "日志", '"', ",")
+
+
+def random_float(rng):
+    if rng.random() < 0.4:
+        return rng.choice(ODD_FLOATS)
+    return rng.uniform(-1.0, 1.0) * 10.0 ** rng.randint(-30, 30)
+
+
+def random_record(rng):
+    ids = tuple(rng.choice(ODD_TEXT + ("Logger", "Monitor")) for _ in range(rng.randint(0, 3)))
+    return TimelineRecord(
+        t=random_float(rng),
+        theta_cur=random_float(rng),
+        policy=rng.choice(("pam", "naive", "none") + ODD_TEXT),
+        smartnic_util=random_float(rng),
+        cpu_util=random_float(rng),
+        crossings=rng.randint(0, 10**rng.randint(0, 20)),
+        latency_us=random_float(rng),
+        max_throughput_gbps=random_float(rng),
+        migrations_this_step=ids,
+        cumulative_migrations=rng.randint(0, 5000),
+        outcome=rng.choice(("NotOverloaded", "Resolved", "ScaleOutRequired") + ODD_TEXT),
+    )
+
+
+class TestTimelineCsvMatchesCsvWriter:
+    def test_random_records(self):
+        rng = random.Random(3)
+        for _ in range(200):
+            records = [random_record(rng) for _ in range(rng.randint(0, 20))]
+            assert timeline_to_csv(records) == reference_timeline_csv(records)
+
+    def test_replayed_records(self):
+        trace = load_trace(golden.SEASONAL_TRACE)
+        for path in (golden.FIG1_SCENARIO, golden.TWO_STEP_SCENARIO):
+            for policy in ("pam", "naive", "none"):
+                records = run_trace(load_scenario(path), trace, policy)
+                assert timeline_to_csv(records) == reference_timeline_csv(records)
+
+
+def reference_line_panel(top, title, xs, ys, y_label):
+    """`_line_panel` with the per-point scaling closures."""
+    box, x0, x1, y0, y1 = reports._axis_box(top)
+    xlo, xhi = reports._span(xs, zero_floor=False)
+    ylo, yhi = reports._span(ys, zero_floor=True)
+
+    def sx(x):
+        return x0 + (x - xlo) / (xhi - xlo) * (x1 - x0)
+
+    def sy(y):
+        return y1 - (y - ylo) / (yhi - ylo) * (y1 - y0)
+
+    fmt, text, color = reports._fmt, reports._text, reports._SERIES_COLORS[0]
+    parts = [box, text(x0, top + reports._MT - 10, title, size=14)]
+    if len(xs) > 1:
+        points = " ".join(f"{fmt(sx(x))},{fmt(sy(y))}" for x, y in zip(xs, ys))
+        parts.append(f'<polyline points="{points}" fill="none" stroke="{color}" stroke-width="2"/>')
+    for x, y in zip(xs, ys):
+        parts.append(f'<circle cx="{fmt(sx(x))}" cy="{fmt(sy(y))}" r="3" fill="{color}"/>')
+    parts.append(text(x0 - 8, y1 + 4, fmt(ylo), anchor="end"))
+    parts.append(text(x0 - 8, y0 + 4, fmt(yhi), anchor="end"))
+    parts.append(text(x0, y1 + 16, fmt(xlo)))
+    parts.append(text(x1, y1 + 16, fmt(xhi), anchor="end"))
+    parts.append(text(x0 - 8, y0 - 10, y_label, anchor="end"))
+    parts.append(text((x0 + x1) / 2, y1 + 32, "t (s)", anchor="middle"))
+    return "\n".join(parts)
+
+
+class TestLinePanelMatchesClosures:
+    def series(self, rng):
+        n = rng.randint(1, 60)
+        xs = sorted(rng.uniform(-5.0, 5.0) * 10.0 ** rng.randint(-3, 6) for _ in range(n))
+        pool = [0.0, -0.0] + [rng.uniform(-2.0, 2.0) * 10.0 ** rng.randint(-8, 8) for _ in range(3)]
+        ys = [rng.choice(pool) for _ in range(n)]
+        return xs, ys
+
+    def test_random_series_with_repeats_and_signed_zeros(self):
+        rng = random.Random(5)
+        for _ in range(300):
+            xs, ys = self.series(rng)
+            top = rng.choice((0, reports._PANEL_H))
+            assert reports._line_panel(top, "p", xs, ys, "us") == reference_line_panel(top, "p", xs, ys, "us")
+
+    @pytest.mark.parametrize("value", (0.0, -0.0, 2.5, -3.0))
+    def test_constant_series(self, value):
+        for xs in ([0.0, 1.0, 2.0], [7.0, 7.0], [4.0]):
+            ys = [value] * len(xs)
+            assert reports._line_panel(0, "c", xs, ys, "Gbps") == reference_line_panel(0, "c", xs, ys, "Gbps")
+
+    def test_rounding_witnesses(self):
+        # Points where a precomputed scale factor rounds across a printed
+        # digit: x 201 of 0..800 and y 179 of 0..320 on the top panel.
+        _, x0, x1, y0, y1 = reports._axis_box(0)
+        assert f"{x0 + 201 * ((x1 - x0) / 800):.6g}" != f"{x0 + 201 / 800 * (x1 - x0):.6g}"
+        assert f"{y1 - 179 * ((y1 - y0) / 320):.6g}" != f"{y1 - 179 / 320 * (y1 - y0):.6g}"
+        xs, ys = [0.0, 201.0, 423.0, 800.0], [0.0, 179.0, 181.0, 320.0]
+        assert reports._line_panel(0, "w", xs, ys, "us") == reference_line_panel(0, "w", xs, ys, "us")
+
+    def test_both_zeros_in_one_series(self):
+        xs, ys = [0.0, 1.0, 2.0, 3.0], [-0.0, 0.0, 1.5, -0.0]
+        assert reports._line_panel(0, "z", xs, ys, "us") == reference_line_panel(0, "z", xs, ys, "us")
 
 
 class TestEmitReport:

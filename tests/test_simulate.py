@@ -216,6 +216,47 @@ class TestChainColumnsOncePerChainState:
             assert calls == dict.fromkeys(self.COUNTED, states)
 
 
+def count_planner_calls(monkeypatch, policy):
+    """The loads `run_trace` plans at under `policy`, appended per call."""
+    calls = []
+    original = simulate._PLANNERS[policy]
+
+    def counted(chain, specs, load):
+        calls.append(load.theta_cur)
+        return original(chain, specs, load)
+
+    monkeypatch.setitem(simulate._PLANNERS, policy, counted)
+    return calls
+
+
+class TestPlannerOnlyWhenOverloaded:
+    def overloaded_points(self, scenario, trace, policy):
+        """Points whose SmartNIC sum on the chain the point starts from is
+        >= 1.0, replayed with the planners themselves."""
+        planner = {"pam": plan_pam, "naive": plan_naive}[policy]
+        chain, specs = scenario.chain, scenario.specs
+        overloaded = []
+        for point in trace:
+            load = LoadState(point.theta_cur)
+            if utilization(chain, specs, S, load) >= 1.0:
+                overloaded.append(point.theta_cur)
+            chain = planner(chain, specs, load).post_chain
+        return overloaded
+
+    @pytest.mark.parametrize("policy", ("pam", "naive"))
+    def test_called_exactly_at_the_overloaded_points(self, monkeypatch, policy):
+        calls = count_planner_calls(monkeypatch, policy)
+        called = points = 0
+        for scenario, trace in TestChainColumnsOncePerChainState().replays():
+            calls.clear()
+            run_trace(scenario, trace, policy)
+            assert calls == self.overloaded_points(scenario, trace, policy)
+            called += len(calls)
+            points += len(trace)
+        # Some points plan and most do not.
+        assert 0 < called < points / 2
+
+
 class TestPolicyNoneBoundary:
     # fig1's SmartNIC hosts capacities 2, 3.2 and 10: at this load the
     # chain-order sum of theta / cap is exactly 1.0, and one float lower it
@@ -236,6 +277,19 @@ class TestPolicyNoneBoundary:
         record = self.outcome(math.nextafter(self.THETA, 0.0))
         assert record.smartnic_util < 1.0
         assert record.outcome == "NotOverloaded"
+
+    @pytest.mark.parametrize("policy", ("pam", "naive"))
+    def test_the_planner_runs_from_a_sum_of_exactly_one(self, monkeypatch, policy):
+        calls = count_planner_calls(monkeypatch, policy)
+        scenario = load_scenario(golden.FIG1_SCENARIO)
+        below = math.nextafter(self.THETA, 0.0)
+        for theta, expected_calls in ((self.THETA, [self.THETA]), (below, [])):
+            calls.clear()
+            trace = (TracePoint(0.0, theta),)
+            records = run_trace(scenario, trace, policy)
+            assert calls == expected_calls
+            assert records == reference_run_trace(scenario, trace, policy)
+        assert records[0].outcome == "NotOverloaded"
 
 
 class TestCompare:
