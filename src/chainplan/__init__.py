@@ -2,7 +2,6 @@
 
 from .model import (
     DEFAULT_PCIE_LATENCY_US,
-    LoadState,
     Placement,
     Scenario,
     ServiceChain,
@@ -24,7 +23,6 @@ from .oracle import (
 from .perf import count_crossings, estimate_latency
 from .planner import (
     MigrationPlan,
-    MigrationStep,
     PlanOutcome,
     identify_borders,
     plan_naive,
@@ -50,9 +48,7 @@ __all__ = [
     "DEFAULT_PCIE_LATENCY_US",
     "ChainTooLongError",
     "ComparisonReport",
-    "LoadState",
     "MigrationPlan",
-    "MigrationStep",
     "PlacementRecord",
     "Placement",
     "PlanOutcome",

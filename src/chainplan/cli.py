@@ -15,8 +15,8 @@ from pathlib import Path
 from .model import Placement, Scenario, validate
 from .oracle import verify_plan
 from .perf import count_crossings
-from .planner import REASON_MIN_CAPACITY, MigrationPlan, plan_naive, plan_pam
-from .reports import emit_report, timeline_svg, timeline_to_csv
+from .planner import MigrationPlan, plan_pam
+from .reports import comparison_svg, timeline_svg, timeline_to_csv
 from .resources import utilization
 from .scenario_io import (
     ScenarioFormatError,
@@ -24,7 +24,7 @@ from .scenario_io import (
     load_scenario,
     load_trace,
 )
-from .simulate import ComparisonReport, compare, run_trace
+from .simulate import _PLANNERS, POLICIES, ComparisonReport, compare, run_trace
 
 EXIT_OK = 0
 EXIT_INVALID_INPUT = 1
@@ -49,13 +49,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("plan", parents=[common], help="plan migrations for one load level")
-    p.add_argument("--policy", required=True, choices=("pam", "naive"))
+    p.add_argument("--policy", required=True, choices=tuple(_PLANNERS))
     p.add_argument("--json", action="store_true", help="emit the plan as JSON")
     p.set_defaults(func=_cmd_plan)
 
     p = sub.add_parser("simulate", parents=[common], help="replay a load trace")
     p.add_argument("--trace", required=True, help="trace CSV file (t,theta_cur_gbps)")
-    p.add_argument("--policy", required=True, choices=("pam", "naive", "none"))
+    p.add_argument("--policy", required=True, choices=POLICIES)
     p.add_argument("--out", required=True, help="timeline CSV output path")
     p.add_argument("--svg", default=None, help="also write an SVG chart here")
     p.set_defaults(func=_cmd_simulate)
@@ -81,30 +81,32 @@ def _load(args: argparse.Namespace) -> Scenario:
     return scenario
 
 
+def _rejections(plan: MigrationPlan) -> list[dict]:
+    # The planner rejects a candidate only for lack of CPU headroom.
+    return [{"vnf_id": vnf_id, "reason": "cpu_headroom"} for vnf_id in plan.rejected_candidates]
+
+
 def _plan_payload(scenario: Scenario, policy: str, plan: MigrationPlan) -> dict:
-    load = scenario.load
     before, after = scenario.chain, plan.post_chain
 
     def util(chain, device):
-        return utilization(chain, scenario.specs, device, load)
+        return utilization(chain, scenario.specs, device, scenario.theta_cur)
 
     return {
         "policy": policy,
-        "theta_cur_gbps": load.theta_cur,
+        "theta_cur_gbps": scenario.theta_cur,
         "outcome": plan.outcome.value,
         "steps": [
             {
-                "vnf_id": s.vnf_id,
+                "vnf_id": vnf_id,
                 "from": Placement.SMARTNIC.value,
                 "to": Placement.CPU.value,
-                "reason": REASON_MIN_CAPACITY,
+                "reason": "min_smartnic_capacity",
                 "selected_as_candidate": True,
             }
-            for s in plan.steps
+            for vnf_id in plan.steps
         ],
-        "rejected_candidates": [
-            {"vnf_id": vnf_id, "reason": reason} for vnf_id, reason in plan.rejected_candidates
-        ],
+        "rejected_candidates": _rejections(plan),
         "post_placements": [
             {"id": v.id, "placement": v.placement.value} for v in after.vnfs
         ],
@@ -142,8 +144,7 @@ def _print_plan_text(payload: dict) -> None:
 
 def _cmd_plan(args: argparse.Namespace) -> int:
     scenario = _load(args)
-    planner = plan_pam if args.policy == "pam" else plan_naive
-    plan = planner(scenario.chain, scenario.specs, scenario.load)
+    plan = _PLANNERS[args.policy](scenario.chain, scenario.specs, scenario.theta_cur)
     payload = _plan_payload(scenario, args.policy, plan)
     if args.json:
         print(json.dumps(payload, indent=2, allow_nan=False))
@@ -166,11 +167,8 @@ def _comparison_payload(report: ComparisonReport) -> dict:
     def policy_payload(result) -> dict:
         payload = {
             "outcome": result.plan.outcome.value,
-            "steps": [s.vnf_id for s in result.plan.steps],
-            "rejected_candidates": [
-                {"vnf_id": vnf_id, "reason": reason}
-                for vnf_id, reason in result.plan.rejected_candidates
-            ],
+            "steps": list(result.plan.steps),
+            "rejected_candidates": _rejections(result.plan),
             "crossings_before": result.crossings_before,
             "crossings_after": result.crossings_after,
             "latency_before_us": result.latency_before_us,
@@ -221,14 +219,14 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     else:
         _print_comparison_text(payload)
     if args.svg:
-        emit_report(report, "svg", args.svg)
+        Path(args.svg).write_text(comparison_svg(report))
     return EXIT_OK
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     scenario = _load(args)
-    plan = plan_pam(scenario.chain, scenario.specs, scenario.load)
-    report = verify_plan(scenario.chain, scenario.specs, scenario.load, plan)
+    chain, specs, theta = scenario.chain, scenario.specs, scenario.theta_cur
+    report = verify_plan(chain, specs, theta, plan_pam(chain, specs, theta))
     for a in report.assertions:
         line = f"{'PASS' if a.passed else 'FAIL'} {a.name}"
         if a.detail:

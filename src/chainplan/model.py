@@ -78,17 +78,12 @@ class ServiceChain:
 
 
 @dataclass(frozen=True)
-class LoadState:
-    """Current chain throughput in Gbps, uniform along the chain."""
-
-    theta_cur: float
-
-
-@dataclass(frozen=True)
 class Scenario:
+    """A chain and its specs at throughput theta_cur (Gbps, uniform along the chain)."""
+
     chain: ServiceChain
     specs: Mapping[str, VnfSpec]
-    load: LoadState
+    theta_cur: float
     pcie_latency_us: float = DEFAULT_PCIE_LATENCY_US
 
 
@@ -172,10 +167,10 @@ def validate(scenario: Scenario) -> ValidationReport:
             if not holds(value, 0):
                 violations.append(Violation(code, f"specs[{name}].{field}", f"{rule}, got {value}"))
 
-    if not scenario.load.theta_cur >= 0:  # NaN too
+    if not scenario.theta_cur >= 0:  # NaN too
         violations.append(
             Violation("negative_load", "load.theta_cur",
-                      f"throughput must be >= 0, got {scenario.load.theta_cur}")
+                      f"throughput must be >= 0, got {scenario.theta_cur}")
         )
     pcie = scenario.pcie_latency_us
     if pcie < 0:

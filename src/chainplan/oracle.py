@@ -1,8 +1,10 @@
-"""Brute-force ground truth for small chains.
+"""Exhaustive ground truth for small chains.
 
-Enumerates the full placement space to score every alternative, and replays
-emitted migration plans against that ground truth. Capped at 20 vNFs since
-the space is 2^n.
+`verify_plan` replays an emitted migration plan and certifies its outcome by
+exhausting the placements reachable from the input: every border-peelable
+one and, for information, every move of SmartNIC vNFs to the CPU that adds
+no crossings. `enumerate_placements` is the reference full scan of all 2^n
+placements. Both are capped at 20 vNFs.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Sequence
 
-from .model import LoadState, Placement, ServiceChain, VnfSpec
+from .model import Placement, ServiceChain, VnfSpec
 from .perf import count_crossings
 from .planner import MigrationPlan, PlanOutcome, identify_borders
 from .resources import below_one, chain_sum, demand_ratios, fits, rounding_band, utilization
@@ -75,7 +77,7 @@ def _check_length(chain: ServiceChain) -> None:
 
 
 def enumerate_placements(
-    chain: ServiceChain, specs: Mapping[str, VnfSpec], load: LoadState
+    chain: ServiceChain, specs: Mapping[str, VnfSpec], theta_cur: float
 ) -> tuple[PlacementRecord, ...]:
     """Reference full scan: score all 2^n placements in binary counting order.
 
@@ -86,7 +88,7 @@ def enumerate_placements(
     """
     _check_length(chain)
     n = len(chain)
-    s_ratio, c_ratio = demand_ratios(chain, specs, load)
+    s_ratio, c_ratio = demand_ratios(chain, specs, theta_cur)
     input_vec = chain.placements()
 
     records = []
@@ -195,7 +197,7 @@ def _first_reachable_witness(
 def verify_plan(
     chain: ServiceChain,
     specs: Mapping[str, VnfSpec],
-    load: LoadState,
+    theta_cur: float,
     plan: MigrationPlan,
     *,
     require_crossing_nonincrease: bool = True,
@@ -211,23 +213,23 @@ def verify_plan(
     content, not exceptions.
     """
     _check_length(chain)
-    s_ratio, c_ratio = demand_ratios(chain, specs, load)
+    s_ratio, c_ratio = demand_ratios(chain, specs, theta_cur)
     assertions: list[AssertionResult] = []
     info: list[tuple[str, str]] = []
 
     # (a) post_chain is the input with exactly the steps applied, in order.
     work: ServiceChain | None = chain
     replay_problem = ""
-    for step_no, step in enumerate(plan.steps, start=1):
+    for step_no, vnf_id in enumerate(plan.steps, start=1):
         try:
-            idx = work.index_of(step.vnf_id)
+            idx = work.index_of(vnf_id)
         except KeyError:
-            replay_problem = f"step {step_no} names unknown vNF {step.vnf_id!r}"
+            replay_problem = f"step {step_no} names unknown vNF {vnf_id!r}"
             work = None
             break
         if work.vnfs[idx].placement is not Placement.SMARTNIC:
             replay_problem = (
-                f"step {step_no} migrates {step.vnf_id!r} which is not on the SmartNIC "
+                f"step {step_no} migrates {vnf_id!r} which is not on the SmartNIC "
                 f"in {_vector_label(work.placements())}"
             )
             work = None
@@ -246,11 +248,11 @@ def verify_plan(
         # Scored on post_chain's own specs: (a) may have found it is not the
         # input's vNFs re-placed.
         post = plan.post_chain
-        ok = _both_fit(post, *demand_ratios(post, specs, load))
+        ok = _both_fit(post, *demand_ratios(post, specs, theta_cur))
         detail = "" if ok else (
             f"post placement {_vector_label(post.placements())} has "
-            f"smartnic={utilization(post, specs, Placement.SMARTNIC, load)!r}, "
-            f"cpu={utilization(post, specs, Placement.CPU, load)!r}"
+            f"smartnic={utilization(post, specs, Placement.SMARTNIC, theta_cur)!r}, "
+            f"cpu={utilization(post, specs, Placement.CPU, theta_cur)!r}"
         )
         assertions.append(AssertionResult("resolved_feasibility", ok, detail))
 

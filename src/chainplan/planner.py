@@ -29,11 +29,8 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Mapping
 
-from .model import LoadState, Placement, ServiceChain, VnfSpec
-from .resources import below_one, chain_sum, demand_ratios, is_overloaded, rounding_band
-
-REJECT_CPU_HEADROOM = "cpu_headroom"
-REASON_MIN_CAPACITY = "min_smartnic_capacity"
+from .model import Placement, ServiceChain, VnfSpec
+from .resources import below_one, chain_sum, demand_ratios, rounding_band
 
 
 class PlanOutcome(Enum):
@@ -43,24 +40,18 @@ class PlanOutcome(Enum):
 
 
 @dataclass(frozen=True)
-class MigrationStep:
-    """One SmartNIC-to-CPU move of the pool's minimum-capacity vNF."""
-
-    vnf_id: str
-
-
-@dataclass(frozen=True)
 class MigrationPlan:
-    """Ordered migration steps plus the outcome and resulting chain.
+    """The vNFs to move SmartNIC-to-CPU, plus the outcome and resulting chain.
 
-    `rejected_candidates` lists, in selection order and once each, the vNFs
-    that were selected but skipped because the CPU could not absorb them.
-    `post_chain` is the input chain with exactly `steps` applied, in order.
+    `steps` holds the ids of the vNFs to migrate, in order; `post_chain` is
+    the input chain with exactly those moves applied. `rejected_candidates`
+    holds, in selection order and once each, the ids of the vNFs that were
+    selected but skipped because the CPU could not absorb them.
     """
 
-    steps: tuple[MigrationStep, ...]
+    steps: tuple[str, ...]
     outcome: PlanOutcome
-    rejected_candidates: tuple[tuple[str, str], ...]
+    rejected_candidates: tuple[str, ...]
     post_chain: ServiceChain
 
 
@@ -77,24 +68,26 @@ def identify_borders(chain: ServiceChain) -> frozenset[int]:
 def _plan(
     chain: ServiceChain,
     specs: Mapping[str, VnfSpec],
-    load: LoadState,
+    theta_cur: float,
     *,
     borders_only: bool,
 ) -> MigrationPlan:
-    if not is_overloaded(chain, specs, Placement.SMARTNIC, load):
-        return MigrationPlan((), PlanOutcome.NOT_OVERLOADED, (), chain)
-
-    n = len(chain.vnfs)
-    cap_nic = [specs[v.spec].cap_smartnic for v in chain.vnfs]
-    nic_ratio, cpu_ratio = demand_ratios(chain, specs, load)
-    tol = rounding_band(nic_ratio, cpu_ratio)
+    nic_ratio, cpu_ratio = demand_ratios(chain, specs, theta_cur)
     on_nic = [v.placement is Placement.SMARTNIC for v in chain.vnfs]
 
     def hosted(ratios: list[float], on_smartnic: bool) -> list[float]:
         return [r for r, s in zip(ratios, on_nic) if s == on_smartnic]
 
-    # An overflowing sum is inf, and so is tol then: every test takes `fits`.
+    # `nic` is the SmartNIC's `utilization`, the same additions in the same
+    # order, so this is `is_overloaded`'s verdict (NaN is not overloaded).
     nic = chain_sum(hosted(nic_ratio, True))
+    if not nic >= 1.0:
+        return MigrationPlan((), PlanOutcome.NOT_OVERLOADED, (), chain)
+
+    n = len(chain.vnfs)
+    cap_nic = [specs[v.spec].cap_smartnic for v in chain.vnfs]
+    # An overflowing sum is inf, and so is tol then: every test takes `fits`.
+    tol = rounding_band(nic_ratio, cpu_ratio)
     cpu = chain_sum(hosted(cpu_ratio, False))
 
     pool = identify_borders(chain) if borders_only else [i for i in range(n) if on_nic[i]]
@@ -118,7 +111,7 @@ def _plan(
         nic -= nic_ratio[idx]
         cpu = cpu_next
         # `fits` (`< 1`) is `not is_overloaded` (`not >= 1`) unless the sum is
-        # NaN. It is not: `is_overloaded` returned early unless the SmartNIC's
+        # NaN. It is not: the plan returned early unless the SmartNIC's
         # chain_sum was >= 1, so no hosted ratio is NaN, and ratios >= 0 (as
         # `validate` ensures) never sum to NaN.
         if below_one(nic, tol, lambda: hosted(nic_ratio, True)):
@@ -130,8 +123,8 @@ def _plan(
                 queued.add(j)
                 heapq.heappush(heap, (cap_nic[j], j))
 
-    steps = tuple(MigrationStep(chain.vnfs[i].id) for i in moved)
-    rejections = tuple((chain.vnfs[i].id, REJECT_CPU_HEADROOM) for i in rejected)
+    steps = tuple(chain.vnfs[i].id for i in moved)
+    rejections = tuple(chain.vnfs[i].id for i in rejected)
     post_chain = chain
     if moved:
         # Only the moved vNFs are rebuilt; rebuilding every one is about 5x
@@ -144,19 +137,20 @@ def _plan(
 
 
 def plan_pam(
-    chain: ServiceChain, specs: Mapping[str, VnfSpec], load: LoadState
+    chain: ServiceChain, specs: Mapping[str, VnfSpec], theta_cur: float
 ) -> MigrationPlan:
-    """Push-aside migration: drain minimum-capacity border vNFs to the CPU.
+    """Push-aside migration at chain throughput `theta_cur` (Gbps): drain
+    minimum-capacity border vNFs to the CPU.
 
     Never adds PCIe crossings. Returns NotOverloaded untouched plans when the
     SmartNIC already fits, and ScaleOutRequired when the border pool empties
     while the SmartNIC is still over capacity.
     """
-    return _plan(chain, specs, load, borders_only=True)
+    return _plan(chain, specs, theta_cur, borders_only=True)
 
 
 def plan_naive(
-    chain: ServiceChain, specs: Mapping[str, VnfSpec], load: LoadState
+    chain: ServiceChain, specs: Mapping[str, VnfSpec], theta_cur: float
 ) -> MigrationPlan:
     """Bottleneck baseline: same loop, but any SmartNIC vNF may be picked.
 
@@ -164,4 +158,4 @@ def plan_naive(
     crossings. The CPU headroom check is kept even though a pure bottleneck
     rule would skip it; without it the baseline could emit infeasible plans.
     """
-    return _plan(chain, specs, load, borders_only=False)
+    return _plan(chain, specs, theta_cur, borders_only=False)

@@ -88,7 +88,11 @@ def parse_timeline_csv(text: str) -> tuple[TimelineRecord, ...]:
 
 
 def emit_report(data, format: str, path: str | Path) -> None:
-    """Write a timeline (csv or svg) or a comparison report (svg) to `path`."""
+    """Write a timeline (csv or svg) or a comparison report (svg) to `path`.
+
+    The CLI calls the writers directly; this dispatcher stays public because
+    the benchmark's layer tracer (perfbench/tracer.py) wraps it by name.
+    """
     if format == "csv":
         if not _is_timeline(data):
             raise ValueError("csv output is only defined for timeline records")

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .model import LoadState, Placement, ServiceChain, VnfSpec
+from .model import Placement, ServiceChain, VnfSpec
 
 
 def chain_sum(values: Iterable[float]) -> float:
@@ -38,31 +38,26 @@ def utilization(
     chain: ServiceChain,
     specs: Mapping[str, VnfSpec],
     device: Placement,
-    load: LoadState,
+    theta_cur: float,
 ) -> float:
     """Summed demand ratio theta_cur / capacity over the vNFs hosted on `device`.
 
     Not clamped: a value of 1 or more shows how far over capacity a hot spot
     is. Anchors contribute nothing; a device hosting no vNFs reports 0.
     """
-    theta = load.theta_cur
-    # The chain_sum of the ratios, added in this loop: a second pass made
-    # trace replay about 3% slower.
-    total = 0
-    for v in chain.vnfs:
-        if v.placement is device:
-            total += theta / specs[v.spec].capacity(device)
-    return total
+    return chain_sum(
+        [theta_cur / specs[v.spec].capacity(device) for v in chain.vnfs if v.placement is device]
+    )
 
 
 def is_overloaded(
     chain: ServiceChain,
     specs: Mapping[str, VnfSpec],
     device: Placement,
-    load: LoadState,
+    theta_cur: float,
 ) -> bool:
     """A device is a hot spot when demand reaches capacity (ratio >= 1)."""
-    return utilization(chain, specs, device, load) >= 1.0
+    return utilization(chain, specs, device, theta_cur) >= 1.0
 
 
 def max_chain_throughput(chain: ServiceChain, specs: Mapping[str, VnfSpec]) -> float:
@@ -83,13 +78,12 @@ def max_chain_throughput(chain: ServiceChain, specs: Mapping[str, VnfSpec]) -> f
 
 
 def demand_ratios(
-    chain: ServiceChain, specs: Mapping[str, VnfSpec], load: LoadState
+    chain: ServiceChain, specs: Mapping[str, VnfSpec], theta_cur: float
 ) -> tuple[list[float], list[float]]:
     """theta_cur / capacity of every vNF, in chain order, on the SmartNIC and
     on the CPU, wherever it sits now."""
-    theta = load.theta_cur
     spec_at = [specs[v.spec] for v in chain.vnfs]
-    return [theta / s.cap_smartnic for s in spec_at], [theta / s.cap_cpu for s in spec_at]
+    return [theta_cur / s.cap_smartnic for s in spec_at], [theta_cur / s.cap_cpu for s in spec_at]
 
 
 def rounding_band(nic: Sequence[float], cpu: Sequence[float]) -> float:

@@ -18,7 +18,6 @@ from pathlib import Path
 
 from .model import (
     DEFAULT_PCIE_LATENCY_US,
-    LoadState,
     Placement,
     Scenario,
     ServiceChain,
@@ -152,7 +151,7 @@ def scenario_from_dict(data: object) -> Scenario:
     scenario = Scenario(
         chain=ServiceChain(tuple(vnfs), ingress_anchor=ingress, egress_anchor=egress),
         specs=specs,
-        load=LoadState(theta_cur),
+        theta_cur=theta_cur,
         pcie_latency_us=pcie,
     )
     report = validate(scenario)
@@ -203,7 +202,7 @@ def scenario_to_dict(scenario: Scenario) -> dict:
             "egress": scenario.chain.egress_anchor.value,
         },
         "spec_overrides": overrides,
-        "theta_cur": scenario.load.theta_cur,
+        "theta_cur": scenario.theta_cur,
         "pcie_latency_us": scenario.pcie_latency_us,
     }
 

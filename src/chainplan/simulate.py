@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .model import LoadState, Placement, Scenario, ServiceChain, VnfSpec
+from .model import Placement, Scenario, ServiceChain, VnfSpec
 from .oracle import MAX_ORACLE_CHAIN, VerificationReport, verify_plan
 from .perf import count_crossings, estimate_latency
 from .planner import MigrationPlan, PlanOutcome, plan_naive, plan_pam
@@ -46,7 +46,7 @@ def run_trace(
     point's utilization is the `chain_sum` of theta / cap over them in chain
     order, the same additions as `utilization`. The planner runs only at
     points whose SmartNIC sum is >= 1.0: below that (or at NaN) it would stop
-    at its own `is_overloaded` test and return the chain unchanged.
+    at its own overload test and return the chain unchanged.
     Crossings, latency and max throughput depend only on the chain, so they
     are computed once for each chain a record shows: the start chain unless
     the first point migrates, then the chain after each migrating point (a
@@ -74,11 +74,11 @@ def run_trace(
         elif planner is None:
             outcome = "Overloaded"
         else:
-            plan = planner(chain, specs, LoadState(theta))
+            plan = planner(chain, specs, theta)
             outcome = plan.outcome.value
             if plan.post_chain is not chain:
                 chain = plan.post_chain
-                migrated = tuple(s.vnf_id for s in plan.steps)
+                migrated = plan.steps
                 cumulative += len(migrated)
                 nic_caps = _hosted_capacities(chain, specs, Placement.SMARTNIC)
                 cpu_caps = _hosted_capacities(chain, specs, Placement.CPU)
@@ -144,12 +144,12 @@ class ComparisonReport:
 
 
 def _policy_result(scenario: Scenario, policy: str, check_crossings: bool) -> PolicyResult:
-    chain, specs, load = scenario.chain, scenario.specs, scenario.load
-    plan = _PLANNERS[policy](chain, specs, load)
+    chain, specs, theta = scenario.chain, scenario.specs, scenario.theta_cur
+    plan = _PLANNERS[policy](chain, specs, theta)
     verification = None
     if len(chain) <= MAX_ORACLE_CHAIN:
         verification = verify_plan(
-            chain, specs, load, plan, require_crossing_nonincrease=check_crossings
+            chain, specs, theta, plan, require_crossing_nonincrease=check_crossings
         )
     return PolicyResult(
         policy=policy,
@@ -177,7 +177,7 @@ def compare(scenario: Scenario) -> ComparisonReport:
     else:
         reduction = 0.0
     return ComparisonReport(
-        theta_cur=scenario.load.theta_cur,
+        theta_cur=scenario.theta_cur,
         pcie_latency_us=scenario.pcie_latency_us,
         pam=pam,
         naive=naive,

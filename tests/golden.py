@@ -6,7 +6,6 @@ from dataclasses import replace
 from pathlib import Path
 
 from chainplan import (
-    LoadState,
     Placement,
     Scenario,
     ServiceChain,
@@ -54,7 +53,7 @@ def golden_scenario(theta: float = 1.2, pcie: float = 10.0, specs=None) -> Scena
     return Scenario(
         chain=golden_chain(),
         specs=specs if specs is not None else golden_specs(),
-        load=LoadState(theta),
+        theta_cur=theta,
         pcie_latency_us=pcie,
     )
 

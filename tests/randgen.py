@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import random
 
-from chainplan import LoadState, Placement, ServiceChain, VnfInstance, VnfSpec
+from chainplan import Placement, ServiceChain, VnfInstance, VnfSpec
 
 CAP_LO, CAP_HI = 0.5, 16.0
 THETA_LO, THETA_HI = 0.1, 4.0
@@ -28,7 +28,7 @@ def log_uniform(rng: random.Random, lo: float = CAP_LO, hi: float = CAP_HI) -> f
 
 def random_scenario(
     rng: random.Random, max_len: int = MAX_CHAIN
-) -> tuple[ServiceChain, dict[str, VnfSpec], LoadState]:
+) -> tuple[ServiceChain, dict[str, VnfSpec], float]:
     n = rng.randint(1, max_len)
     specs: dict[str, VnfSpec] = {}
     vnfs = []
@@ -50,7 +50,7 @@ def random_scenario(
             )
         )
     theta = rng.uniform(THETA_LO, THETA_HI)
-    return ServiceChain(tuple(vnfs)), specs, LoadState(theta)
+    return ServiceChain(tuple(vnfs)), specs, theta
 
 
 BOUNDARY_THETAS = (0.3, 0.7, 1.0, 1.1, 1.2, 1.5, 2.4)
@@ -60,7 +60,7 @@ BOUNDARY_D = (1, 2, 3)
 
 def boundary_scenario(
     rng: random.Random, max_len: int = MAX_CHAIN
-) -> tuple[ServiceChain, dict[str, VnfSpec], LoadState]:
+) -> tuple[ServiceChain, dict[str, VnfSpec], float]:
     theta = rng.choice(BOUNDARY_THETAS)
 
     def cap() -> float:
@@ -79,4 +79,4 @@ def boundary_scenario(
                 placement=rng.choice((Placement.SMARTNIC, Placement.CPU)),
             )
         )
-    return ServiceChain(tuple(vnfs)), specs, LoadState(theta)
+    return ServiceChain(tuple(vnfs)), specs, theta

@@ -65,11 +65,11 @@ def test_criterion_1_crossing_reproduction():
 def test_criterion_2_single_step_trace_fidelity():
     with criterion(2, "golden chain single border step"):
         scenario = load_scenario(golden.FIG1_SCENARIO)
-        plan = plan_pam(scenario.chain, scenario.specs, scenario.load)
-        assert [s.vnf_id for s in plan.steps] == ["Logger"]
+        plan = plan_pam(scenario.chain, scenario.specs, scenario.theta_cur)
+        assert list(plan.steps) == ["Logger"]
         assert plan.outcome is PlanOutcome.RESOLVED
-        s_util = utilization(plan.post_chain, scenario.specs, S, scenario.load)
-        c_util = utilization(plan.post_chain, scenario.specs, C, scenario.load)
+        s_util = utilization(plan.post_chain, scenario.specs, S, scenario.theta_cur)
+        c_util = utilization(plan.post_chain, scenario.specs, C, scenario.theta_cur)
         assert s_util == pytest.approx(0.495, abs=1e-9)
         assert c_util == pytest.approx(0.9, abs=1e-9)
         expected_s, expected_c = oracle_script.golden_post_border_migration_utils(1.2)
@@ -80,12 +80,12 @@ def test_criterion_2_single_step_trace_fidelity():
 def test_criterion_3_two_step_border_promotion():
     with criterion(3, "two-step plan with border promotion"):
         scenario = load_scenario(golden.TWO_STEP_SCENARIO)
-        plan = plan_pam(scenario.chain, scenario.specs, scenario.load)
-        assert [s.vnf_id for s in plan.steps] == ["Logger", "Monitor"]
+        plan = plan_pam(scenario.chain, scenario.specs, scenario.theta_cur)
+        assert list(plan.steps) == ["Logger", "Monitor"]
         assert plan.outcome is PlanOutcome.RESOLVED
         assert count_crossings(plan.post_chain) == count_crossings(scenario.chain)
         expected_steps, _ = oracle_script.two_step_hand_trace()
-        assert [s.vnf_id for s in plan.steps] == expected_steps
+        assert list(plan.steps) == expected_steps
 
 
 def test_criterion_4_latency_advantage():
@@ -201,18 +201,16 @@ def test_criterion_7_determinism_and_round_trip(tmp_path, capsys):
 
         # deterministic plan objects end to end
         scenario = load_scenario(golden.TWO_STEP_SCENARIO)
-        a = plan_pam(scenario.chain, scenario.specs, scenario.load)
-        b = plan_pam(scenario.chain, scenario.specs, scenario.load)
+        a = plan_pam(scenario.chain, scenario.specs, scenario.theta_cur)
+        b = plan_pam(scenario.chain, scenario.specs, scenario.theta_cur)
         assert a == b
-        assert json.dumps([s.vnf_id for s in a.steps]) == json.dumps(
-            [s.vnf_id for s in b.steps]
-        )
+        assert json.dumps(list(a.steps)) == json.dumps(list(b.steps))
 
 
 def _migrated_nonborder(chain, plan) -> bool:
     work = chain
-    for step in plan.steps:
-        idx = work.index_of(step.vnf_id)
+    for vnf_id in plan.steps:
+        idx = work.index_of(vnf_id)
         if idx not in identify_borders(work):
             return True
         work = work.with_placement(idx, C)

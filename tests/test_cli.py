@@ -341,3 +341,132 @@ class TestOverflowingDemand:
         )
         assert code == 0 and "Traceback" not in err
         assert "wrote 1 records" in out
+
+
+def _fig1_at(theta: float) -> str:
+    data = json.loads(golden.FIG1_SCENARIO.read_text())
+    data["theta_cur"] = theta
+    return json.dumps(data)
+
+
+# The 9-vNF chain of test_oracle's `greedy_limitation`: the border plan is
+# ScaleOutRequired although a border-peelable placement fits.
+GREEDY_LIMITATION_CAPS = ((0.74, 7.29), (0.57, 0.79), (3.75, 6.81), (2.57, 2.68), (4.64, 1.84),
+                          (8.62, 1.51), (0.58, 13.99), (0.5, 1.82), (1.01, 12.03))
+GREEDY_LIMITATION = json.dumps({
+    "chain": [
+        {"id": f"nf{i}", "spec": f"nf{i}", "placement": "CPU" if p == "C" else "SmartNIC"}
+        for i, p in enumerate("SSCSSSSSS")
+    ],
+    "spec_overrides": {
+        f"nf{i}": {"cap_smartnic": s, "cap_cpu": c}
+        for i, (s, c) in enumerate(GREEDY_LIMITATION_CAPS)
+    },
+    "theta_cur": 0.321,
+})
+
+# Scenario name -> scenario file text; None is the shipped file of that name.
+CLI_SCENARIOS = {
+    "fig1": None,
+    "monitor_bottleneck": None,
+    "two_step": None,
+    "fig1_theta_1.5": _fig1_at(1.5),  # pam rejects Logger and Firewall
+    "fig1_theta_2.0": _fig1_at(2.0),  # naive rejects three vNFs
+    "greedy_limitation": GREEDY_LIMITATION,  # verify prints a FAIL detail and info
+}
+
+CLI_COMMANDS = {
+    "plan_pam": ("plan", "--policy", "pam"),
+    "plan_pam_json": ("plan", "--policy", "pam", "--json"),
+    "plan_naive": ("plan", "--policy", "naive"),
+    "plan_naive_json": ("plan", "--policy", "naive", "--json"),
+    "compare": ("compare",),
+    "compare_json": ("compare", "--json"),
+    "verify": ("verify",),
+}
+
+# SHA-256 of each command's stdout, and of the `compare --svg` file.
+CLI_OUTPUT_SHA256 = {
+    "fig1": {
+        "plan_pam": (0, "f24373486ccd9503df602d469d4fb47636ff193cc22b5262a0efa760f0f1aa60"),
+        "plan_pam_json": (0, "f9876ba4ece1d17ac284f49312ab06a9ee5db068fced36ae59b649fb1d673bcf"),
+        "plan_naive": (0, "522acea986a2b389c27435933332cbd335d2748012e26ac0d68449c7d3b629d6"),
+        "plan_naive_json": (0, "783a5b704c38ad46fb3715c4e1eb4960497f5691c84d1c61025827a1c3dab7e5"),
+        "compare": (0, "896464693a18bede672e26c79544564d2a57fabbe7c54a450ab0171ac2e9a1f2"),
+        "compare_json": (0, "39b9c0230f3aacb193424f83823e63d3d8a2db98050837f9d79973e04037dd68"),
+        "verify": (0, "8e3198c1d5f2fbd05ae0bc23d026c30aab5521908f8fd1d1545e69e50722eaf4"),
+        "compare_svg": "bbd29c64d7c7a5074ff23e5cae38971f94d99f72c2d3f6faeda1fcfb298b1431",
+    },
+    "fig1_theta_1.5": {
+        "plan_pam": (0, "85df43bfd70cf096e25ae2810e173a7cee6af074120b332877f0acc0eb7c8e9d"),
+        "plan_pam_json": (0, "a83f104440f42f550753d5aece8459c7cd5deb9f7cb0a59b3ec965d84f11070b"),
+        "plan_naive": (0, "02c5ff1b77180ca7d5c1d1ee8817bae86f52a13ac9a8202df29e39841ad39977"),
+        "plan_naive_json": (0, "bd27e85f8cf58b3a8181e0a2949ea0c4a24610bbc21912af3d81aa81709803fd"),
+        "compare": (0, "388a21b4827fa927d28ba7af38383e02db6586113b8fc24d521d7ed43b4e119d"),
+        "compare_json": (0, "840dadd8bb156cd24d82fe4dc3f3f70f27156a58b3032f6b37959c70329ab672"),
+        "verify": (0, "cd87db2411f48c2911cd4b2e4c5a603a65cb45069cb3c81ecc81630789862c3c"),
+        "compare_svg": "33bfbe89dbbb38780454d6d65e2048771d77ec07f2edc36760656bf3cf0fdc2b",
+    },
+    "fig1_theta_2.0": {
+        "plan_pam": (0, "56bc799a078e5a6f541b4bbfe710c1d8d30116d2c993ba7de7f44a4fa64106cf"),
+        "plan_pam_json": (0, "6922c04416a8dad52ef5cd327a48389b07c3f1e895179afcded14469e6f7b8f0"),
+        "plan_naive": (0, "c40309811e95dd2568a9a36df08efb17d29528b08378181a722451855f0f9990"),
+        "plan_naive_json": (0, "46c7dedbd286ac61996c420fddc8ad0e37364d2c31d4cbc97cf7e70cc1cf3a55"),
+        "compare": (0, "556e73d862b78b5ffd0da7846de66e814b2ddfb5a0c7848c389523d6bdf69a75"),
+        "compare_json": (0, "94abdcf3c26fe63ac447719ce3bc87d6265d49b48fd88e7ef0af9340452d01e3"),
+        "verify": (0, "cd87db2411f48c2911cd4b2e4c5a603a65cb45069cb3c81ecc81630789862c3c"),
+        "compare_svg": "9882a78bc13f4657bd0a585a7656f2bb84da3c1b8ad3b7f585974df6e8c1337f",
+    },
+    "greedy_limitation": {
+        "plan_pam": (0, "7c560701faae2b8dc2ac31d11112866bc0a5badd23b7af0a90a54db91f7f72f4"),
+        "plan_pam_json": (0, "25fd3f02603f217ac96e2908e43ffe7d2a56a7f98d6b78fe5f51577803755fae"),
+        "plan_naive": (0, "e1a725ea150a324025879d7d434dcceceec6978f2ca30174231caa0cd468a125"),
+        "plan_naive_json": (0, "51cbda7e9d0d2108fd0e99e1288d6ecc2f0049eaa53bc80bf4aa1a68b202a45a"),
+        "compare": (0, "c536a1800785dfde73a33838f554eab9a047131119db8c814c688cb106f9d2de"),
+        "compare_json": (0, "ce1f1ae2b72fbe72de2a81b31789e5b7d5c438408a5f27e6929622f8e53ab671"),
+        "verify": (2, "d547a5a153e0860cc9d8cce3dfe700fb210af535f2072ae3bf1719b51edd4dce"),
+        "compare_svg": "86e946a57307cd7a92f3f40b5019028d276e300804ea75d754d08c4328b408c7",
+    },
+    "monitor_bottleneck": {
+        "plan_pam": (0, "e6d0bcbea2e94d9aed66197383a1f40a16381cd8a07ee32ecad5f176c4f79864"),
+        "plan_pam_json": (0, "47f0c1515da3c4015532587a5274b23aa5e543df69bde3d3ed7ac90d27ee4c3c"),
+        "plan_naive": (0, "d88dbd07964cf53098db1e734215168c093ebced9a83337468c94428c6fcd82f"),
+        "plan_naive_json": (0, "a75700bde26f215fcb5c95ab1d867da088c5aa3c3fed5ce2d41aa5a284b9bf2a"),
+        "compare": (0, "57b0e73faec10620c0563bb848e5eff2ad8379acde80da67fecc3718c7eade24"),
+        "compare_json": (0, "8c0d8992a8cf2177ea54a27f95275cde432a9dfbedf8d879e1b3d13bd9acd301"),
+        "verify": (0, "8e3198c1d5f2fbd05ae0bc23d026c30aab5521908f8fd1d1545e69e50722eaf4"),
+        "compare_svg": "daeb18ef96af7c506cfb6a3abb63568ede5c347b224fd95da8fe8a8f2b876c32",
+    },
+    "two_step": {
+        "plan_pam": (0, "24ed7196131b9bcb3fb0151aa5f76f4fa9e5dfe1e4c18e799e1c2d5a40922992"),
+        "plan_pam_json": (0, "a281fafd2c8196666e144ab86428d5c324992c9ea651ee9fcefb8b442f22b2ca"),
+        "plan_naive": (0, "f07ec2d1d7281633ffaefc5ab9a4e95c2e70f4e4591b8789e8a0360ba4abec8c"),
+        "plan_naive_json": (0, "6beb924d66c85a73dffd8e57522b20d5985f72eec884df563070f773461b47ef"),
+        "compare": (0, "7aac25a4b2cb55a57ba9a5baad756018b863d983d5da912dba7dcb56a825e5b1"),
+        "compare_json": (0, "2020c4b4e0fbf68c0fc998961b9ded55463fb656afb1a45ae7dde96b23a8226d"),
+        "verify": (0, "8e3198c1d5f2fbd05ae0bc23d026c30aab5521908f8fd1d1545e69e50722eaf4"),
+        "compare_svg": "92270f3e85962e8fce5fd535bc3b5e351f03bda7b154372d9a2e91e225ada8b8",
+    },
+}
+
+
+class TestOutputBytes:
+    """Every stdout byte of plan, compare and verify, and the compare SVG."""
+
+    @pytest.mark.parametrize("scenario", sorted(CLI_SCENARIOS))
+    def test_outputs_are_byte_identical(self, capsys, tmp_path, scenario):
+        text = CLI_SCENARIOS[scenario]
+        path = golden.SCENARIO_DIR / f"{scenario}.scenario.json"
+        if text is not None:
+            path = tmp_path / "scenario.json"
+            path.write_text(text)
+        svg = tmp_path / "compare.svg"
+        digests = {}
+        for name, command in CLI_COMMANDS.items():
+            if name == "compare":
+                command += ("--svg", str(svg))
+            code, out, err = run(capsys, *command, "--scenario", str(path))
+            assert err == ""
+            digests[name] = (code, hashlib.sha256(out.encode()).hexdigest())
+        digests["compare_svg"] = hashlib.sha256(svg.read_bytes()).hexdigest()
+        assert digests == CLI_OUTPUT_SHA256[scenario]

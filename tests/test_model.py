@@ -7,7 +7,6 @@ import pytest
 
 import golden
 from chainplan import (
-    LoadState,
     Placement,
     Scenario,
     ServiceChain,
@@ -74,7 +73,7 @@ class TestValidate:
         assert report.violations == ()
 
     def test_empty_chain(self):
-        scenario = Scenario(ServiceChain(()), golden.golden_specs(), LoadState(1.0))
+        scenario = Scenario(ServiceChain(()), golden.golden_specs(), 1.0)
         report = validate(scenario)
         assert not report.ok
         assert "empty_chain" in report.codes()
@@ -88,7 +87,7 @@ class TestValidate:
 
     def test_unresolved_spec_reference(self):
         chain = ServiceChain((VnfInstance("x", "Mystery", Placement.CPU),))
-        report = validate(Scenario(chain, golden.golden_specs(), LoadState(1.0)))
+        report = validate(Scenario(chain, golden.golden_specs(), 1.0))
         assert report.codes() == ("unresolved_spec_reference",)
 
     def test_negative_latency(self):
@@ -104,7 +103,7 @@ class TestValidate:
                 VnfInstance("a", "Monitor", Placement.CPU),
             )
         )
-        report = validate(Scenario(chain, golden.golden_specs(), LoadState(1.0)))
+        report = validate(Scenario(chain, golden.golden_specs(), 1.0))
         assert "duplicate_vnf_id" in report.codes()
 
     def test_negative_load(self):

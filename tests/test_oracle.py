@@ -11,9 +11,7 @@ import independent_oracle as oracle_script
 import randgen
 from chainplan import (
     ChainTooLongError,
-    LoadState,
     MigrationPlan,
-    MigrationStep,
     Placement,
     PlanOutcome,
     ServiceChain,
@@ -36,15 +34,15 @@ C = Placement.CPU
 class TestEnumeratePlacements:
     def test_single_vnf_gives_two_records(self, fig1_specs):
         chain = ServiceChain((VnfInstance("Logger", "Logger", S),))
-        records = enumerate_placements(chain, fig1_specs, LoadState(1.0))
+        records = enumerate_placements(chain, fig1_specs, 1.0)
         assert len(records) == 2
 
     def test_golden_chain_gives_32_records(self, fig1_chain, fig1_specs):
-        records = enumerate_placements(fig1_chain, fig1_specs, LoadState(1.2))
+        records = enumerate_placements(fig1_chain, fig1_specs, 1.2)
         assert len(records) == 32
 
     def test_binary_counting_order(self, fig1_chain, fig1_specs):
-        records = enumerate_placements(fig1_chain, fig1_specs, LoadState(1.2))
+        records = enumerate_placements(fig1_chain, fig1_specs, 1.2)
         n = len(fig1_chain)
         assert records[0].placement_vector == (S,) * n
         assert records[-1].placement_vector == (C,) * n
@@ -53,7 +51,7 @@ class TestEnumeratePlacements:
         assert records[19].placement_vector == (C, C, S, S, C)
 
     def test_migration_counts_are_relative_to_input(self, fig1_chain, fig1_specs):
-        records = enumerate_placements(fig1_chain, fig1_specs, LoadState(1.2))
+        records = enumerate_placements(fig1_chain, fig1_specs, 1.2)
         # Input is C,S,S,S,C: the all-SmartNIC record moves nothing toward the CPU.
         assert records[0].migrations_from_input == 0
         # Record 19 (C,C,S,S,C) moves only Logger.
@@ -61,7 +59,7 @@ class TestEnumeratePlacements:
         assert records[-1].migrations_from_input == 3
 
     def test_minimum_migration_scan_certifies_the_border_plan(self, fig1_chain, fig1_specs):
-        load = LoadState(1.2)
+        load = 1.2
         base_crossings = 4
         records = enumerate_placements(fig1_chain, fig1_specs, load)
         input_vec = fig1_chain.placements()
@@ -98,7 +96,7 @@ class TestEnumeratePlacements:
         rng = random.Random(31)
         for _ in range(30):
             chain, specs, load = randgen.random_scenario(rng, max_len=8)
-            theta = load.theta_cur
+            theta = load
             for record in enumerate_placements(chain, specs, load):
                 s_util = c_util = 0.0
                 for v, p in zip(chain.vnfs, record.placement_vector):
@@ -115,12 +113,12 @@ class TestEnumeratePlacements:
     def test_rejects_chains_over_the_cap(self, fig1_specs):
         vnfs = tuple(VnfInstance(f"n{i}", "Logger", S) for i in range(21))
         with pytest.raises(ChainTooLongError):
-            enumerate_placements(ServiceChain(vnfs), fig1_specs, LoadState(0.1))
+            enumerate_placements(ServiceChain(vnfs), fig1_specs, 0.1)
 
 
 class TestVerifyPlan:
     def test_golden_border_plan_passes(self, fig1_chain, fig1_specs):
-        load = LoadState(1.2)
+        load = 1.2
         plan = plan_pam(fig1_chain, fig1_specs, load)
         report = verify_plan(fig1_chain, fig1_specs, load, plan)
         assert report.passed
@@ -131,15 +129,15 @@ class TestVerifyPlan:
         }
 
     def test_not_overloaded_plan_trivially_passes(self, fig1_chain, fig1_specs):
-        load = LoadState(0.5)
+        load = 0.5
         plan = plan_pam(fig1_chain, fig1_specs, load)
         report = verify_plan(fig1_chain, fig1_specs, load, plan)
         assert report.passed
 
     def test_bogus_interior_plan_fails_the_crossing_check(self, fig1_chain, fig1_specs):
-        load = LoadState(1.2)
+        load = 1.2
         bogus = MigrationPlan(
-            steps=(MigrationStep("Monitor"),),
+            steps=("Monitor",),
             outcome=PlanOutcome.RESOLVED,
             rejected_candidates=(),
             post_chain=fig1_chain.with_placement(2, C),
@@ -151,9 +149,9 @@ class TestVerifyPlan:
         assert "6 > 4" in failed["crossing_nonincrease"].detail
 
     def test_crossing_check_can_be_disabled_for_baselines(self, fig1_chain, fig1_specs):
-        load = LoadState(1.2)
+        load = 1.2
         bogus = MigrationPlan(
-            steps=(MigrationStep("Monitor"),),
+            steps=("Monitor",),
             outcome=PlanOutcome.RESOLVED,
             rejected_candidates=(),
             post_chain=fig1_chain.with_placement(2, C),
@@ -164,9 +162,9 @@ class TestVerifyPlan:
         assert report.passed
 
     def test_mismatched_post_chain_fails_reachability(self, fig1_chain, fig1_specs):
-        load = LoadState(1.2)
+        load = 1.2
         bogus = MigrationPlan(
-            steps=(MigrationStep("Logger"),),
+            steps=("Logger",),
             outcome=PlanOutcome.RESOLVED,
             rejected_candidates=(),
             post_chain=fig1_chain,  # claims nothing moved
@@ -176,7 +174,7 @@ class TestVerifyPlan:
         assert "reachability" in failed
 
     def test_infeasible_resolved_claim_fails(self, fig1_chain, fig1_specs):
-        load = LoadState(3.0)
+        load = 3.0
         bogus = MigrationPlan(
             steps=(),
             outcome=PlanOutcome.RESOLVED,
@@ -255,7 +253,7 @@ def greedy_limitation(cpu_padding: int = 0):
     caps = [(0.74, 7.29), (0.57, 0.79), (3.75, 6.81), (2.57, 2.68), (4.64, 1.84),
             (8.62, 1.51), (0.58, 13.99), (0.5, 1.82), (1.01, 12.03)]
     caps[3:3] = [(1.0, 1000.0)] * cpu_padding
-    return (*chain_from("SSC" + "C" * cpu_padding + "SSSSSS", caps), LoadState(0.321))
+    return (*chain_from("SSC" + "C" * cpu_padding + "SSSSSS", caps), 0.321)
 
 
 class TestKnownGreedyLimitation:
@@ -291,7 +289,7 @@ def reference_global_subset(chain, specs, load) -> tuple[str, bool]:
     """
     base_crossings = count_crossings(chain)
     input_vec = chain.placements()
-    theta = load.theta_cur
+    theta = load
     near_one = False
     for record in enumerate_placements(chain, specs, load):
         vec = record.placement_vector
@@ -356,7 +354,7 @@ class TestGlobalFeasibleSubset:
     )
     def test_chain_order_decides_inside_the_band(self, placements, caps, expected):
         chain, specs = chain_from(placements, caps)
-        load = LoadState(1.0)
+        load = 1.0
         # A claimed ScaleOutRequired plan runs the scan whatever the planners decide.
         claim = MigrationPlan((), PlanOutcome.SCALE_OUT_REQUIRED, (), chain)
         assert reference_global_subset(chain, specs, load) == (expected, True)
@@ -365,7 +363,7 @@ class TestGlobalFeasibleSubset:
     def test_first_of_several_fits_is_reported(self, fig1_chain, fig1_specs):
         # On the fig1 chain at 1.2 Gbps several subsets fit; counting order
         # puts C,C,S,S,C (index 0b10011) first.
-        chain, specs, load = fig1_chain, fig1_specs, LoadState(1.2)
+        chain, specs, load = fig1_chain, fig1_specs, 1.2
         claim = MigrationPlan((), PlanOutcome.SCALE_OUT_REQUIRED, (), chain)
         report = verify_plan(chain, specs, load, claim)
         assert reference_global_subset(chain, specs, load)[0] == "C,C,S,S,C"
@@ -379,7 +377,7 @@ class TestGlobalFeasibleSubset:
 def brute_force_subset(chain, specs, load) -> str:
     """First feasible subset of the SmartNIC vNFs moved to the CPU, in
     binary-counting order over chain positions, with chain-order sums."""
-    theta = load.theta_cur
+    theta = load
     nic_positions = [j for j, v in enumerate(chain.vnfs) if v.placement is S]
     base_crossings = count_crossings(chain)
     for mask in range(1 << len(nic_positions)):
@@ -416,7 +414,7 @@ class TestAtTheCap:
             placements = "".join("S" if j in on_nic else "C" for j in range(MAX_ORACLE_CHAIN))
             caps = [(randgen.log_uniform(rng), randgen.log_uniform(rng)) for _ in placements]
             chain, specs = chain_from(placements, caps)
-            load = LoadState(rng.uniform(0.05, 0.4))
+            load = rng.uniform(0.05, 0.4)
             plan = plan_pam(chain, specs, load)
             if plan.outcome is not PlanOutcome.SCALE_OUT_REQUIRED:
                 continue

@@ -184,8 +184,8 @@ class TestPolicyComparisonProperty:
 
 def _migrated_nonborder(chain, plan):
     work = chain
-    for step in plan.steps:
-        idx = work.index_of(step.vnf_id)
+    for vnf_id in plan.steps:
+        idx = work.index_of(vnf_id)
         if idx not in identify_borders(work):
             return True
         work = work.with_placement(idx, C)

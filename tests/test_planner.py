@@ -12,9 +12,7 @@ import golden
 import independent_oracle as oracle_script
 import randgen
 from chainplan import (
-    LoadState,
     MigrationPlan,
-    MigrationStep,
     Placement,
     PlanOutcome,
     ServiceChain,
@@ -62,7 +60,7 @@ def check_cpu_headroom(chain, specs, index, load):
     `index` stays strictly under capacity."""
     cpu = utilization(chain, specs, C, load)
     spec = specs[chain.vnfs[index].spec]
-    return cpu + load.theta_cur / spec.cap_cpu < 1.0
+    return cpu + load / spec.cap_cpu < 1.0
 
 
 class TestIdentifyBorders:
@@ -147,14 +145,14 @@ LOGGER = 1  # chain index of Logger in the golden chain
 
 class TestCpuHeadroom:
     def test_golden_chain_logger_at_1_2(self, fig1_chain, fig1_specs):
-        assert check_cpu_headroom(fig1_chain, fig1_specs, LOGGER, LoadState(1.2))
+        assert check_cpu_headroom(fig1_chain, fig1_specs, LOGGER, 1.2)
         assert oracle_script.cpu_headroom_values()[1.2] < 1.0
 
     def test_zero_load_always_passes(self, fig1_chain, fig1_specs):
-        assert check_cpu_headroom(fig1_chain, fig1_specs, LOGGER, LoadState(0.0))
+        assert check_cpu_headroom(fig1_chain, fig1_specs, LOGGER, 0.0)
 
     def test_golden_chain_logger_at_1_5_fails(self, fig1_chain, fig1_specs):
-        assert not check_cpu_headroom(fig1_chain, fig1_specs, LOGGER, LoadState(1.5))
+        assert not check_cpu_headroom(fig1_chain, fig1_specs, LOGGER, 1.5)
         assert oracle_script.cpu_headroom_values()[1.5] >= 1.0
 
 
@@ -166,26 +164,26 @@ class TestAlleviated:
         return not is_overloaded(chain.with_placement(index, C), specs, S, load)
 
     def test_golden_chain_without_logger(self, fig1_chain, fig1_specs):
-        assert self.alleviated(fig1_chain, fig1_specs, LOGGER, LoadState(1.2))
+        assert self.alleviated(fig1_chain, fig1_specs, LOGGER, 1.2)
 
     def test_candidate_is_only_smartnic_vnf(self, fig1_specs):
         chain = ServiceChain(
             (VnfInstance("x", "LoadBalancer", C), VnfInstance("Logger", "Logger", S))
         )
-        assert self.alleviated(chain, fig1_specs, 1, LoadState(100.0))
+        assert self.alleviated(chain, fig1_specs, 1, 100.0)
 
     def test_monitor_override_at_1_6_fails(self, fig1_chain):
         specs = golden.monitor_bottleneck_specs()
-        assert not self.alleviated(fig1_chain, specs, LOGGER, LoadState(1.6))
+        assert not self.alleviated(fig1_chain, specs, LOGGER, 1.6)
 
 
 class TestPlanPam:
     def test_golden_chain_migrates_logger(self, fig1_chain, fig1_specs):
-        plan = plan_pam(fig1_chain, fig1_specs, LoadState(1.2))
-        assert [s.vnf_id for s in plan.steps] == ["Logger"]
+        plan = plan_pam(fig1_chain, fig1_specs, 1.2)
+        assert list(plan.steps) == ["Logger"]
         assert plan.outcome is PlanOutcome.RESOLVED
         assert plan.rejected_candidates == ()
-        load = LoadState(1.2)
+        load = 1.2
         s_util = utilization(plan.post_chain, fig1_specs, S, load)
         c_util = utilization(plan.post_chain, fig1_specs, C, load)
         expected_s, expected_c = oracle_script.golden_post_border_migration_utils(1.2)
@@ -193,7 +191,7 @@ class TestPlanPam:
         assert c_util == pytest.approx(expected_c, abs=1e-12)
 
     def test_underloaded_chain_is_left_alone(self, fig1_chain, fig1_specs):
-        plan = plan_pam(fig1_chain, fig1_specs, LoadState(0.5))
+        plan = plan_pam(fig1_chain, fig1_specs, 0.5)
         assert plan.outcome is PlanOutcome.NOT_OVERLOADED
         assert plan.steps == ()
         assert plan.post_chain == fig1_chain
@@ -201,31 +199,31 @@ class TestPlanPam:
 
     def test_two_step_scenario_promotes_monitor(self, fig1_chain):
         specs = golden.two_step_specs()
-        plan = plan_pam(fig1_chain, specs, LoadState(1.6))
-        assert [s.vnf_id for s in plan.steps] == ["Logger", "Monitor"]
+        plan = plan_pam(fig1_chain, specs, 1.6)
+        assert list(plan.steps) == ["Logger", "Monitor"]
         assert plan.outcome is PlanOutcome.RESOLVED
         assert count_crossings(plan.post_chain) == count_crossings(fig1_chain)
         expected_steps, expected_residual = oracle_script.two_step_hand_trace()
-        assert [s.vnf_id for s in plan.steps] == expected_steps
-        s_util = utilization(plan.post_chain, specs, S, LoadState(1.6))
+        assert list(plan.steps) == expected_steps
+        s_util = utilization(plan.post_chain, specs, S, 1.6)
         assert s_util == pytest.approx(expected_residual, abs=1e-12)
 
     def test_headroom_rejections_are_recorded(self, fig1_chain, fig1_specs):
         # At 1.5 Gbps the CPU cannot absorb either border vNF.
-        plan = plan_pam(fig1_chain, fig1_specs, LoadState(1.5))
+        plan = plan_pam(fig1_chain, fig1_specs, 1.5)
         assert plan.outcome is PlanOutcome.SCALE_OUT_REQUIRED
         assert plan.steps == ()
         assert plan.rejected_candidates == (
-            ("Logger", "cpu_headroom"),
-            ("Firewall", "cpu_headroom"),
+            "Logger",
+            "Firewall",
         )
         assert plan.post_chain == fig1_chain
 
     def test_steps_are_smartnic_to_cpu(self, fig1_chain):
-        plan = plan_pam(fig1_chain, golden.two_step_specs(), LoadState(1.6))
+        plan = plan_pam(fig1_chain, golden.two_step_specs(), 1.6)
         assert plan.steps
-        for step in plan.steps:
-            i = fig1_chain.index_of(step.vnf_id)
+        for vnf_id in plan.steps:
+            i = fig1_chain.index_of(vnf_id)
             assert fig1_chain.vnfs[i].placement is S
             assert plan.post_chain.vnfs[i].placement is C
 
@@ -247,10 +245,10 @@ class TestPlanPam:
                 VnfInstance("v4", "D", S),
             )
         )
-        plan = plan_pam(chain, specs, LoadState(0.9))
+        plan = plan_pam(chain, specs, 0.9)
         assert plan.outcome is PlanOutcome.RESOLVED
-        assert [s.vnf_id for s in plan.steps] == ["v1", "v4"]
-        assert plan.rejected_candidates == (("v2", "cpu_headroom"),)
+        assert list(plan.steps) == ["v1", "v4"]
+        assert plan.rejected_candidates == ("v2",)
 
     def test_singleton_segment_migrated_once(self):
         specs = {
@@ -265,15 +263,15 @@ class TestPlanPam:
             )
         )
         assert identify_borders(chain) == {1}
-        plan = plan_pam(chain, specs, LoadState(1.2))
-        assert [s.vnf_id for s in plan.steps] == ["mid"]
+        plan = plan_pam(chain, specs, 1.2)
+        assert list(plan.steps) == ["mid"]
         assert plan.outcome is PlanOutcome.RESOLVED
 
     def test_no_borders_means_scale_out_without_steps(self, fig1_specs):
         chain = ServiceChain(
             (VnfInstance("Logger", "Logger", S), VnfInstance("Monitor", "Monitor", S))
         )
-        plan = plan_pam(chain, fig1_specs, LoadState(3.0))
+        plan = plan_pam(chain, fig1_specs, 3.0)
         assert plan.outcome is PlanOutcome.SCALE_OUT_REQUIRED
         assert plan.steps == ()
 
@@ -281,24 +279,24 @@ class TestPlanPam:
 class TestPlanNaive:
     def test_monitor_bottleneck_migrates_monitor(self, fig1_chain):
         specs = golden.monitor_bottleneck_specs()
-        plan = plan_naive(fig1_chain, specs, LoadState(1.0))
-        assert [s.vnf_id for s in plan.steps] == ["Monitor"]
+        plan = plan_naive(fig1_chain, specs, 1.0)
+        assert list(plan.steps) == ["Monitor"]
         assert plan.outcome is PlanOutcome.RESOLVED
 
     def test_underloaded_chain_is_left_alone(self, fig1_chain, fig1_specs):
-        plan = plan_naive(fig1_chain, fig1_specs, LoadState(0.5))
+        plan = plan_naive(fig1_chain, fig1_specs, 0.5)
         assert plan.outcome is PlanOutcome.NOT_OVERLOADED
         assert plan.steps == ()
 
     def test_golden_chain_coincides_with_border_policy(self, fig1_chain, fig1_specs):
         # Logger holds the global minimum capacity and is also a border.
-        plan = plan_naive(fig1_chain, fig1_specs, LoadState(1.2))
-        assert [s.vnf_id for s in plan.steps] == ["Logger"]
-        assert plan == plan_pam(fig1_chain, fig1_specs, LoadState(1.2))
+        plan = plan_naive(fig1_chain, fig1_specs, 1.2)
+        assert list(plan.steps) == ["Logger"]
+        assert plan == plan_pam(fig1_chain, fig1_specs, 1.2)
 
     def test_can_migrate_interior_vnfs(self, fig1_chain):
         specs = golden.monitor_bottleneck_specs()
-        plan = plan_naive(fig1_chain, specs, LoadState(1.0))
+        plan = plan_naive(fig1_chain, specs, 1.0)
         post = plan.post_chain
         assert post.vnfs[2].placement is C  # Monitor was interior
         assert count_crossings(post) == count_crossings(fig1_chain) + 2
@@ -317,7 +315,7 @@ class TestPlanProperties:
         for _ in range(300):
             chain, specs, load = randgen.random_scenario(rng)
             plan = plan_pam(chain, specs, load)
-            migrated = {s.vnf_id for s in plan.steps}
+            migrated = set(plan.steps)
             drained = 0
             seq = chain.placement_sequence()
             i = 0
@@ -351,10 +349,10 @@ class TestPlanProperties:
             for planner in (plan_pam, plan_naive):
                 plan = planner(chain, specs, load)
                 work = chain
-                for step in plan.steps:
-                    work = work.with_placement(work.index_of(step.vnf_id), C)
+                for vnf_id in plan.steps:
+                    work = work.with_placement(work.index_of(vnf_id), C)
                 assert work == plan.post_chain
-                rejected = [vnf_id for vnf_id, _ in plan.rejected_candidates]
+                rejected = list(plan.rejected_candidates)
                 assert len(rejected) == len(set(rejected))
 
     def test_selected_candidate_always_releases_the_most(self):
@@ -371,10 +369,10 @@ class TestPlanProperties:
             chain, specs, load = randgen.random_scenario(rng)
             for planner, pool_of in ((plan_pam, border_pool), (plan_naive, smartnic_pool)):
                 plan = planner(chain, specs, load)
-                rejected = {vnf_id for vnf_id, _ in plan.rejected_candidates}
+                rejected = set(plan.rejected_candidates)
                 work = chain
-                for step in plan.steps:
-                    idx = work.index_of(step.vnf_id)
+                for vnf_id in plan.steps:
+                    idx = work.index_of(vnf_id)
                     pool = pool_of(work)
                     assert idx in pool
                     key = lambda i: (specs[work.vnfs[i].spec].cap_smartnic, i)
@@ -405,20 +403,15 @@ class TestLoadBalancerStandIn:
         )
         chain = golden.golden_chain()
         for specs, theta in cases:
-            load = LoadState(theta)
-            reference = (plan_pam(chain, specs, load), plan_naive(chain, specs, load))
+            reference = (plan_pam(chain, specs, theta), plan_naive(chain, specs, theta))
             for cap in (10.01, 100.0):
                 varied = dict(specs)
                 varied["LoadBalancer"] = replace(specs["LoadBalancer"], cap_smartnic=cap)
-                got_pam = plan_pam(chain, varied, load)
-                got_naive = plan_naive(chain, varied, load)
-                assert [s.vnf_id for s in got_pam.steps] == [
-                    s.vnf_id for s in reference[0].steps
-                ]
+                got_pam = plan_pam(chain, varied, theta)
+                got_naive = plan_naive(chain, varied, theta)
+                assert got_pam.steps == reference[0].steps
                 assert got_pam.outcome is reference[0].outcome
-                assert [s.vnf_id for s in got_naive.steps] == [
-                    s.vnf_id for s in reference[1].steps
-                ]
+                assert got_naive.steps == reference[1].steps
                 assert got_naive.outcome is reference[1].outcome
                 assert got_pam.post_chain.placements() == reference[0].post_chain.placements()
 
@@ -428,7 +421,7 @@ def chain_order_sum(chain, specs, device, load):
     total = 0.0
     for v in chain.vnfs:
         if v.placement is device:
-            total += load.theta_cur / specs[v.spec].capacity(device)
+            total += load / specs[v.spec].capacity(device)
     return total
 
 
@@ -451,11 +444,11 @@ def reference_plan(chain, specs, load, *, borders_only):
     while (idx := select_candidate(work, pool, specs)) is not None:
         pool.discard(idx)
         cpu = chain_order_sum(work, specs, C, load)
-        sums.append(cpu + load.theta_cur / specs[work.vnfs[idx].spec].cap_cpu)
+        sums.append(cpu + load / specs[work.vnfs[idx].spec].cap_cpu)
         if not check_cpu_headroom(work, specs, idx, load):
             rejected.append(idx)
             continue
-        steps.append(MigrationStep(work.vnfs[idx].id))
+        steps.append(work.vnfs[idx].id)
         work = work.with_placement(idx, C)
         sums.append(chain_order_sum(work, specs, S, load))
         if not is_overloaded(work, specs, S, load):
@@ -464,7 +457,7 @@ def reference_plan(chain, specs, load, *, borders_only):
         for j in (idx - 1, idx + 1):
             if 0 <= j < len(work.vnfs) and work.vnfs[j].placement is S and j not in rejected:
                 pool.add(j)
-    rejections = tuple((chain.vnfs[i].id, "cpu_headroom") for i in rejected)
+    rejections = tuple(chain.vnfs[i].id for i in rejected)
     return MigrationPlan(tuple(steps), outcome, rejections, work), sums
 
 
@@ -485,7 +478,7 @@ def long_scenario(rng):
             cap_cpu=randgen.log_uniform(rng) * n / 2,
         )
         vnfs.append(VnfInstance(name, name, rng.choice((S, C))))
-    return ServiceChain(tuple(vnfs)), specs, LoadState(rng.uniform(0.5, 2.0))
+    return ServiceChain(tuple(vnfs)), specs, rng.uniform(0.5, 2.0)
 
 
 class TestMatchesReferenceLoop:
@@ -540,7 +533,7 @@ def boundary_witness():
     chain = ServiceChain(
         tuple(VnfInstance(f"n{i}", f"n{i}", p) for i, p in enumerate((C, S, S, S, C)))
     )
-    return chain, specs, LoadState(1.0)
+    return chain, specs, 1.0
 
 
 class TestBoundaryWitness:
@@ -548,12 +541,12 @@ class TestBoundaryWitness:
         chain, specs, load = boundary_witness()
         pam = plan_pam(chain, specs, load)
         assert pam.outcome is PlanOutcome.RESOLVED
-        assert [s.vnf_id for s in pam.steps] == ["n1", "n2"]
+        assert list(pam.steps) == ["n1", "n2"]
         assert pam.rejected_candidates == ()
         naive = plan_naive(chain, specs, load)
         assert naive.outcome is PlanOutcome.SCALE_OUT_REQUIRED
-        assert [s.vnf_id for s in naive.steps] == ["n2"]
-        assert naive.rejected_candidates == (("n1", "cpu_headroom"), ("n3", "cpu_headroom"))
+        assert list(naive.steps) == ["n2"]
+        assert naive.rejected_candidates == ("n1", "n3")
 
     @pytest.mark.xfail(
         strict=True,

@@ -8,7 +8,6 @@ import golden
 import independent_oracle as oracle_script
 import randgen
 from chainplan import (
-    LoadState,
     Placement,
     ServiceChain,
     VnfInstance,
@@ -25,7 +24,7 @@ C = Placement.CPU
 
 class TestUtilization:
     def test_golden_chain_smartnic_at_1_2(self, fig1_chain, fig1_specs):
-        util = utilization(fig1_chain, fig1_specs, S, LoadState(1.2))
+        util = utilization(fig1_chain, fig1_specs, S, 1.2)
         expected = 1.2 / 2 + 1.2 / 3.2 + 1.2 / 10
         assert util == pytest.approx(1.095, abs=1e-12)
         assert util == expected
@@ -33,11 +32,11 @@ class TestUtilization:
 
     def test_device_without_vnfs_is_zero(self, fig1_specs):
         chain = ServiceChain((VnfInstance("Logger", "Logger", C),))
-        assert utilization(chain, fig1_specs, S, LoadState(3.0)) == 0.0
+        assert utilization(chain, fig1_specs, S, 3.0) == 0.0
 
     def test_single_vnf_at_capacity_is_exactly_one(self, fig1_specs):
         chain = ServiceChain((VnfInstance("Firewall", "Firewall", S),))
-        assert utilization(chain, fig1_specs, S, LoadState(10.0)) == 1.0
+        assert utilization(chain, fig1_specs, S, 10.0) == 1.0
 
     def test_linearity_in_load(self):
         rng = random.Random(7)
@@ -46,7 +45,7 @@ class TestUtilization:
             k = rng.uniform(0.0, 5.0)
             for device in (S, C):
                 base = utilization(chain, specs, device, load)
-                scaled = utilization(chain, specs, device, LoadState(k * load.theta_cur))
+                scaled = utilization(chain, specs, device, k * load)
                 assert scaled == pytest.approx(k * base, abs=1e-12, rel=1e-12)
 
     def test_adding_a_vnf_never_decreases_utilization(self):
@@ -123,15 +122,15 @@ class TestFits:
 
 class TestIsOverloaded:
     def test_golden_chain_overloaded_at_1_2(self, fig1_chain, fig1_specs):
-        assert is_overloaded(fig1_chain, fig1_specs, S, LoadState(1.2))
+        assert is_overloaded(fig1_chain, fig1_specs, S, 1.2)
 
     def test_exactly_one_is_overloaded(self, fig1_specs):
         chain = ServiceChain((VnfInstance("Firewall", "Firewall", S),))
-        assert is_overloaded(chain, fig1_specs, S, LoadState(10.0))
+        assert is_overloaded(chain, fig1_specs, S, 10.0)
 
     def test_zero_load_is_never_overloaded(self, fig1_chain, fig1_specs):
-        assert not is_overloaded(fig1_chain, fig1_specs, S, LoadState(0.0))
-        assert not is_overloaded(fig1_chain, fig1_specs, C, LoadState(0.0))
+        assert not is_overloaded(fig1_chain, fig1_specs, S, 0.0)
+        assert not is_overloaded(fig1_chain, fig1_specs, C, 0.0)
 
 
 class TestMaxChainThroughput:
@@ -178,8 +177,8 @@ class TestMaxChainThroughput:
         for _ in range(100):
             chain, specs, _ = randgen.random_scenario(rng)
             t = max_chain_throughput(chain, specs)
-            below = LoadState(t * (1 - 1e-9))
-            above = LoadState(t * (1 + 1e-9))
+            below = t * (1 - 1e-9)
+            above = t * (1 + 1e-9)
             assert not is_overloaded(chain, specs, S, below)
             assert not is_overloaded(chain, specs, C, below)
             assert is_overloaded(chain, specs, S, above) or is_overloaded(

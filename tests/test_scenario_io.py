@@ -31,7 +31,7 @@ class TestLoadScenario:
         assert scenario.chain.placements() == (C, S, S, S, C)
         assert scenario.chain.ingress_anchor is S
         assert scenario.chain.egress_anchor is S
-        assert scenario.load.theta_cur == 1.2
+        assert scenario.theta_cur == 1.2
         assert scenario.pcie_latency_us == 10.0
         assert scenario.specs["Logger"].cap_smartnic == 2.0
         assert scenario.specs["C2"].cap_cpu == 4.0

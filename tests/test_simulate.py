@@ -9,7 +9,6 @@ import pytest
 import golden
 import randgen
 from chainplan import (
-    LoadState,
     Placement,
     Scenario,
     TimelineRecord,
@@ -103,7 +102,7 @@ def reference_run_trace(scenario, trace, policy):
     cumulative = 0
     records = []
     for point in trace:
-        load = LoadState(point.theta_cur)
+        load = point.theta_cur
         if policy == "none":
             migrated = ()
             overloaded = is_overloaded(chain, specs, S, load)
@@ -111,7 +110,7 @@ def reference_run_trace(scenario, trace, policy):
         else:
             plan = planners[policy](chain, specs, load)
             chain = plan.post_chain
-            migrated = tuple(s.vnf_id for s in plan.steps)
+            migrated = plan.steps
             cumulative += len(migrated)
             outcome = plan.outcome.value
         records.append(
@@ -137,12 +136,12 @@ def rising_and_falling_trace(rng, scenario, max_points=30):
     fills up, with the scenario's own load (where `boundary_scenario` puts
     device sums within a few ulps of 1.0) mixed in."""
     nic = [1.0 / scenario.specs[v.spec].cap_smartnic for v in scenario.chain.vnfs if v.placement is S]
-    full = 1.0 / sum(nic) if nic else scenario.load.theta_cur
+    full = 1.0 / sum(nic) if nic else scenario.theta_cur
     period, phase = rng.uniform(3.0, 12.0), rng.uniform(0.0, 2 * math.pi)
     points = []
     for i in range(rng.randint(1, max_points)):
         if rng.random() < 0.25:
-            theta = scenario.load.theta_cur
+            theta = scenario.theta_cur
         else:
             swing = 1.0 + 0.7 * math.sin(2 * math.pi * i / period + phase)
             theta = full * swing * rng.uniform(0.95, 1.05)
@@ -222,7 +221,7 @@ def count_planner_calls(monkeypatch, policy):
     original = simulate._PLANNERS[policy]
 
     def counted(chain, specs, load):
-        calls.append(load.theta_cur)
+        calls.append(load)
         return original(chain, specs, load)
 
     monkeypatch.setitem(simulate._PLANNERS, policy, counted)
@@ -237,7 +236,7 @@ class TestPlannerOnlyWhenOverloaded:
         chain, specs = scenario.chain, scenario.specs
         overloaded = []
         for point in trace:
-            load = LoadState(point.theta_cur)
+            load = point.theta_cur
             if utilization(chain, specs, S, load) >= 1.0:
                 overloaded.append(point.theta_cur)
             chain = planner(chain, specs, load).post_chain
@@ -305,7 +304,7 @@ class TestCompare:
 
     def test_underloaded_scenario_is_a_wash(self):
         scenario = load_scenario(golden.FIG1_SCENARIO)
-        report = compare(replace(scenario, load=LoadState(0.5)))
+        report = compare(replace(scenario, theta_cur=0.5))
         assert report.pam.plan.outcome.value == "NotOverloaded"
         assert report.naive.plan.outcome.value == "NotOverloaded"
         assert report.latency_reduction_pct == 0.0
@@ -313,8 +312,8 @@ class TestCompare:
     def test_golden_scenario_policies_coincide(self):
         scenario = load_scenario(golden.FIG1_SCENARIO)
         report = compare(scenario)
-        assert [s.vnf_id for s in report.pam.plan.steps] == ["Logger"]
-        assert [s.vnf_id for s in report.naive.plan.steps] == ["Logger"]
+        assert list(report.pam.plan.steps) == ["Logger"]
+        assert list(report.naive.plan.steps) == ["Logger"]
         assert report.latency_reduction_pct == 0.0
 
     def test_throughput_sides_of_the_report(self):
