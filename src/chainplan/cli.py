@@ -7,9 +7,10 @@ Exit codes: 0 success (and verification pass), 1 validation or parse error,
 from __future__ import annotations
 
 import argparse
-import json
+import math
 import sys
 from dataclasses import replace
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from .model import Placement, Scenario, validate
@@ -17,7 +18,7 @@ from .oracle import verify_plan
 from .perf import count_crossings
 from .planner import MigrationPlan, plan_pam
 from .reports import comparison_svg, timeline_svg, timeline_to_csv
-from .resources import utilization
+from .resources import device_utilizations
 from .scenario_io import (
     ScenarioFormatError,
     ScenarioValidationError,
@@ -81,17 +82,63 @@ def _load(args: argparse.Namespace) -> Scenario:
     return scenario
 
 
+def _float_text(value: float) -> str:
+    if not math.isfinite(value):
+        raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
+    return float.__repr__(value)
+
+
+# The encoder of each scalar type, keyed on the exact type as the payloads
+# hold only plain values; bool is not int here.
+_SCALAR_TEXT = {
+    str: encode_basestring_ascii,
+    float: _float_text,
+    int: int.__repr__,
+    bool: lambda value: "true" if value else "false",
+    type(None): lambda value: "null",
+}
+
+
+def _json_text(value: object, indent: str = "") -> str:
+    """The text `json.dumps(value, indent=2, allow_nan=False)` returns for a
+    payload of dicts with str keys, lists, str, int, float, bool and None.
+
+    With `indent` set, `json` runs its pure-Python encoder; this one does the
+    same work with fewer calls. A non-finite float raises json's ValueError,
+    any other type a TypeError.
+    """
+    kind = type(value)
+    if kind is dict:
+        if not value:
+            return "{}"
+        inner = indent + "  "
+        body = (",\n" + inner).join(
+            [encode_basestring_ascii(k) + ": " + _json_text(v, inner) for k, v in value.items()]
+        )
+        return "{\n" + inner + body + "\n" + indent + "}"
+    if kind is list:
+        if not value:
+            return "[]"
+        inner = indent + "  "
+        body = (",\n" + inner).join([_json_text(v, inner) for v in value])
+        return "[\n" + inner + body + "\n" + indent + "]"
+    text = _SCALAR_TEXT.get(kind)
+    if text is None:
+        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+    return text(value)
+
+
 def _rejections(plan: MigrationPlan) -> list[dict]:
     # The planner rejects a candidate only for lack of CPU headroom.
     return [{"vnf_id": vnf_id, "reason": "cpu_headroom"} for vnf_id in plan.rejected_candidates]
 
 
 def _plan_payload(scenario: Scenario, policy: str, plan: MigrationPlan) -> dict:
+    """The `plan` command's output; both devices' utilization of a chain comes
+    from one `device_utilizations` walk."""
     before, after = scenario.chain, plan.post_chain
-
-    def util(chain, device):
-        return utilization(chain, scenario.specs, device, scenario.theta_cur)
-
+    nic_before, cpu_before = device_utilizations(before, scenario.specs, scenario.theta_cur)
+    nic_after, cpu_after = device_utilizations(after, scenario.specs, scenario.theta_cur)
     return {
         "policy": policy,
         "theta_cur_gbps": scenario.theta_cur,
@@ -110,10 +157,10 @@ def _plan_payload(scenario: Scenario, policy: str, plan: MigrationPlan) -> dict:
         "post_placements": [
             {"id": v.id, "placement": v.placement.value} for v in after.vnfs
         ],
-        "smartnic_util_before": util(before, Placement.SMARTNIC),
-        "smartnic_util_after": util(after, Placement.SMARTNIC),
-        "cpu_util_before": util(before, Placement.CPU),
-        "cpu_util_after": util(after, Placement.CPU),
+        "smartnic_util_before": nic_before,
+        "smartnic_util_after": nic_after,
+        "cpu_util_before": cpu_before,
+        "cpu_util_after": cpu_after,
         "crossings_before": count_crossings(before),
         "crossings_after": count_crossings(after),
     }
@@ -147,7 +194,7 @@ def _cmd_plan(args: argparse.Namespace) -> int:
     plan = _PLANNERS[args.policy](scenario.chain, scenario.specs, scenario.theta_cur)
     payload = _plan_payload(scenario, args.policy, plan)
     if args.json:
-        print(json.dumps(payload, indent=2, allow_nan=False))
+        print(_json_text(payload))
     else:
         _print_plan_text(payload)
     return EXIT_OK
@@ -215,7 +262,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     report = compare(scenario)
     payload = _comparison_payload(report)
     if args.json:
-        print(json.dumps(payload, indent=2, allow_nan=False))
+        print(_json_text(payload))
     else:
         _print_comparison_text(payload)
     if args.svg:

@@ -169,7 +169,7 @@ def validate(scenario: Scenario) -> ValidationReport:
 
     if not scenario.theta_cur >= 0:  # NaN too
         violations.append(
-            Violation("negative_load", "load.theta_cur",
+            Violation("negative_load", "theta_cur",
                       f"throughput must be >= 0, got {scenario.theta_cur}")
         )
     pcie = scenario.pcie_latency_us

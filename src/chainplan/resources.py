@@ -4,8 +4,10 @@ A vNF's resource consumption grows linearly with its throughput, so at chain
 throughput theta it uses the fraction theta / capacity of its device. Device
 utilization is the sum of those fractions over the hosted vNFs.
 
-Every device sum is a `chain_sum` (left to right, in chain order), and every
-capacity decision is `fits`: the hosted ratios' chain_sum is below 1. Callers
+Every device sum is a `chain_sum` (left to right, in chain order).
+`utilization` sums one device; `device_utilizations`, which the CLI's `plan`
+output uses, sums both in one walk with the same additions. Every capacity
+decision is `fits`: the hosted ratios' chain_sum is below 1. Callers
 that keep a sum up to date (the planner starts its sums from the hosted
 ratios' chain_sum) decide with `below_one`, which asks `fits` only when the
 carried sum is too close to 1 to stand in for the chain_sum.
@@ -48,6 +50,23 @@ def utilization(
     return chain_sum(
         [theta_cur / specs[v.spec].capacity(device) for v in chain.vnfs if v.placement is device]
     )
+
+
+def device_utilizations(
+    chain: ServiceChain, specs: Mapping[str, VnfSpec], theta_cur: float
+) -> tuple[float, float]:
+    """The SmartNIC and the CPU `utilization` of `chain`, from one walk.
+
+    Each device's ratios are added left to right from int 0 in chain order,
+    as `chain_sum` adds them, so both values have `utilization`'s bits.
+    """
+    nic = cpu = 0
+    for v in chain.vnfs:
+        if v.placement is Placement.SMARTNIC:
+            nic += theta_cur / specs[v.spec].cap_smartnic
+        else:
+            cpu += theta_cur / specs[v.spec].cap_cpu
+    return nic, cpu
 
 
 def is_overloaded(

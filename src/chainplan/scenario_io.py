@@ -112,6 +112,18 @@ def _placement(value: object, where: str) -> Placement:
     return placement
 
 
+_CHAIN_ENTRY_KEY_SET = frozenset(CHAIN_ENTRY_KEYS)
+
+
+def _chain_entry(entry: object, where: str) -> VnfInstance:
+    entry = _object(entry, where, CHAIN_ENTRY_KEYS, required=CHAIN_ENTRY_KEYS)
+    return VnfInstance(
+        id=_string(entry["id"], f"{where}.id"),
+        spec=_string(entry["spec"], f"{where}.spec"),
+        placement=_placement(entry["placement"], f"{where}.placement"),
+    )
+
+
 def scenario_from_dict(data: object) -> Scenario:
     """Build and validate a Scenario from parsed JSON."""
     data = _object(data, "scenario", TOP_LEVEL_KEYS, required=("chain", "theta_cur"))
@@ -121,15 +133,20 @@ def scenario_from_dict(data: object) -> Scenario:
         raise ScenarioFormatError("chain must be a list")
     vnfs = []
     for pos, entry in enumerate(chain_data):
-        where = f"chain[{pos}]"
-        entry = _object(entry, where, CHAIN_ENTRY_KEYS, required=CHAIN_ENTRY_KEYS)
-        vnfs.append(
-            VnfInstance(
-                id=_string(entry["id"], f"{where}.id"),
-                spec=_string(entry["spec"], f"{where}.spec"),
-                placement=_placement(entry["placement"], f"{where}.placement"),
-            )
-        )
+        # The common, well-formed entry is accepted without building the
+        # error locations; any other goes through the strict checks, which
+        # raise their message or accept it (a str subclass, say).
+        if (
+            type(entry) is dict
+            and entry.keys() == _CHAIN_ENTRY_KEY_SET
+            and type(vnf_id := entry["id"]) is str
+            and type(spec := entry["spec"]) is str
+            and type(name := entry["placement"]) is str
+            and (placement := _PLACEMENTS.get(name)) is not None
+        ):
+            vnfs.append(VnfInstance(vnf_id, spec, placement))
+        else:
+            vnfs.append(_chain_entry(entry, f"chain[{pos}]"))
 
     anchors = _object(data.get("anchors", {}), "anchors", ANCHOR_KEYS)
     ingress, egress = (

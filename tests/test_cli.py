@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import random
 
 import pytest
 
@@ -470,3 +471,120 @@ class TestOutputBytes:
             digests[name] = (code, hashlib.sha256(out.encode()).hexdigest())
         digests["compare_svg"] = hashlib.sha256(svg.read_bytes()).hexdigest()
         assert digests == CLI_OUTPUT_SHA256[scenario]
+
+
+# Values the JSON encoder must get right: escapes and non-ASCII text, float
+# reprs in exponent form, -0.0, the smallest subnormal and the largest
+# double, ints past 64 bits, and the three constants.
+ODD_STRINGS = ("\u00e9", " ", '"', "\\", "", "LB", "tab\t", "\u2028", "\U0001F600")
+ODD_FLOATS = (1e-07, 1e+16, -0.0, 5e-324, 1.7976931348623157e308, 0.1, 1.2)
+ODD_INTS = (0, -1, 10**30, -(2**70))
+
+
+def _odd_scalar(rng: random.Random) -> object:
+    kind = rng.randrange(5)
+    if kind == 0:
+        return rng.choice(ODD_STRINGS) + rng.choice(ODD_STRINGS)
+    if kind == 1:
+        return rng.choice(ODD_FLOATS)
+    if kind == 2:
+        return rng.uniform(-1.0, 1.0) * 10.0 ** rng.randint(-300, 300)
+    if kind == 3:
+        return rng.choice(ODD_INTS) if rng.random() < 0.5 else rng.randint(-10**6, 10**6)
+    return rng.choice((True, False, None))
+
+
+def _shake(rng: random.Random, value: object) -> object:
+    """value with some of its members, at every depth, swapped for an odd
+    scalar or an empty list or dict."""
+    if rng.random() < 0.08:
+        return rng.choice(([], {}, _odd_scalar(rng)))
+    if isinstance(value, dict):
+        return {key: _shake(rng, member) for key, member in value.items()}
+    if isinstance(value, list):
+        return [_shake(rng, member) for member in value]
+    return value
+
+
+def _plan_shaped(rng: random.Random) -> dict:
+    ids = [rng.choice(ODD_STRINGS) + str(i) for i in range(rng.randint(0, 6))]
+    return {
+        "policy": rng.choice(("pam", "naive")),
+        "theta_cur_gbps": _odd_scalar(rng),
+        "outcome": rng.choice(("Resolved", "ScaleOutRequired", "NotOverloaded")),
+        "steps": [
+            {"vnf_id": i, "from": "SmartNIC", "to": "CPU", "reason": "min_smartnic_capacity",
+             "selected_as_candidate": True}
+            for i in ids[: rng.randint(0, len(ids))]
+        ],
+        "rejected_candidates": [{"vnf_id": i, "reason": "cpu_headroom"} for i in ids[:1]],
+        "post_placements": [{"id": i, "placement": rng.choice(("SmartNIC", "CPU"))} for i in ids],
+        "smartnic_util_before": _odd_scalar(rng),
+        "smartnic_util_after": _odd_scalar(rng),
+        "cpu_util_before": _odd_scalar(rng),
+        "cpu_util_after": _odd_scalar(rng),
+        "crossings_before": rng.randint(0, 12),
+        "crossings_after": rng.randint(0, 12),
+    }
+
+
+def _compare_shaped(rng: random.Random) -> dict:
+    def policy() -> dict:
+        payload = {
+            "outcome": rng.choice(("Resolved", "ScaleOutRequired")),
+            "steps": [rng.choice(ODD_STRINGS) for _ in range(rng.randint(0, 4))],
+            "rejected_candidates": [{"vnf_id": rng.choice(ODD_STRINGS), "reason": "cpu_headroom"}],
+            "crossings_before": rng.randint(0, 12),
+            "crossings_after": rng.randint(0, 12),
+            "latency_before_us": _odd_scalar(rng),
+            "latency_after_us": _odd_scalar(rng),
+            "max_throughput_before_gbps": _odd_scalar(rng),
+            "max_throughput_after_gbps": _odd_scalar(rng),
+        }
+        if rng.random() < 0.5:
+            payload["verification"] = rng.choice(("pass", "fail"))
+        return payload
+
+    return {
+        "theta_cur_gbps": _odd_scalar(rng),
+        "pcie_latency_us": _odd_scalar(rng),
+        "pam": policy(),
+        "naive": policy(),
+        "latency_reduction_pct": _odd_scalar(rng),
+    }
+
+
+def _dumps(value: object) -> str:
+    return json.dumps(value, indent=2, allow_nan=False)
+
+
+def _raised(encode, value: object) -> tuple[type, str]:
+    with pytest.raises((ValueError, TypeError)) as excinfo:
+        encode(value)
+    return excinfo.type, str(excinfo.value)
+
+
+class TestJsonText:
+    """The CLI's JSON emitter against `json.dumps(indent=2, allow_nan=False)`."""
+
+    @pytest.mark.parametrize("shape", [_plan_shaped, _compare_shaped], ids=["plan", "compare"])
+    def test_matches_json_dumps(self, shape):
+        rng = random.Random(20181)
+        for _ in range(2000):
+            payload = _shake(rng, shape(rng))
+            assert cli._json_text(payload) == _dumps(payload)
+
+    def test_scalars_and_empty_containers(self):
+        for value in (*ODD_STRINGS, *ODD_FLOATS, *ODD_INTS, True, False, None, [], {}, [[]], {"": {}}):
+            assert cli._json_text(value) == _dumps(value)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_float_raises_json_value_error(self, bad):
+        for value in (bad, [1, bad], {"pam": {"latency_after_us": bad}}):
+            assert _raised(cli._json_text, value) == _raised(_dumps, value)
+            assert _raised(cli._json_text, value)[0] is ValueError
+
+    def test_other_types_raise_type_error(self):
+        value = {"steps": [{1, 2}]}
+        assert _raised(cli._json_text, value) == _raised(_dumps, value)
+        assert _raised(cli._json_text, value)[0] is TypeError

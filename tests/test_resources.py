@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import math
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -16,7 +18,14 @@ from chainplan import (
     max_chain_throughput,
     utilization,
 )
-from chainplan.resources import below_one, chain_sum, demand_ratios, fits, rounding_band
+from chainplan.resources import (
+    below_one,
+    chain_sum,
+    demand_ratios,
+    device_utilizations,
+    fits,
+    rounding_band,
+)
 
 S = Placement.SMARTNIC
 C = Placement.CPU
@@ -62,6 +71,39 @@ class TestUtilization:
             before = utilization(chain, specs, S, load)
             after = utilization(bigger, specs, S, load)
             assert after >= before
+
+
+class TestDeviceUtilizations:
+    """Both devices in one walk, with the bits (and type) of `utilization`."""
+
+    @staticmethod
+    def check(chain, specs, theta):
+        got = device_utilizations(chain, specs, theta)
+        want = tuple(utilization(chain, specs, device, theta) for device in (S, C))
+        assert [(type(u), repr(u)) for u in got] == [(type(u), repr(u)) for u in want]
+        return got
+
+    def test_random_chains(self):
+        rng = random.Random(12)
+        for _ in range(500):
+            self.check(*randgen.random_scenario(rng, max_len=40))
+
+    def test_device_hosting_nothing_is_int_zero(self):
+        rng = random.Random(13)
+        for device in (S, C):
+            chain, specs, theta = randgen.random_scenario(rng)
+            chain = ServiceChain(tuple(replace(v, placement=device) for v in chain.vnfs))
+            nic, cpu = self.check(chain, specs, theta)
+            assert (cpu if device is S else nic) == 0
+
+    def test_overflowing_ratio(self):
+        rng = random.Random(14)
+        for _ in range(50):
+            chain, specs, theta = randgen.random_scenario(rng)
+            name = rng.choice(list(specs))
+            specs[name] = replace(specs[name], cap_smartnic=5e-324, cap_cpu=5e-324)
+            nic, cpu = self.check(chain, specs, theta)
+            assert math.inf in (nic, cpu)
 
 
 class TestSummationOrder:

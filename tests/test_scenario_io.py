@@ -9,6 +9,8 @@ from chainplan import (
     Placement,
     ScenarioFormatError,
     ScenarioValidationError,
+    VnfInstance,
+    cli,
     load_scenario,
     load_trace,
     save_scenario,
@@ -86,6 +88,16 @@ class TestLoadScenario:
         doc["theta_cur"] = -1.0
         with pytest.raises(ScenarioValidationError, match="negative_load"):
             scenario_from_dict(doc)
+
+    def test_negative_theta_is_reported_at_its_key(self, tmp_path, capsys):
+        doc = fig1_doc()
+        doc["theta_cur"] = -1.0
+        path = tmp_path / "negative.scenario.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["plan", "--scenario", str(path), "--policy", "pam"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: scenario failed validation: negative_load at theta_cur\n"
 
     def test_empty_chain_reported_as_validation_error(self):
         doc = fig1_doc()
@@ -225,6 +237,87 @@ class TestStrictReader:
         with pytest.raises(ScenarioFormatError) as excinfo:
             scenario_from_dict(mutate(fig1_doc()))
         assert str(excinfo.value) == message
+
+
+# A bad chain entry's JSON text and the message the reader gives for it at
+# position {pos}.
+BAD_CHAIN_ENTRIES = [
+    pytest.param('"LB"', "chain[{pos}] must be an object", id="not-object"),
+    pytest.param('["LB", "Logger", "CPU"]', "chain[{pos}] must be an object", id="list"),
+    pytest.param(
+        '{"id": "x", "spec": "Logger", "placement": "CPU", "weight": 2}',
+        "unknown key(s) in chain[{pos}]: weight", id="unknown-key",
+    ),
+    pytest.param(
+        '{"id": "x", "placement": "CPU"}', "missing required key 'spec' in chain[{pos}]",
+        id="missing-key",
+    ),
+    pytest.param(
+        '{"id": "x", "id": "x", "spec": "Logger", "placement": "CPU"}',
+        "duplicate key 'id' in chain[{pos}]", id="duplicate-key",
+    ),
+    pytest.param(
+        '{"id": true, "spec": "Logger", "placement": "CPU"}',
+        "chain[{pos}].id must be a string, got True", id="bool-id",
+    ),
+    pytest.param(
+        '{"id": 7, "spec": "Logger", "placement": "CPU"}',
+        "chain[{pos}].id must be a string, got 7", id="int-id",
+    ),
+    pytest.param(
+        '{"id": "x", "spec": "Logger", "placement": ["CPU"]}',
+        "chain[{pos}].placement must be a string, got ['CPU']", id="list-placement",
+    ),
+    pytest.param(
+        '{"id": "x", "spec": "Logger", "placement": "GPU"}',
+        "chain[{pos}].placement: unknown placement 'GPU' (expected 'SmartNIC' or 'CPU')",
+        id="unknown-placement",
+    ),
+]
+
+LONG_CHAIN = 1000
+
+
+def _long_chain_text(bad_pos: int, bad_entry: str) -> str:
+    entries = [
+        f'{{"id": "v{i}", "spec": "Logger", "placement": "{"CPU" if i % 3 else "SmartNIC"}"}}'
+        for i in range(LONG_CHAIN)
+    ]
+    entries[bad_pos] = bad_entry
+    return f'{{"chain": [{", ".join(entries)}], "theta_cur": 0.5}}'
+
+
+class TestChainReader:
+    """Chain entries: well-formed ones take a fast path, any other the strict
+    checks, so each bad entry gets the message its position and field name."""
+
+    @pytest.mark.parametrize("bad_entry, message", BAD_CHAIN_ENTRIES)
+    @pytest.mark.parametrize("pos", [0, LONG_CHAIN // 2, LONG_CHAIN - 1], ids=["first", "middle", "last"])
+    def test_bad_entry_in_a_long_chain(self, tmp_path, bad_entry, message, pos):
+        path = tmp_path / "long.scenario.json"
+        path.write_text(_long_chain_text(pos, bad_entry))
+        with pytest.raises(ScenarioFormatError) as excinfo:
+            load_scenario(path)
+        assert str(excinfo.value) == message.format(pos=pos)
+
+    def test_long_chain_reads_every_entry(self, tmp_path):
+        path = tmp_path / "long.scenario.json"
+        good = '{"placement": "SmartNIC", "spec": "Monitor", "id": "last"}'  # keys reordered
+        path.write_text(_long_chain_text(LONG_CHAIN - 1, good))
+        vnfs = load_scenario(path).chain.vnfs
+        assert len(vnfs) == LONG_CHAIN
+        assert vnfs[1] == VnfInstance("v1", "Logger", C)
+        assert vnfs[-1] == VnfInstance("last", "Monitor", S)
+
+    def test_str_subclass_values_are_accepted(self):
+        class Name(str):
+            pass
+
+        doc = fig1_doc()
+        doc["chain"][1] = {"id": Name("Logger"), "spec": Name("Logger"), "placement": Name("SmartNIC")}
+        scenario = scenario_from_dict(doc)
+        assert scenario == scenario_from_dict(fig1_doc())
+        assert type(scenario.chain.vnfs[1].id) is Name
 
 
 class TestRoundTrip:
