@@ -16,7 +16,9 @@ from typing import Iterator, Mapping, Sequence
 from .model import Placement, ServiceChain, VnfSpec
 from .perf import count_crossings
 from .planner import MigrationPlan, PlanOutcome, identify_borders
-from .resources import below_one, chain_sum, demand_ratios, fits, rounding_band, utilization
+from .resources import (
+    below_one, chain_sum, demand_ratios, fits, hosted, rounding_band, utilization,
+)
 
 MAX_ORACLE_CHAIN = 20
 
@@ -59,14 +61,8 @@ def _vector_label(vec: tuple[Placement, ...]) -> str:
     return ",".join("S" if p is Placement.SMARTNIC else "C" for p in vec)
 
 
-def _hosted(ratios: list[float], vec: Sequence[Placement], device: Placement) -> list[float]:
-    """The `ratios` of the vNFs that `vec` places on `device`, in chain order."""
-    return [r for r, p in zip(ratios, vec) if p is device]
-
-
-def _both_fit(chain: ServiceChain, nic: list[float], cpu: list[float]) -> bool:
-    vec = [v.placement for v in chain.vnfs]
-    return fits(_hosted(nic, vec, Placement.SMARTNIC)) and fits(_hosted(cpu, vec, Placement.CPU))
+def _both_fit(vec: Sequence[Placement], nic: list[float], cpu: list[float]) -> bool:
+    return fits(hosted(nic, vec, Placement.SMARTNIC)) and fits(hosted(cpu, vec, Placement.CPU))
 
 
 def _check_length(chain: ServiceChain) -> None:
@@ -103,29 +99,31 @@ def enumerate_placements(
             for j in range(n)
             if input_vec[j] is Placement.SMARTNIC and vec[j] is Placement.CPU
         )
-        s_fits = fits(_hosted(s_ratio, vec, Placement.SMARTNIC))
-        c_fits = fits(_hosted(c_ratio, vec, Placement.CPU))
+        s_fits = fits(hosted(s_ratio, vec, Placement.SMARTNIC))
+        c_fits = fits(hosted(c_ratio, vec, Placement.CPU))
         records.append(PlacementRecord(vec, s_fits, c_fits, crossings, migrations))
     return tuple(records)
 
 
-def border_peel_closure(chain: ServiceChain) -> Iterator[ServiceChain]:
-    """Every placement reachable by repeatedly migrating border vNFs to the CPU.
-
-    Breadth-first from the input chain, expanding borders in chain order, so
-    the iteration order is deterministic. Includes the input itself.
+def border_peel_closure(chain: ServiceChain) -> Iterator[tuple[Placement, ...]]:
+    """Every placement vector reachable by repeatedly migrating border vNFs
+    to the CPU, breadth-first from the input's and expanding borders in
+    chain order. Each state carries its border set: migrating vNF i drops i
+    and makes its SmartNIC neighbours borders, so a vector seen once (its
+    borders are fixed by it and the anchors) needs no second visit.
     """
+    n = len(chain)
     seen = {chain.placements()}
-    queue = deque([chain])
+    queue = deque([(chain.placements(), identify_borders(chain))])
     while queue:
-        cur = queue.popleft()
-        yield cur
-        for i in sorted(identify_borders(cur)):
-            nxt = cur.with_placement(i, Placement.CPU)
-            vec = nxt.placements()
-            if vec not in seen:
-                seen.add(vec)
-                queue.append(nxt)
+        vec, borders = queue.popleft()
+        yield vec
+        for i in sorted(borders):
+            nxt = (*vec[:i], Placement.CPU, *vec[i + 1:])
+            if nxt not in seen:
+                seen.add(nxt)
+                peeled = {j for j in (i - 1, i + 1) if 0 <= j < n and nxt[j] is Placement.SMARTNIC}
+                queue.append((nxt, borders - {i} | peeled))
 
 
 def _first_reachable_witness(
@@ -157,7 +155,7 @@ def _first_reachable_witness(
     cross0 = sum(
         1 for i in range(n + 1) if row[i] is not row[i + 1] and not (free_at[i] or free_at[i + 1])
     )
-    cpu0 = chain_sum(_hosted(c_ratio, row[1:-1], Placement.CPU))
+    cpu0 = chain_sum(hosted(c_ratio, row[1:-1], Placement.CPU))
     # The leaf test is the reference scan's `fits` on both devices; the
     # carried sums decide it outside the rounding band (`below_one`). A
     # carried sum past 1 + tol rules out every leaf below, since a leaf holds
@@ -168,8 +166,8 @@ def _first_reachable_witness(
 
     def walk(t: int, nic: float, cpu: float, cross: int) -> tuple[Placement, ...] | None:
         if t < 0:
-            nic_fits = below_one(nic, tol, lambda: _hosted(s_ratio, row[1:-1], Placement.SMARTNIC))
-            if nic_fits and below_one(cpu, tol, lambda: _hosted(c_ratio, row[1:-1], Placement.CPU)):
+            nic_fits = below_one(nic, tol, lambda: hosted(s_ratio, row[1:-1], Placement.SMARTNIC))
+            if nic_fits and below_one(cpu, tol, lambda: hosted(c_ratio, row[1:-1], Placement.CPU)):
                 return tuple(row[1:-1])
             return None
         p = free[t]
@@ -248,7 +246,7 @@ def verify_plan(
         # Scored on post_chain's own specs: (a) may have found it is not the
         # input's vNFs re-placed.
         post = plan.post_chain
-        ok = _both_fit(post, *demand_ratios(post, specs, theta_cur))
+        ok = _both_fit(post.placements(), *demand_ratios(post, specs, theta_cur))
         detail = "" if ok else (
             f"post placement {_vector_label(post.placements())} has "
             f"smartnic={utilization(post, specs, Placement.SMARTNIC, theta_cur)!r}, "
@@ -270,14 +268,12 @@ def verify_plan(
     # (d) ScaleOutRequired must survive the border-peeling closure.
     if plan.outcome is PlanOutcome.SCALE_OUT_REQUIRED:
         # No crossing test: migrating a border changes the count by 0 or -2.
-        witness = None
-        for state in border_peel_closure(chain):
-            if _both_fit(state, s_ratio, c_ratio):
-                witness = state
-                break
+        witness = next(
+            (vec for vec in border_peel_closure(chain) if _both_fit(vec, s_ratio, c_ratio)), None
+        )
         ok = witness is None
         detail = "" if ok else (
-            f"border-peelable placement {_vector_label(witness.placements())} is fully "
+            f"border-peelable placement {_vector_label(witness)} is fully "
             "feasible without adding crossings"
         )
         assertions.append(AssertionResult("scale_out_certified", ok, detail))

@@ -30,7 +30,7 @@ from enum import Enum
 from typing import Mapping
 
 from .model import Placement, ServiceChain, VnfSpec
-from .resources import below_one, chain_sum, demand_ratios, rounding_band
+from .resources import below_one, chain_sum, demand_ratios, hosted, rounding_band
 
 
 class PlanOutcome(Enum):
@@ -73,14 +73,11 @@ def _plan(
     borders_only: bool,
 ) -> MigrationPlan:
     nic_ratio, cpu_ratio = demand_ratios(chain, specs, theta_cur)
-    on_nic = [v.placement is Placement.SMARTNIC for v in chain.vnfs]
-
-    def hosted(ratios: list[float], on_smartnic: bool) -> list[float]:
-        return [r for r, s in zip(ratios, on_nic) if s == on_smartnic]
-
+    S, C = Placement.SMARTNIC, Placement.CPU
+    placed = list(chain.placements())
     # `nic` is the SmartNIC's `utilization`, the same additions in the same
     # order, so this is `is_overloaded`'s verdict (NaN is not overloaded).
-    nic = chain_sum(hosted(nic_ratio, True))
+    nic = chain_sum(hosted(nic_ratio, placed, S))
     if not nic >= 1.0:
         return MigrationPlan((), PlanOutcome.NOT_OVERLOADED, (), chain)
 
@@ -88,9 +85,9 @@ def _plan(
     cap_nic = [specs[v.spec].cap_smartnic for v in chain.vnfs]
     # An overflowing sum is inf, and so is tol then: every test takes `fits`.
     tol = rounding_band(nic_ratio, cpu_ratio)
-    cpu = chain_sum(hosted(cpu_ratio, False))
+    cpu = chain_sum(hosted(cpu_ratio, placed, C))
 
-    pool = identify_borders(chain) if borders_only else [i for i in range(n) if on_nic[i]]
+    pool = identify_borders(chain) if borders_only else [i for i in range(n) if placed[i] is S]
     # An index enters at most once: it then migrates (off the SmartNIC for
     # good) or is rejected, and the CPU sum only grows, so a rejected vNF
     # would be rejected again.
@@ -103,23 +100,23 @@ def _plan(
     while heap:
         _, idx = heapq.heappop(heap)
         cpu_next = cpu + cpu_ratio[idx]
-        if not below_one(cpu_next, tol, lambda: [*hosted(cpu_ratio, False), cpu_ratio[idx]]):
+        if not below_one(cpu_next, tol, lambda: [*hosted(cpu_ratio, placed, C), cpu_ratio[idx]]):
             rejected.append(idx)
             continue
         moved.append(idx)
-        on_nic[idx] = False
+        placed[idx] = C
         nic -= nic_ratio[idx]
         cpu = cpu_next
         # `fits` (`< 1`) is `not is_overloaded` (`not >= 1`) unless the sum is
         # NaN. It is not: the plan returned early unless the SmartNIC's
         # chain_sum was >= 1, so no hosted ratio is NaN, and ratios >= 0 (as
         # `validate` ensures) never sum to NaN.
-        if below_one(nic, tol, lambda: hosted(nic_ratio, True)):
+        if below_one(nic, tol, lambda: hosted(nic_ratio, placed, S)):
             outcome = PlanOutcome.RESOLVED
             break
         # A migrated vNF's SmartNIC neighbors become borders.
         for j in (idx - 1, idx + 1):
-            if 0 <= j < n and on_nic[j] and j not in queued:
+            if 0 <= j < n and placed[j] is S and j not in queued:
                 queued.add(j)
                 heapq.heappush(heap, (cap_nic[j], j))
 

@@ -5,6 +5,8 @@ throughput theta it uses the fraction theta / capacity of its device. Device
 utilization is the sum of those fractions over the hosted vNFs.
 
 Every device sum is a `chain_sum` (left to right, in chain order).
+The planner, the oracle and trace replay pick a device's entries of a
+per-vNF column (ratios, capacities) from a placement vector with `hosted`.
 `utilization` sums one device; `device_utilizations`, which the CLI's `plan`
 output uses, sums both in one walk with the same additions. Every capacity
 decision is `fits`: the hosted ratios' chain_sum is below 1. Callers
@@ -28,6 +30,11 @@ def chain_sum(values: Iterable[float]) -> float:
     for value in values:
         total += value
     return total
+
+
+def hosted(values: list[float], placements: Sequence[Placement], device: Placement) -> list[float]:
+    """The entries of `values` whose vNF `placements` puts on `device`, in chain order."""
+    return [value for value, p in zip(values, placements) if p is device]
 
 
 def fits(ratios: Iterable[float]) -> bool:
@@ -82,15 +89,12 @@ def is_overloaded(
 def max_chain_throughput(chain: ServiceChain, specs: Mapping[str, VnfSpec]) -> float:
     """Largest throughput at which neither device is overloaded.
 
-    Each device bounds the chain by 1 / sum(1 / cap_i) over its hosted vNFs;
-    a device hosting nothing imposes no bound. Finite for any non-empty
-    chain.
+    Each device bounds the chain by 1 / sum(1 / cap_i) over its hosted vNFs,
+    which is 1 / its utilization at theta = 1; a device hosting nothing
+    imposes no bound. Finite for any non-empty chain.
     """
     best = math.inf
-    for device in Placement:
-        inv = chain_sum(
-            [1.0 / specs[v.spec].capacity(device) for v in chain.vnfs if v.placement is device]
-        )
+    for inv in device_utilizations(chain, specs, 1.0):
         if inv > 0.0:
             best = min(best, 1.0 / inv)
     return best

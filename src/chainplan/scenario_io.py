@@ -225,7 +225,9 @@ def scenario_to_dict(scenario: Scenario) -> dict:
 
 
 def save_scenario(scenario: Scenario, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(scenario_to_dict(scenario), indent=2) + "\n")
+    """Write `scenario` as JSON. A non-finite number, which `load_scenario`
+    rejects and `validate` does not, raises ValueError before any write."""
+    Path(path).write_text(json.dumps(scenario_to_dict(scenario), indent=2, allow_nan=False) + "\n")
 
 
 def load_trace(path: str | Path) -> tuple[TracePoint, ...]:

@@ -3,13 +3,13 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
-from .model import Placement, Scenario, ServiceChain, VnfSpec
+from .model import Placement, Scenario
 from .oracle import MAX_ORACLE_CHAIN, VerificationReport, verify_plan
 from .perf import count_crossings, estimate_latency
 from .planner import MigrationPlan, PlanOutcome, plan_naive, plan_pam
-from .resources import chain_sum, max_chain_throughput
+from .resources import chain_sum, hosted, max_chain_throughput
 from .scenario_io import TracePoint
 
 POLICIES = ("pam", "naive", "none")
@@ -42,11 +42,12 @@ def run_trace(
     Policy `none` never migrates; its outcome column reports `Overloaded`
     whenever the SmartNIC demand is at or past capacity.
 
-    Each device's hosted capacities are cached per chain state, and a
-    point's utilization is the `chain_sum` of theta / cap over them in chain
-    order, the same additions as `utilization`. The planner runs only at
-    points whose SmartNIC sum is >= 1.0: below that (or at NaN) it would stop
-    at its own overload test and return the chain unchanged.
+    Each vNF's SmartNIC and CPU capacities are read once, each device's
+    hosted ones are picked once per chain state, and a point's utilization
+    is the `chain_sum` of theta / cap over them in chain order, the same
+    additions as `utilization`. The planner runs only at points whose
+    SmartNIC sum is >= 1.0: below that (or at NaN) it would stop at its own
+    overload test and return the chain unchanged.
     Crossings, latency and max throughput depend only on the chain, so they
     are computed once for each chain a record shows: the start chain unless
     the first point migrates, then the chain after each migrating point (a
@@ -60,8 +61,10 @@ def run_trace(
     planner = _PLANNERS.get(policy)
     chain = scenario.chain
     specs = scenario.specs
-    nic_caps = _hosted_capacities(chain, specs, Placement.SMARTNIC)
-    cpu_caps = _hosted_capacities(chain, specs, Placement.CPU)
+    nic_col = [specs[v.spec].cap_smartnic for v in chain.vnfs]
+    cpu_col = [specs[v.spec].cap_cpu for v in chain.vnfs]
+    nic_caps = hosted(nic_col, chain.placements(), Placement.SMARTNIC)
+    cpu_caps = hosted(cpu_col, chain.placements(), Placement.CPU)
     shown = None
     cumulative = 0
     records: list[TimelineRecord] = []
@@ -80,8 +83,8 @@ def run_trace(
                 chain = plan.post_chain
                 migrated = plan.steps
                 cumulative += len(migrated)
-                nic_caps = _hosted_capacities(chain, specs, Placement.SMARTNIC)
-                cpu_caps = _hosted_capacities(chain, specs, Placement.CPU)
+                nic_caps = hosted(nic_col, chain.placements(), Placement.SMARTNIC)
+                cpu_caps = hosted(cpu_col, chain.placements(), Placement.CPU)
                 nic_util = chain_sum([theta / c for c in nic_caps])
         if chain is not shown:
             shown = chain
@@ -104,13 +107,6 @@ def run_trace(
             )
         )
     return tuple(records)
-
-
-def _hosted_capacities(
-    chain: ServiceChain, specs: Mapping[str, VnfSpec], device: Placement
-) -> tuple[float, ...]:
-    """Capacities on `device` of the vNFs it hosts, in chain order."""
-    return tuple(specs[v.spec].capacity(device) for v in chain.vnfs if v.placement is device)
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections import deque
 from dataclasses import replace
 
 import pytest
@@ -20,6 +21,7 @@ from chainplan import (
     border_peel_closure,
     count_crossings,
     enumerate_placements,
+    identify_borders,
     plan_naive,
     plan_pam,
     verify_plan,
@@ -194,13 +196,36 @@ class TestVerifyPlan:
             assert report.passed, report
 
 
+def reference_closure(chain: ServiceChain):
+    """Reference border-peel closure over chains: breadth-first from the
+    input, each state a rebuilt chain whose borders are found from scratch."""
+    seen = {chain.placements()}
+    queue = deque([chain])
+    while queue:
+        cur = queue.popleft()
+        yield cur
+        for i in sorted(identify_borders(cur)):
+            nxt = cur.with_placement(i, C)
+            if nxt.placements() not in seen:
+                seen.add(nxt.placements())
+                queue.append(nxt)
+
+
+def random_anchored_chain(rng: random.Random, max_len: int = randgen.MAX_CHAIN) -> ServiceChain:
+    return replace(
+        randgen.random_scenario(rng, max_len)[0],
+        ingress_anchor=rng.choice((S, C)),
+        egress_anchor=rng.choice((S, C)),
+    )
+
+
 class TestBorderPeelClosure:
     def test_contains_the_input(self, fig1_chain):
         states = list(border_peel_closure(fig1_chain))
-        assert states[0] == fig1_chain
+        assert states[0] == fig1_chain.placements()
 
     def test_golden_chain_closure_is_prefix_suffix_peels(self, fig1_chain):
-        vectors = {c.placements() for c in border_peel_closure(fig1_chain)}
+        vectors = set(border_peel_closure(fig1_chain))
         # The single segment Logger..Firewall peels from either end: any
         # placement keeping a contiguous SmartNIC run (possibly empty).
         expected = set()
@@ -214,7 +239,7 @@ class TestBorderPeelClosure:
 
     def test_anchor_protected_ends_never_peel_from_that_side(self):
         chain = golden.chain_of("SSC")
-        vectors = {c.placements() for c in border_peel_closure(chain)}
+        vectors = set(border_peel_closure(chain))
         # nf0's upstream is the SmartNIC anchor, so it only leaves after nf1.
         assert (C, S, C) not in vectors
         assert vectors == {(S, S, C), (S, C, C), (C, C, C)}
@@ -222,15 +247,30 @@ class TestBorderPeelClosure:
     def test_no_state_adds_crossings(self):
         # Migrating a border changes the crossing count by 0 or -2, which is
         # why `verify_plan`'s scale-out check has no crossing test.
+        def crossings(seq):
+            return sum(1 for a, b in zip(seq, seq[1:]) if a is not b)
+
         rng = random.Random(55)
         for _ in range(300):
-            chain = replace(
-                randgen.random_scenario(rng)[0],
-                ingress_anchor=rng.choice((S, C)),
-                egress_anchor=rng.choice((S, C)),
-            )
+            chain = random_anchored_chain(rng)
             base = count_crossings(chain)
-            assert all(count_crossings(state) <= base for state in border_peel_closure(chain))
+            anchors = chain.ingress_anchor, chain.egress_anchor
+            assert all(
+                crossings((anchors[0], *vec, anchors[1])) <= base
+                for vec in border_peel_closure(chain)
+            )
+
+    def test_same_sequence_as_the_reference_closure(self):
+        # Same states in the same breadth-first order, so `verify_plan`'s
+        # first witness is unchanged.
+        rng = random.Random(1913)
+        states = 0
+        for _ in range(1000):
+            chain = random_anchored_chain(rng, 12)
+            expected = [state.placements() for state in reference_closure(chain)]
+            assert list(border_peel_closure(chain)) == expected, chain
+            states += len(expected)
+        assert states > 10_000
 
 
 def chain_from(placements: str, caps) -> tuple[ServiceChain, dict[str, VnfSpec]]:

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import json
+import math
+from dataclasses import replace
 
 import pytest
 
@@ -16,6 +18,7 @@ from chainplan import (
     save_scenario,
     scenario_from_dict,
     scenario_to_dict,
+    validate,
 )
 
 S = Placement.SMARTNIC
@@ -339,6 +342,23 @@ class TestRoundTrip:
         save_scenario(scenario, a)
         save_scenario(scenario, b)
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("where", ["cap_smartnic", "theta_cur"])
+    def test_infinite_values_are_refused_before_writing(self, where, tmp_path):
+        # `validate` accepts both (inf > 0 and inf >= 0), but the strict
+        # reader rejects the `Infinity` token json.dumps would write.
+        scenario = load_scenario(golden.FIG1_SCENARIO)
+        if where == "theta_cur":
+            scenario = replace(scenario, theta_cur=math.inf)
+        else:
+            specs = dict(scenario.specs)
+            specs["Logger"] = replace(specs["Logger"], cap_smartnic=math.inf)
+            scenario = replace(scenario, specs=specs)
+        assert validate(scenario).ok
+        saved = tmp_path / "saved.scenario.json"
+        with pytest.raises(ValueError):
+            save_scenario(scenario, saved)
+        assert not saved.exists()
 
     def test_dict_round_trip_preserves_every_field(self):
         scenario = load_scenario(golden.MONITOR_BOTTLENECK_SCENARIO)
