@@ -59,7 +59,10 @@ class ServiceChain:
         return len(self.vnfs)
 
     def placements(self) -> tuple[Placement, ...]:
-        return tuple(v.placement for v in self.vnfs)
+        # From a list, not a generator: CPython builds tuple(<generator>) at a
+        # guessed length and resizes it, so each call parks one tuple of the
+        # real length on the interpreter's free lists (up to 2,000 per length).
+        return tuple([v.placement for v in self.vnfs])
 
     def placement_sequence(self) -> tuple[Placement, ...]:
         """Placements as traffic sees them: ingress anchor, every vNF, egress anchor."""
@@ -103,7 +106,7 @@ class ValidationReport:
         return not self.violations
 
     def codes(self) -> tuple[str, ...]:
-        return tuple(v.code for v in self.violations)
+        return tuple([v.code for v in self.violations])  # a list: see placements
 
 
 def builtin_table1() -> dict[str, VnfSpec]:

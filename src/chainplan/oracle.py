@@ -163,6 +163,8 @@ def _first_reachable_witness(
     # decided ones past `base_crossings` do too.
     tol = rounding_band(s_ratio, c_ratio)
     limit = 1.0 + tol
+    if cross0 > base_crossings or cpu0 > limit:
+        return None
 
     def walk(t: int, nic: float, cpu: float, cross: int) -> tuple[Placement, ...] | None:
         if t < 0:
@@ -187,9 +189,12 @@ def _first_reachable_witness(
                 return found
         return None
 
-    if cross0 > base_crossings or cpu0 > limit:
-        return None
-    return walk(len(free) - 1, 0.0, cpu0, cross0)
+    try:
+        return walk(len(free) - 1, 0.0, cpu0, cross0)
+    finally:
+        # `walk` refers to itself; dropping it here frees it, and the lists it
+        # holds, without waiting for the cycle collector.
+        del walk
 
 
 def verify_plan(

@@ -120,8 +120,9 @@ def _plan(
                 queued.add(j)
                 heapq.heappush(heap, (cap_nic[j], j))
 
-    steps = tuple(chain.vnfs[i].id for i in moved)
-    rejections = tuple(chain.vnfs[i].id for i in rejected)
+    # Lists, not generators, as in `ServiceChain.placements`.
+    steps = tuple([chain.vnfs[i].id for i in moved])
+    rejections = tuple([chain.vnfs[i].id for i in rejected])
     post_chain = chain
     if moved:
         # Only the moved vNFs are rebuilt; rebuilding every one is about 5x

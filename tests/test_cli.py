@@ -1,8 +1,12 @@
 from __future__ import annotations
 
+import contextlib
+import gc
 import hashlib
+import io
 import json
 import random
+import sys
 
 import pytest
 
@@ -222,6 +226,106 @@ class TestVerifyCommand:
         code, out, _ = run(capsys, "verify", "--scenario", str(golden.FIG1_SCENARIO))
         assert code == 2
         assert "FAIL crossing_nonincrease" in out
+
+
+def _exit_of(call, argv: list[str]) -> tuple[object, str, str]:
+    """(SystemExit code, stdout, stderr) of `call(argv)`, which must exit."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with pytest.raises(SystemExit) as excinfo:
+            call(argv)
+    return excinfo.value.code, out.getvalue(), err.getvalue()
+
+
+class TestSharedParser:
+    """`main` parses with one parser per process; it must answer every argv
+    as a newly built parser does, however many commands ran before."""
+
+    ARGVS = {
+        "no_subcommand": [],
+        "missing_scenario": ["plan", "--policy", "pam"],
+        "bad_policy": ["plan", "--scenario", str(golden.FIG1_SCENARIO), "--policy", "greedy"],
+        "unknown_flag": ["compare", "--scenario", str(golden.FIG1_SCENARIO), "--fast"],
+        "help": ["--help"],
+        "plan_help": ["plan", "--help"],
+    }
+
+    @pytest.mark.parametrize("name", sorted(ARGVS))
+    def test_exits_as_a_new_parser(self, capsys, tmp_path, name):
+        argv = self.ARGVS[name]
+        fresh = _exit_of(lambda a: cli.build_parser().parse_args(a), argv)
+        assert fresh[0] == (0 if name.endswith("help") else 2)
+        assert "usage: chainplan" in fresh[1] + fresh[2]
+        assert _exit_of(cli.main, argv) == fresh
+        scenario = str(golden.TWO_STEP_SCENARIO)
+        for command in (
+            ("plan", "--policy", "naive", "--json"),
+            ("compare", "--svg", str(tmp_path / "c.svg")),
+            ("verify",),
+            ("simulate", "--trace", str(golden.RAMP_TRACE), "--policy", "pam",
+             "--out", str(tmp_path / "t.csv")),
+        ):
+            assert cli.main([*command, "--scenario", scenario]) == 0
+        capsys.readouterr()
+        assert _exit_of(cli.main, argv) == fresh
+
+    def test_build_parser_returns_a_new_parser(self):
+        first = cli.build_parser()
+        assert first is not cli._PARSER
+        assert cli.build_parser() is not first
+
+
+class TestSteadyStateMemory:
+    """Repeated commands in one process hold no more memory: no cyclic
+    garbage for the collector to find, no tuples parked per call."""
+
+    ROUNDS = 700
+    MAX_BLOCK_GROWTH = 2000
+
+    def test_allocated_blocks_stay_flat(self):
+        argvs = [
+            ["compare", "--json", "--scenario", str(golden.FIG1_SCENARIO)],
+            ["plan", "--policy", "pam", "--json",
+             "--scenario", str(golden.MONITOR_BOTTLENECK_SCENARIO)],
+            ["verify", "--scenario", str(golden.TWO_STEP_SCENARIO)],
+        ]
+
+        def call(argv: list[str]) -> None:
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cli.main(argv) == 0
+
+        for argv in argvs:
+            for _ in range(50):
+                call(argv)
+        gc.collect()
+        gc.disable()
+        try:
+            before = sys.getallocatedblocks()
+            for _ in range(self.ROUNDS):
+                for argv in argvs:
+                    call(argv)
+            growth = sys.getallocatedblocks() - before
+        finally:
+            gc.enable()
+        assert growth < self.MAX_BLOCK_GROWTH
+
+    def test_scale_out_verify_leaves_no_cycles(self, tmp_path):
+        path = tmp_path / "scenario.json"
+        path.write_text(_fig1_at(1.5))  # pam's plan is ScaleOutRequired
+        argv = ["verify", "--scenario", str(path)]
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert cli.main(argv) == 0
+        assert "PASS scale_out_certified" in out.getvalue()
+        gc.collect()
+        gc.disable()
+        try:
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cli.main(argv) == 0
+        finally:
+            garbage = gc.collect()
+            gc.enable()
+        assert garbage == 0
 
 
 class TestErrorHandling:
