@@ -31,14 +31,27 @@ TIMELINE_COLUMNS = (
 
 def timeline_to_csv(records: Sequence[TimelineRecord]) -> str:
     """The timeline as CSV, byte for byte what `csv.writer` writes: floats
-    as `repr`, ints as `str`, and the migrated vNF ids `;`-joined."""
+    as `repr`, ints as `str`, and the migrated vNF ids `;`-joined.
+
+    Latency and max throughput are the same float objects for every record
+    of one chain state, so each is `repr`-ed only when its object changes
+    from the previous record. The cache is keyed by identity, not value:
+    0.0 == -0.0, but their texts differ.
+    """
     text = _CsvText()
     lines = [",".join(TIMELINE_COLUMNS)]
-    for r in records:
+    latency = throughput = latency_text = throughput_text = None
+    for (
+        t, theta, policy, nic_util, cpu_util, crossings, lat, tput, migrated, cumulative, outcome,
+    ) in records:
+        if lat is not latency:
+            latency, latency_text = lat, repr(lat)
+        if tput is not throughput:
+            throughput, throughput_text = tput, repr(tput)
         lines.append(
-            f"{r.t!r},{r.theta_cur!r},{text[r.policy]},{r.smartnic_util!r},{r.cpu_util!r},"
-            f"{r.crossings},{r.latency_us!r},{r.max_throughput_gbps!r},"
-            f"{text[';'.join(r.migrations_this_step)]},{r.cumulative_migrations},{text[r.outcome]}"
+            f"{t!r},{theta!r},{text[policy]},{nic_util!r},{cpu_util!r},"
+            f"{crossings},{latency_text},{throughput_text},"
+            f"{text[';'.join(migrated)]},{cumulative},{text[outcome]}"
         )
     lines.append("")
     return "\n".join(lines)
@@ -110,6 +123,7 @@ def emit_report(data, format: str, path: str | Path) -> None:
 
 
 def _is_timeline(data) -> bool:
+    # A single TimelineRecord is a tuple too, but its fields are not records.
     return isinstance(data, (list, tuple)) and all(
         isinstance(r, TimelineRecord) for r in data
     )
@@ -155,22 +169,37 @@ def _span(values: Sequence[float], zero_floor: bool) -> tuple[float, float]:
     return lo, hi
 
 
+def _x_texts(xs: Sequence[float]) -> list[str]:
+    """The x coordinate text of each of `xs` in a line panel; every panel
+    spans the same width, so panels that plot the same xs share them."""
+    x0, x1 = _ML, _W - _MR
+    xlo, xhi = _span(xs, zero_floor=False)
+    # Coordinates are x0 + (x - xlo) / dx * width, evaluated in that order:
+    # a precomputed scale factor width / dx would round differently.
+    dx, width = xhi - xlo, x1 - x0
+    return [f"{x0 + (x - xlo) / dx * width:.6g}" for x in xs]
+
+
 def _line_panel(
-    top: float, title: str, xs: Sequence[float], ys: Sequence[float], y_label: str
+    top: float,
+    title: str,
+    xs: Sequence[float],
+    x_texts: Sequence[str],
+    ys: Sequence[float],
+    y_label: str,
 ) -> str:
     box, x0, x1, y0, y1 = _axis_box(top)
     xlo, xhi = _span(xs, zero_floor=False)
     ylo, yhi = _span(ys, zero_floor=True)
 
-    # Coordinates are x0 + (x - xlo) / dx * width, evaluated in that order:
-    # a precomputed scale factor width / dx would round differently.
-    dx, width = xhi - xlo, x1 - x0
+    # y coordinates are y1 - (y - ylo) / dy * height, in that order, as
+    # `_x_texts` evaluates x ones.
     dy, height = yhi - ylo, y1 - y0
     # Latency and throughput change only with the chain, so few ys are
     # distinct. 0.0 and -0.0 share a key: y - ylo is the same for both, or
     # a zero of either sign, and y1 minus a zero is y1.
     y_text = {y: f"{y1 - (y - ylo) / dy * height:.6g}" for y in set(ys)}
-    coords = [(f"{x0 + (x - xlo) / dx * width:.6g}", y_text[y]) for x, y in zip(xs, ys)]
+    coords = [(cx, y_text[y]) for cx, y in zip(x_texts, ys)]
     points = " ".join(f"{cx},{cy}" for cx, cy in coords)
     parts = [box, _text(x0, top + _MT - 10, title, size=14)]
     if len(xs) > 1:
@@ -230,15 +259,17 @@ def timeline_svg(records: Sequence[TimelineRecord]) -> str:
         raise ValueError("no records to chart")
     policy = records[0].policy
     xs = [r.t for r in records]
+    x_texts = _x_texts(xs)
     return _document(
         [
             _line_panel(
-                0, f"latency ({policy})", xs, [r.latency_us for r in records], "us"
+                0, f"latency ({policy})", xs, x_texts, [r.latency_us for r in records], "us"
             ),
             _line_panel(
                 _PANEL_H,
                 f"max throughput ({policy})",
                 xs,
+                x_texts,
                 [r.max_throughput_gbps for r in records],
                 "Gbps",
             ),

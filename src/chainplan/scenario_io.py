@@ -13,8 +13,9 @@ import csv
 import io
 import json
 import math
-from dataclasses import MISSING, dataclass, fields, replace
+from dataclasses import MISSING, fields, replace
 from pathlib import Path
+from typing import NamedTuple
 
 from .model import (
     DEFAULT_PCIE_LATENCY_US,
@@ -52,8 +53,7 @@ class ScenarioValidationError(ValueError):
         super().__init__(f"scenario failed validation: {lines}")
 
 
-@dataclass(frozen=True)
-class TracePoint:
+class TracePoint(NamedTuple):
     """One load sample: time in seconds and chain throughput in Gbps."""
 
     t: float

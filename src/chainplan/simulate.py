@@ -3,13 +3,13 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .model import Placement, Scenario
 from .oracle import MAX_ORACLE_CHAIN, VerificationReport, verify_plan
 from .perf import count_crossings, estimate_latency
 from .planner import MigrationPlan, PlanOutcome, plan_naive, plan_pam
-from .resources import chain_sum, hosted, max_chain_throughput
+from .resources import hosted, max_chain_throughput
 from .scenario_io import TracePoint
 
 POLICIES = ("pam", "naive", "none")
@@ -17,8 +17,7 @@ POLICIES = ("pam", "naive", "none")
 _PLANNERS = {"pam": plan_pam, "naive": plan_naive}
 
 
-@dataclass(frozen=True)
-class TimelineRecord:
+class TimelineRecord(NamedTuple):
     """State after one planning round of a trace replay."""
 
     t: float
@@ -42,12 +41,13 @@ def run_trace(
     Policy `none` never migrates; its outcome column reports `Overloaded`
     whenever the SmartNIC demand is at or past capacity.
 
-    Each vNF's SmartNIC and CPU capacities are read once, each device's
-    hosted ones are picked once per chain state, and a point's utilization
-    is the `chain_sum` of theta / cap over them in chain order, the same
-    additions as `utilization`. The planner runs only at points whose
-    SmartNIC sum is >= 1.0: below that (or at NaN) it would stop at its own
-    overload test and return the chain unchanged.
+    Each vNF's SmartNIC and CPU capacities are read once, and each device's
+    hosted ones are picked once per chain state. A point's utilization adds
+    theta / cap over them in chain order, left to right from int 0: the
+    additions of `chain_sum` and `utilization`, so a device hosting nothing
+    reports 0. The planner runs only at points whose SmartNIC sum is
+    >= 1.0: below that (or at NaN) it would stop at its own overload test
+    and return the chain unchanged.
     Crossings, latency and max throughput depend only on the chain, so they
     are computed once for each chain a record shows: the start chain unless
     the first point migrates, then the chain after each migrating point (a
@@ -65,15 +65,18 @@ def run_trace(
     cpu_col = [specs[v.spec].cap_cpu for v in chain.vnfs]
     nic_caps = hosted(nic_col, chain.placements(), Placement.SMARTNIC)
     cpu_caps = hosted(cpu_col, chain.placements(), Placement.CPU)
+    not_overloaded = PlanOutcome.NOT_OVERLOADED.value
+    make = TimelineRecord._make
     shown = None
     cumulative = 0
     records: list[TimelineRecord] = []
-    for point in trace:
-        theta = point.theta_cur
-        nic_util = chain_sum([theta / c for c in nic_caps])
+    for t, theta in trace:
+        nic_util = 0
+        for c in nic_caps:
+            nic_util += theta / c
         migrated: tuple[str, ...] = ()
         if not nic_util >= 1.0:
-            outcome = PlanOutcome.NOT_OVERLOADED.value
+            outcome = not_overloaded
         elif planner is None:
             outcome = "Overloaded"
         else:
@@ -85,25 +88,23 @@ def run_trace(
                 cumulative += len(migrated)
                 nic_caps = hosted(nic_col, chain.placements(), Placement.SMARTNIC)
                 cpu_caps = hosted(cpu_col, chain.placements(), Placement.CPU)
-                nic_util = chain_sum([theta / c for c in nic_caps])
+                nic_util = 0
+                for c in nic_caps:
+                    nic_util += theta / c
         if chain is not shown:
             shown = chain
             crossings = count_crossings(chain)
             latency = estimate_latency(chain, specs, scenario.pcie_latency_us)
             max_throughput = max_chain_throughput(chain, specs)
+        cpu_util = 0
+        for c in cpu_caps:
+            cpu_util += theta / c
         records.append(
-            TimelineRecord(
-                t=point.t,
-                theta_cur=theta,
-                policy=policy,
-                smartnic_util=nic_util,
-                cpu_util=chain_sum([theta / c for c in cpu_caps]),
-                crossings=crossings,
-                latency_us=latency,
-                max_throughput_gbps=max_throughput,
-                migrations_this_step=migrated,
-                cumulative_migrations=cumulative,
-                outcome=outcome,
+            make(
+                (
+                    t, theta, policy, nic_util, cpu_util, crossings, latency,
+                    max_throughput, migrated, cumulative, outcome,
+                )
             )
         )
     return tuple(records)

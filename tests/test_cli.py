@@ -309,6 +309,34 @@ class TestSteadyStateMemory:
             gc.enable()
         assert growth < self.MAX_BLOCK_GROWTH
 
+    def test_simulate_allocated_blocks_stay_flat(self, tmp_path):
+        """Replays hold no memory past their call: no records, texts or
+        per-device lists left behind."""
+        argvs = [
+            ["simulate", "--scenario", str(golden.FIG1_SCENARIO),
+             "--trace", str(golden.SEASONAL_TRACE), "--policy", policy,
+             "--out", str(tmp_path / "t.csv"), "--svg", str(tmp_path / "t.svg")]
+            for policy in ("pam", "naive", "none")
+        ]
+
+        def call(argv: list[str]) -> None:
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cli.main(argv) == 0
+
+        for argv in argvs:
+            for _ in range(20):
+                call(argv)
+        gc.collect()
+        gc.disable()
+        try:
+            before = sys.getallocatedblocks()
+            for i in range(300):
+                call(argvs[i % len(argvs)])
+            growth = sys.getallocatedblocks() - before
+        finally:
+            gc.enable()
+        assert growth < self.MAX_BLOCK_GROWTH
+
     def test_scale_out_verify_leaves_no_cycles(self, tmp_path):
         path = tmp_path / "scenario.json"
         path.write_text(_fig1_at(1.5))  # pam's plan is ScaleOutRequired

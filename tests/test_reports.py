@@ -123,6 +123,24 @@ class TestTimelineCsvMatchesCsvWriter:
             records = [random_record(rng) for _ in range(rng.randint(0, 20))]
             assert timeline_to_csv(records) == reference_timeline_csv(records)
 
+    def test_reprs_follow_each_value_object(self):
+        # Latency and throughput texts are reused while the value object
+        # stays the same; a change of object, even to an equal value, is
+        # printed anew, so signed zeros keep their signs.
+        zero, minus_zero, nan = float("0.0"), float("-0.0"), float("nan")
+        equal = [float("1.5"), float("1.5")]
+        assert equal[0] is not equal[1]
+        values = [zero, minus_zero, zero, zero, equal[0], equal[1], nan, nan, float("nan"), minus_zero]
+        records = [
+            TimelineRecord(float(i), 1.0, "pam", 0.5, 0.25, 4, value, value, (), 0, "NotOverloaded")
+            for i, value in enumerate(values)
+        ]
+        text = timeline_to_csv(records)
+        assert text == reference_timeline_csv(records)
+        assert [line.split(",")[6] for line in text.splitlines()[1:]] == [
+            "0.0", "-0.0", "0.0", "0.0", "1.5", "1.5", "nan", "nan", "nan", "-0.0"
+        ]
+
     def test_replayed_records(self):
         trace = load_trace(golden.SEASONAL_TRACE)
         for path in (golden.FIG1_SCENARIO, golden.TWO_STEP_SCENARIO):
@@ -159,6 +177,11 @@ def reference_line_panel(top, title, xs, ys, y_label):
     return "\n".join(parts)
 
 
+def line_panel(top, title, xs, ys, y_label):
+    """`_line_panel` with the x coordinate texts `timeline_svg` passes it."""
+    return reports._line_panel(top, title, xs, reports._x_texts(xs), ys, y_label)
+
+
 class TestLinePanelMatchesClosures:
     def series(self, rng):
         n = rng.randint(1, 60)
@@ -172,13 +195,13 @@ class TestLinePanelMatchesClosures:
         for _ in range(300):
             xs, ys = self.series(rng)
             top = rng.choice((0, reports._PANEL_H))
-            assert reports._line_panel(top, "p", xs, ys, "us") == reference_line_panel(top, "p", xs, ys, "us")
+            assert line_panel(top, "p", xs, ys, "us") == reference_line_panel(top, "p", xs, ys, "us")
 
     @pytest.mark.parametrize("value", (0.0, -0.0, 2.5, -3.0))
     def test_constant_series(self, value):
         for xs in ([0.0, 1.0, 2.0], [7.0, 7.0], [4.0]):
             ys = [value] * len(xs)
-            assert reports._line_panel(0, "c", xs, ys, "Gbps") == reference_line_panel(0, "c", xs, ys, "Gbps")
+            assert line_panel(0, "c", xs, ys, "Gbps") == reference_line_panel(0, "c", xs, ys, "Gbps")
 
     def test_rounding_witnesses(self):
         # Points where a precomputed scale factor rounds across a printed
@@ -187,11 +210,11 @@ class TestLinePanelMatchesClosures:
         assert f"{x0 + 201 * ((x1 - x0) / 800):.6g}" != f"{x0 + 201 / 800 * (x1 - x0):.6g}"
         assert f"{y1 - 179 * ((y1 - y0) / 320):.6g}" != f"{y1 - 179 / 320 * (y1 - y0):.6g}"
         xs, ys = [0.0, 201.0, 423.0, 800.0], [0.0, 179.0, 181.0, 320.0]
-        assert reports._line_panel(0, "w", xs, ys, "us") == reference_line_panel(0, "w", xs, ys, "us")
+        assert line_panel(0, "w", xs, ys, "us") == reference_line_panel(0, "w", xs, ys, "us")
 
     def test_both_zeros_in_one_series(self):
         xs, ys = [0.0, 1.0, 2.0, 3.0], [-0.0, 0.0, 1.5, -0.0]
-        assert reports._line_panel(0, "z", xs, ys, "us") == reference_line_panel(0, "z", xs, ys, "us")
+        assert line_panel(0, "z", xs, ys, "us") == reference_line_panel(0, "z", xs, ys, "us")
 
 
 class TestEmitReport:
@@ -230,6 +253,15 @@ class TestEmitReport:
         report = compare(scenario)
         with pytest.raises(ValueError, match="timeline"):
             emit_report(report, "csv", tmp_path / "x.csv")
+
+    @pytest.mark.parametrize("format", ("csv", "svg"))
+    def test_a_single_record_is_not_a_timeline(self, tmp_path, format):
+        # A TimelineRecord is itself a tuple; only a sequence of them charts.
+        record = sample_records()[0]
+        assert isinstance(record, tuple)
+        with pytest.raises(ValueError):
+            emit_report(record, format, tmp_path / f"x.{format}")
+        assert not (tmp_path / f"x.{format}").exists()
 
     def test_unknown_format_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="format"):

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import fields, replace
+from dataclasses import is_dataclass, replace
 
 import pytest
 
@@ -26,6 +26,7 @@ from chainplan import (
     simulate,
     utilization,
 )
+from chainplan.reports import TIMELINE_COLUMNS
 
 S = Placement.SMARTNIC
 C = Placement.CPU
@@ -159,7 +160,7 @@ def random_replays(seed, count):
 
 
 def field_reprs(records):
-    return [[repr(getattr(r, f.name)) for f in fields(r)] for r in records]
+    return [[repr(getattr(r, name)) for name in r._fields] for r in records]
 
 
 class TestMatchesPerPointRecompute:
@@ -289,6 +290,28 @@ class TestPolicyNoneBoundary:
             assert calls == expected_calls
             assert records == reference_run_trace(scenario, trace, policy)
         assert records[0].outcome == "NotOverloaded"
+
+
+class TestRecordsArePlainTuples:
+    def test_trace_point(self):
+        point = TracePoint(0.0, 1.0)
+        assert point == (0.0, 1.0)
+        assert tuple(point) == (0.0, 1.0) and point[1] == 1.0
+        assert point._replace(theta_cur=2.0) == TracePoint(0.0, 2.0)
+        assert TracePoint._fields == ("t", "theta_cur")
+        assert TracePoint(0.0, 1.0) < TracePoint(0.0, 2.0)
+        assert not is_dataclass(point)
+
+    def test_timeline_record(self):
+        scenario = load_scenario(golden.FIG1_SCENARIO)
+        (record,) = run_trace(scenario, (TracePoint(0.0, 1.2),), "pam")
+        assert record == tuple(getattr(record, name) for name in record._fields)
+        assert record._fields[:2] == ("t", "theta_cur")
+        assert len(record._fields) == len(TIMELINE_COLUMNS)
+        assert record._replace(outcome="x").outcome == "x"
+        with pytest.raises(AttributeError):
+            record.outcome = "x"  # type: ignore[misc]
+        assert not is_dataclass(record)
 
 
 class TestCompare:
