@@ -129,75 +129,107 @@ def _json_text(value: object, indent: str = "") -> str:
     return text(value)
 
 
-def _rejections(plan: MigrationPlan) -> list[dict]:
-    # The planner rejects a candidate only for lack of CPU headroom.
-    return [{"vnf_id": vnf_id, "reason": "cpu_headroom"} for vnf_id in plan.rejected_candidates]
+# The planner rejects a candidate only for lack of CPU headroom.
+_REJECTION_REASON = "cpu_headroom"
 
 
-def _plan_payload(scenario: Scenario, policy: str, plan: MigrationPlan) -> dict:
-    """The `plan` command's output; both devices' utilization of a chain comes
-    from one `device_utilizations` walk."""
+def _plan_figures(scenario: Scenario, plan: MigrationPlan) -> tuple:
+    """The SmartNIC utilization before and after `plan`, the CPU's, then the
+    crossings. Each chain's two devices come from one `device_utilizations`
+    walk, so a device hosting nothing reads int 0."""
     before, after = scenario.chain, plan.post_chain
     nic_before, cpu_before = device_utilizations(before, scenario.specs, scenario.theta_cur)
     nic_after, cpu_after = device_utilizations(after, scenario.specs, scenario.theta_cur)
-    return {
-        "policy": policy,
-        "theta_cur_gbps": scenario.theta_cur,
-        "outcome": plan.outcome.value,
-        "steps": [
-            {
-                "vnf_id": vnf_id,
-                "from": Placement.SMARTNIC.value,
-                "to": Placement.CPU.value,
-                "reason": "min_smartnic_capacity",
-                "selected_as_candidate": True,
-            }
-            for vnf_id in plan.steps
-        ],
-        "rejected_candidates": _rejections(plan),
-        "post_placements": [
-            {"id": v.id, "placement": v.placement.value} for v in after.vnfs
-        ],
-        "smartnic_util_before": nic_before,
-        "smartnic_util_after": nic_after,
-        "cpu_util_before": cpu_before,
-        "cpu_util_after": cpu_after,
-        "crossings_before": count_crossings(before),
-        "crossings_after": count_crossings(after),
-    }
+    return (
+        nic_before, nic_after, cpu_before, cpu_after,
+        count_crossings(before), count_crossings(after),
+    )
 
 
-def _print_plan_text(payload: dict) -> None:
-    print(f"policy: {payload['policy']}")
-    print(f"theta_cur: {payload['theta_cur_gbps']} Gbps")
-    print(f"outcome: {payload['outcome']}")
-    if payload["steps"]:
+# The plan document's fixed text before and after the vNF id of each entry of
+# its `steps`, `rejected_candidates` and `post_placements`.
+_VNF_ID_HEAD = '{\n      "vnf_id": '
+_STEP_TAIL = (
+    ',\n      "from": "SmartNIC",\n      "to": "CPU",\n      "reason": "min_smartnic_capacity",'
+    '\n      "selected_as_candidate": true\n    }'
+)
+_REJECTION_TAIL = ',\n      "reason": ' + encode_basestring_ascii(_REJECTION_REASON) + "\n    }"
+_PLACEMENT_HEAD = '{\n      "id": '
+_NIC_TAIL, _CPU_TAIL = [
+    ',\n      "placement": ' + encode_basestring_ascii(p.value) + "\n    }"
+    for p in (Placement.SMARTNIC, Placement.CPU)
+]
+
+
+def _entries(texts: list[str]) -> str:
+    return "[\n    " + ",\n    ".join(texts) + "\n  ]" if texts else "[]"
+
+
+def _plan_json(scenario: Scenario, policy: str, plan: MigrationPlan) -> str:
+    """The `plan --json` document, written straight from the plan.
+
+    It is the text `json.dumps(payload, indent=2, allow_nan=False)` returns for
+    the plan's payload of dicts (`reference_payload` in tests/test_cli.py), with
+    one concatenation per vNF. Scalars are encoded first, in document order,
+    so a non-finite utilization raises json's ValueError.
+    """
+    theta, nic_before, nic_after, cpu_before, cpu_after, crossings_before, crossings_after = [
+        _SCALAR_TEXT[type(x)](x) for x in (scenario.theta_cur, *_plan_figures(scenario, plan))
+    ]
+    enc = encode_basestring_ascii
+    # `is` on the two members: a dict keyed by Placement would hash each
+    # member through Enum's Python-level __hash__.
+    nic, nic_tail, cpu_tail = Placement.SMARTNIC, _NIC_TAIL, _CPU_TAIL
+    return "".join((
+        '{\n  "policy": ', enc(policy),
+        ',\n  "theta_cur_gbps": ', theta,
+        ',\n  "outcome": ', enc(plan.outcome.value),
+        ',\n  "steps": ', _entries([_VNF_ID_HEAD + enc(i) + _STEP_TAIL for i in plan.steps]),
+        ',\n  "rejected_candidates": ', _entries(
+            [_VNF_ID_HEAD + enc(i) + _REJECTION_TAIL for i in plan.rejected_candidates]
+        ),
+        ',\n  "post_placements": ', _entries([
+            _PLACEMENT_HEAD + enc(v.id) + (nic_tail if v.placement is nic else cpu_tail)
+            for v in plan.post_chain.vnfs
+        ]),
+        ',\n  "smartnic_util_before": ', nic_before,
+        ',\n  "smartnic_util_after": ', nic_after,
+        ',\n  "cpu_util_before": ', cpu_before,
+        ',\n  "cpu_util_after": ', cpu_after,
+        ',\n  "crossings_before": ', crossings_before,
+        ',\n  "crossings_after": ', crossings_after,
+        "\n}",
+    ))
+
+
+def _print_plan_text(scenario: Scenario, policy: str, plan: MigrationPlan) -> None:
+    nic_before, nic_after, cpu_before, cpu_after, crossings_before, crossings_after = (
+        _plan_figures(scenario, plan)
+    )
+    print(f"policy: {policy}")
+    print(f"theta_cur: {scenario.theta_cur} Gbps")
+    print(f"outcome: {plan.outcome.value}")
+    if plan.steps:
         print("steps:")
-        for i, s in enumerate(payload["steps"], start=1):
-            print(f"  {i}. {s['vnf_id']}: {s['from']} -> {s['to']}")
+        for i, vnf_id in enumerate(plan.steps, start=1):
+            print(f"  {i}. {vnf_id}: SmartNIC -> CPU")
     else:
         print("steps: (none)")
-    if payload["rejected_candidates"]:
-        rejected = ", ".join(
-            f"{r['vnf_id']} ({r['reason']})" for r in payload["rejected_candidates"]
-        )
+    if plan.rejected_candidates:
+        rejected = ", ".join(f"{r} ({_REJECTION_REASON})" for r in plan.rejected_candidates)
         print(f"rejected: {rejected}")
-    print(
-        f"smartnic utilization: {payload['smartnic_util_before']!r} -> "
-        f"{payload['smartnic_util_after']!r}"
-    )
-    print(f"cpu utilization: {payload['cpu_util_before']!r} -> {payload['cpu_util_after']!r}")
-    print(f"crossings: {payload['crossings_before']} -> {payload['crossings_after']}")
+    print(f"smartnic utilization: {nic_before!r} -> {nic_after!r}")
+    print(f"cpu utilization: {cpu_before!r} -> {cpu_after!r}")
+    print(f"crossings: {crossings_before} -> {crossings_after}")
 
 
 def _cmd_plan(args: argparse.Namespace) -> int:
     scenario = _load(args)
     plan = _PLANNERS[args.policy](scenario.chain, scenario.specs, scenario.theta_cur)
-    payload = _plan_payload(scenario, args.policy, plan)
     if args.json:
-        print(_json_text(payload))
+        print(_plan_json(scenario, args.policy, plan))
     else:
-        _print_plan_text(payload)
+        _print_plan_text(scenario, args.policy, plan)
     return EXIT_OK
 
 
@@ -216,7 +248,10 @@ def _comparison_payload(report: ComparisonReport) -> dict:
         payload = {
             "outcome": result.plan.outcome.value,
             "steps": list(result.plan.steps),
-            "rejected_candidates": _rejections(result.plan),
+            "rejected_candidates": [
+                {"vnf_id": vnf_id, "reason": _REJECTION_REASON}
+                for vnf_id in result.plan.rejected_candidates
+            ],
             "crossings_before": result.crossings_before,
             "crossings_after": result.crossings_after,
             "latency_before_us": result.latency_before_us,

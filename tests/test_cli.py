@@ -7,11 +7,25 @@ import io
 import json
 import random
 import sys
+from dataclasses import replace
 
 import pytest
 
 import golden
-from chainplan import cli, parse_timeline_csv
+import randgen
+from chainplan import (
+    Placement,
+    Scenario,
+    ServiceChain,
+    VnfInstance,
+    VnfSpec,
+    cli,
+    load_scenario,
+    parse_timeline_csv,
+    scenario_from_dict,
+)
+from chainplan.perf import count_crossings
+from chainplan.resources import device_utilizations
 
 
 def run(capsys, *argv) -> tuple[int, str, str]:
@@ -282,11 +296,14 @@ class TestSteadyStateMemory:
     ROUNDS = 700
     MAX_BLOCK_GROWTH = 2000
 
-    def test_allocated_blocks_stay_flat(self):
+    def test_allocated_blocks_stay_flat(self, tmp_path):
+        rejecting = tmp_path / "scenario.json"
+        rejecting.write_text(_fig1_at(2.0))  # naive rejects three vNFs
         argvs = [
             ["compare", "--json", "--scenario", str(golden.FIG1_SCENARIO)],
             ["plan", "--policy", "pam", "--json",
              "--scenario", str(golden.MONITOR_BOTTLENECK_SCENARIO)],
+            ["plan", "--policy", "naive", "--scenario", str(rejecting)],
             ["verify", "--scenario", str(golden.TWO_STEP_SCENARIO)],
         ]
 
@@ -426,20 +443,24 @@ class TestPcieOverride:
                 assert "at pcie_latency_us" in err
 
 
+# Two SmartNIC vNFs whose demand ratios (1e308 each) add up past the float range.
+OVERFLOWING_SCENARIO = {
+    "chain": [
+        {"id": "a", "spec": "Tiny", "placement": "SmartNIC"},
+        {"id": "b", "spec": "Tiny", "placement": "SmartNIC"},
+    ],
+    "spec_overrides": {"Tiny": {"cap_smartnic": 1e-308, "cap_cpu": 4.0}},
+    "theta_cur": 1.0,
+}
+
+
 class TestOverflowingDemand:
     """Demand ratios whose sum is past the float range: every decision then
     takes the chain-order sum instead of the planner's running sums."""
 
     def test_every_command_prints_a_result(self, capsys, tmp_path):
         scenario = tmp_path / "tiny.scenario.json"
-        scenario.write_text(json.dumps({
-            "chain": [
-                {"id": "a", "spec": "Tiny", "placement": "SmartNIC"},
-                {"id": "b", "spec": "Tiny", "placement": "SmartNIC"},
-            ],
-            "spec_overrides": {"Tiny": {"cap_smartnic": 1e-308, "cap_cpu": 4.0}},
-            "theta_cur": 1.0,
-        }))
+        scenario.write_text(json.dumps(OVERFLOWING_SCENARIO))
         trace = tmp_path / "tiny.trace.csv"
         trace.write_text("t,theta_cur_gbps\n0.0,1.0\n")
         out_csv = tmp_path / "timeline.csv"
@@ -720,3 +741,160 @@ class TestJsonText:
         value = {"steps": [{1, 2}]}
         assert _raised(cli._json_text, value) == _raised(_dumps, value)
         assert _raised(cli._json_text, value)[0] is TypeError
+
+
+def reference_payload(scenario: Scenario, policy: str, plan) -> dict:
+    """The `plan` command's output as plain dicts, lists and scalars: the
+    `plan --json` document is `json.dumps(payload, indent=2, allow_nan=False)`
+    of it, and the text output is `_print_reference_text(payload)`."""
+    before, after = scenario.chain, plan.post_chain
+    nic_before, cpu_before = device_utilizations(before, scenario.specs, scenario.theta_cur)
+    nic_after, cpu_after = device_utilizations(after, scenario.specs, scenario.theta_cur)
+    return {
+        "policy": policy,
+        "theta_cur_gbps": scenario.theta_cur,
+        "outcome": plan.outcome.value,
+        "steps": [
+            {
+                "vnf_id": vnf_id,
+                "from": Placement.SMARTNIC.value,
+                "to": Placement.CPU.value,
+                "reason": "min_smartnic_capacity",
+                "selected_as_candidate": True,
+            }
+            for vnf_id in plan.steps
+        ],
+        "rejected_candidates": [
+            {"vnf_id": vnf_id, "reason": "cpu_headroom"} for vnf_id in plan.rejected_candidates
+        ],
+        "post_placements": [
+            {"id": v.id, "placement": v.placement.value} for v in after.vnfs
+        ],
+        "smartnic_util_before": nic_before,
+        "smartnic_util_after": nic_after,
+        "cpu_util_before": cpu_before,
+        "cpu_util_after": cpu_after,
+        "crossings_before": count_crossings(before),
+        "crossings_after": count_crossings(after),
+    }
+
+
+def _print_reference_text(payload: dict) -> None:
+    print(f"policy: {payload['policy']}")
+    print(f"theta_cur: {payload['theta_cur_gbps']} Gbps")
+    print(f"outcome: {payload['outcome']}")
+    if payload["steps"]:
+        print("steps:")
+        for i, s in enumerate(payload["steps"], start=1):
+            print(f"  {i}. {s['vnf_id']}: {s['from']} -> {s['to']}")
+    else:
+        print("steps: (none)")
+    if payload["rejected_candidates"]:
+        rejected = ", ".join(
+            f"{r['vnf_id']} ({r['reason']})" for r in payload["rejected_candidates"]
+        )
+        print(f"rejected: {rejected}")
+    print(
+        f"smartnic utilization: {payload['smartnic_util_before']!r} -> "
+        f"{payload['smartnic_util_after']!r}"
+    )
+    print(f"cpu utilization: {payload['cpu_util_before']!r} -> {payload['cpu_util_after']!r}")
+    print(f"crossings: {payload['crossings_before']} -> {payload['crossings_after']}")
+
+
+def _stdout(call, *args) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        call(*args)
+    return out.getvalue()
+
+
+def _plans(scenario: Scenario) -> list:
+    """(policy, plan) for both policies."""
+    return [
+        (policy, cli._PLANNERS[policy](scenario.chain, scenario.specs, scenario.theta_cur))
+        for policy in ("pam", "naive")
+    ]
+
+
+def _check_plan_writers(scenario: Scenario) -> list:
+    """Check both `plan` writers against the reference payload for both
+    policies; returns the (plan, JSON document) pairs."""
+    written = []
+    for policy, plan in _plans(scenario):
+        payload = reference_payload(scenario, policy, plan)
+        doc = cli._plan_json(scenario, policy, plan)
+        assert doc == _dumps(payload), (policy, plan)
+        assert _stdout(cli._print_plan_text, scenario, policy, plan) == _stdout(
+            _print_reference_text, payload
+        )
+        written.append((plan, doc))
+    return written
+
+
+def _with_ids(chain: ServiceChain, ids) -> ServiceChain:
+    return replace(chain, vnfs=tuple(replace(v, id=i) for v, i in zip(chain.vnfs, ids)))
+
+
+class TestPlanJson:
+    """`cli._plan_json` and `cli._print_plan_text`, which write `plan`'s
+    output straight from the plan, against the reference payload's
+    `json.dumps(indent=2, allow_nan=False)` and its text printer."""
+
+    @pytest.mark.parametrize("name", sorted(CLI_SCENARIOS))
+    def test_cli_scenarios(self, name):
+        text = CLI_SCENARIOS[name]
+        if text is None:
+            scenario = load_scenario(golden.SCENARIO_DIR / f"{name}.scenario.json")
+        else:
+            scenario = scenario_from_dict(json.loads(text))
+        _check_plan_writers(scenario)
+
+    def test_random_and_boundary_chains(self):
+        rng = random.Random(16)
+        kinds = set()
+        for i in range(600):
+            make = randgen.random_scenario if i % 2 else randgen.boundary_scenario
+            chain, specs, theta = make(rng, max_len=rng.choice((4, 10, 24)))
+            for plan, _ in _check_plan_writers(Scenario(chain, specs, theta)):
+                kinds.add((bool(plan.steps), bool(plan.rejected_candidates)))
+        # Plans with and without steps, each with and without rejections.
+        assert kinds == {(False, False), (False, True), (True, False), (True, True)}
+
+    def test_odd_vnf_ids(self):
+        rng = random.Random(2028)
+        for _ in range(200):
+            chain, specs, theta = randgen.random_scenario(rng, max_len=len(ODD_STRINGS))
+            chain = _with_ids(chain, rng.sample(ODD_STRINGS, len(chain)))
+            _check_plan_writers(Scenario(chain, specs, theta))
+
+    def test_empty_smartnic_reads_int_zero(self):
+        C, S = Placement.CPU, Placement.SMARTNIC
+        specs = {"nf": VnfSpec("nf", cap_smartnic=0.5, cap_cpu=10.0)}
+        for placements, zeros in (
+            ((C, S), ('"smartnic_util_after": 0,',)),  # both policies move the SmartNIC vNF
+            ((C, C), ('"smartnic_util_before": 0,', '"smartnic_util_after": 0,')),
+        ):
+            vnfs = tuple(VnfInstance(f"v{i}", "nf", p) for i, p in enumerate(placements))
+            chain = ServiceChain(vnfs)
+            for _, doc in _check_plan_writers(Scenario(chain, specs, 1.0)):
+                for zero in zeros:
+                    assert zero in doc
+
+    def test_plan_without_steps_or_rejections(self):
+        # The golden chain at a load the SmartNIC carries: NotOverloaded.
+        scenario = replace(golden.golden_scenario(), theta_cur=0.1)
+        for plan, doc in _check_plan_writers(scenario):
+            assert plan.steps == plan.rejected_candidates == ()
+            assert '"steps": [],\n  "rejected_candidates": [],' in doc
+
+    def test_non_finite_utilization_raises_json_value_error(self):
+        scenario = scenario_from_dict(OVERFLOWING_SCENARIO)
+        for policy, plan in _plans(scenario):
+            payload = reference_payload(scenario, policy, plan)
+            raised = _raised(lambda _: cli._plan_json(scenario, policy, plan), None)
+            assert raised == _raised(_dumps, payload)
+            assert raised[0] is ValueError
+            assert _stdout(cli._print_plan_text, scenario, policy, plan) == _stdout(
+                _print_reference_text, payload
+            )
