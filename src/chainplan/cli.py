@@ -25,7 +25,7 @@ from .scenario_io import (
     load_scenario,
     load_trace,
 )
-from .simulate import _PLANNERS, POLICIES, ComparisonReport, compare, run_trace
+from .simulate import _PLANNERS, POLICIES, ComparisonReport, PolicyResult, compare, run_trace
 
 EXIT_OK = 0
 EXIT_INVALID_INPUT = 1
@@ -83,50 +83,14 @@ def _load(args: argparse.Namespace) -> Scenario:
     return scenario
 
 
-def _float_text(value: float) -> str:
-    if not math.isfinite(value):
-        raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
-    return float.__repr__(value)
+def _number_text(x: float) -> str:
+    """The JSON text of an int or float, as `json.dumps` writes it: its repr.
 
-
-# The encoder of each scalar type, keyed on the exact type as the payloads
-# hold only plain values; bool is not int here.
-_SCALAR_TEXT = {
-    str: encode_basestring_ascii,
-    float: _float_text,
-    int: int.__repr__,
-    bool: lambda value: "true" if value else "false",
-    type(None): lambda value: "null",
-}
-
-
-def _json_text(value: object, indent: str = "") -> str:
-    """The text `json.dumps(value, indent=2, allow_nan=False)` returns for a
-    payload of dicts with str keys, lists, str, int, float, bool and None.
-
-    With `indent` set, `json` runs its pure-Python encoder; this one does the
-    same work with fewer calls. A non-finite float raises json's ValueError,
-    any other type a TypeError.
+    A NaN or infinity raises json's ValueError, as `allow_nan=False` does.
     """
-    kind = type(value)
-    if kind is dict:
-        if not value:
-            return "{}"
-        inner = indent + "  "
-        body = (",\n" + inner).join(
-            [encode_basestring_ascii(k) + ": " + _json_text(v, inner) for k, v in value.items()]
-        )
-        return "{\n" + inner + body + "\n" + indent + "}"
-    if kind is list:
-        if not value:
-            return "[]"
-        inner = indent + "  "
-        body = (",\n" + inner).join([_json_text(v, inner) for v in value])
-        return "[\n" + inner + body + "\n" + indent + "]"
-    text = _SCALAR_TEXT.get(kind)
-    if text is None:
-        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
-    return text(value)
+    if not -math.inf < x < math.inf:
+        raise ValueError(f"Out of range float values are not JSON compliant: {x!r}")
+    return repr(x)
 
 
 # The planner rejects a candidate only for lack of CPU headroom.
@@ -159,10 +123,17 @@ _NIC_TAIL, _CPU_TAIL = [
     ',\n      "placement": ' + encode_basestring_ascii(p.value) + "\n    }"
     for p in (Placement.SMARTNIC, Placement.CPU)
 ]
+# The `compare` document's rejections, whose list sits two spaces deeper.
+_POLICY_REJECTION_HEAD, _POLICY_REJECTION_TAIL = [
+    text.replace("\n", "\n  ") for text in (_VNF_ID_HEAD, _REJECTION_TAIL)
+]
 
 
-def _entries(texts: list[str]) -> str:
-    return "[\n    " + ",\n    ".join(texts) + "\n  ]" if texts else "[]"
+def _entries(texts: list[str], indent: str) -> str:
+    """The JSON list of the written `texts`, its `]` at `indent`. The small
+    parts are joined first: each `+` on the long body copies it."""
+    inner = "\n" + indent + "  "
+    return "[" + inner + ("," + inner).join(texts) + ("\n" + indent + "]") if texts else "[]"
 
 
 def _plan_json(scenario: Scenario, policy: str, plan: MigrationPlan) -> str:
@@ -174,7 +145,7 @@ def _plan_json(scenario: Scenario, policy: str, plan: MigrationPlan) -> str:
     so a non-finite utilization raises json's ValueError.
     """
     theta, nic_before, nic_after, cpu_before, cpu_after, crossings_before, crossings_after = [
-        _SCALAR_TEXT[type(x)](x) for x in (scenario.theta_cur, *_plan_figures(scenario, plan))
+        _number_text(x) for x in (scenario.theta_cur, *_plan_figures(scenario, plan))
     ]
     enc = encode_basestring_ascii
     # `is` on the two members: a dict keyed by Placement would hash each
@@ -184,14 +155,14 @@ def _plan_json(scenario: Scenario, policy: str, plan: MigrationPlan) -> str:
         '{\n  "policy": ', enc(policy),
         ',\n  "theta_cur_gbps": ', theta,
         ',\n  "outcome": ', enc(plan.outcome.value),
-        ',\n  "steps": ', _entries([_VNF_ID_HEAD + enc(i) + _STEP_TAIL for i in plan.steps]),
+        ',\n  "steps": ', _entries([_VNF_ID_HEAD + enc(i) + _STEP_TAIL for i in plan.steps], "  "),
         ',\n  "rejected_candidates": ', _entries(
-            [_VNF_ID_HEAD + enc(i) + _REJECTION_TAIL for i in plan.rejected_candidates]
+            [_VNF_ID_HEAD + enc(i) + _REJECTION_TAIL for i in plan.rejected_candidates], "  "
         ),
         ',\n  "post_placements": ', _entries([
             _PLACEMENT_HEAD + enc(v.id) + (nic_tail if v.placement is nic else cpu_tail)
             for v in plan.post_chain.vnfs
-        ]),
+        ], "  "),
         ',\n  "smartnic_util_before": ', nic_before,
         ',\n  "smartnic_util_after": ', nic_after,
         ',\n  "cpu_util_before": ', cpu_before,
@@ -236,73 +207,85 @@ def _cmd_plan(args: argparse.Namespace) -> int:
 def _cmd_simulate(args: argparse.Namespace) -> int:
     scenario = _load(args)
     records = run_trace(scenario, load_trace(args.trace), args.policy)
-    Path(args.out).write_text(timeline_to_csv(records))
+    Path(args.out).write_text(timeline_to_csv(records), encoding="utf-8")
     if args.svg:
-        Path(args.svg).write_text(timeline_svg(records))
+        Path(args.svg).write_text(timeline_svg(records), encoding="utf-8")
     print(f"wrote {len(records)} records to {args.out}")
     return EXIT_OK
 
 
-def _comparison_payload(report: ComparisonReport) -> dict:
-    def policy_payload(result) -> dict:
-        payload = {
-            "outcome": result.plan.outcome.value,
-            "steps": list(result.plan.steps),
-            "rejected_candidates": [
-                {"vnf_id": vnf_id, "reason": _REJECTION_REASON}
-                for vnf_id in result.plan.rejected_candidates
-            ],
-            "crossings_before": result.crossings_before,
-            "crossings_after": result.crossings_after,
-            "latency_before_us": result.latency_before_us,
-            "latency_after_us": result.latency_after_us,
-            "max_throughput_before_gbps": result.max_throughput_before_gbps,
-            "max_throughput_after_gbps": result.max_throughput_after_gbps,
-        }
-        if result.verification is not None:
-            payload["verification"] = "pass" if result.verification.passed else "fail"
-        return payload
-
-    return {
-        "theta_cur_gbps": report.theta_cur,
-        "pcie_latency_us": report.pcie_latency_us,
-        "pam": policy_payload(report.pam),
-        "naive": policy_payload(report.naive),
-        "latency_reduction_pct": report.latency_reduction_pct,
-    }
+def _policy_json(result: PolicyResult) -> str:
+    """One policy's object in the `compare --json` document, at indent 2.
+    A result with no verification (a chain past the oracle's limit) gets no
+    `verification` key."""
+    plan, verification, enc = result.plan, result.verification, encode_basestring_ascii
+    # A list, not a tuple: CPython 3.11 frees a 20-item tuple onto a free list
+    # it never takes one back from, so each call would keep one until 2,000.
+    return "".join([
+        '{\n    "outcome": ', enc(plan.outcome.value),
+        ',\n    "steps": ', _entries([enc(i) for i in plan.steps], "    "),
+        ',\n    "rejected_candidates": ', _entries([
+            _POLICY_REJECTION_HEAD + enc(i) + _POLICY_REJECTION_TAIL
+            for i in plan.rejected_candidates
+        ], "    "),
+        ',\n    "crossings_before": ', _number_text(result.crossings_before),
+        ',\n    "crossings_after": ', _number_text(result.crossings_after),
+        ',\n    "latency_before_us": ', _number_text(result.latency_before_us),
+        ',\n    "latency_after_us": ', _number_text(result.latency_after_us),
+        ',\n    "max_throughput_before_gbps": ', _number_text(result.max_throughput_before_gbps),
+        ',\n    "max_throughput_after_gbps": ', _number_text(result.max_throughput_after_gbps),
+        "" if verification is None
+        else ',\n    "verification": ' + ('"pass"' if verification.passed else '"fail"'),
+        "\n  }",
+    ])
 
 
-def _print_comparison_text(payload: dict) -> None:
-    print(
-        f"theta_cur: {payload['theta_cur_gbps']} Gbps, "
-        f"pcie latency: {payload['pcie_latency_us']} us/crossing"
-    )
-    for policy in ("pam", "naive"):
-        p = payload[policy]
-        print(f"== {policy} ==")
-        print(f"outcome: {p['outcome']}")
-        print(f"steps: {', '.join(p['steps']) if p['steps'] else '(none)'}")
-        print(f"crossings: {p['crossings_before']} -> {p['crossings_after']}")
-        print(f"latency_us: {p['latency_before_us']!r} -> {p['latency_after_us']!r}")
+def _comparison_json(report: ComparisonReport) -> str:
+    """The `compare --json` document, written straight from the report.
+
+    It is the text `json.dumps(payload, indent=2, allow_nan=False)` returns for
+    the report's payload of dicts (`reference_comparison_payload` in
+    tests/test_cli.py). The tuple below is built left to right, so scalars are
+    encoded in document order and the first non-finite one raises json's
+    ValueError before anything is printed.
+    """
+    return "".join((
+        '{\n  "theta_cur_gbps": ', _number_text(report.theta_cur),
+        ',\n  "pcie_latency_us": ', _number_text(report.pcie_latency_us),
+        ',\n  "pam": ', _policy_json(report.pam),
+        ',\n  "naive": ', _policy_json(report.naive),
+        ',\n  "latency_reduction_pct": ', _number_text(report.latency_reduction_pct),
+        "\n}",
+    ))
+
+
+def _print_comparison_text(report: ComparisonReport) -> None:
+    print(f"theta_cur: {report.theta_cur} Gbps, pcie latency: {report.pcie_latency_us} us/crossing")
+    for result in (report.pam, report.naive):
+        steps = result.plan.steps
+        print(f"== {result.policy} ==")
+        print(f"outcome: {result.plan.outcome.value}")
+        print(f"steps: {', '.join(steps) if steps else '(none)'}")
+        print(f"crossings: {result.crossings_before} -> {result.crossings_after}")
+        print(f"latency_us: {result.latency_before_us!r} -> {result.latency_after_us!r}")
         print(
-            f"max_throughput_gbps: {p['max_throughput_before_gbps']!r} -> "
-            f"{p['max_throughput_after_gbps']!r}"
+            f"max_throughput_gbps: {result.max_throughput_before_gbps!r} -> "
+            f"{result.max_throughput_after_gbps!r}"
         )
-        if "verification" in p:
-            print(f"verification: {p['verification']}")
-    print(f"pam latency vs naive: {payload['latency_reduction_pct']:.1f}% lower")
+        if result.verification is not None:
+            print(f"verification: {'pass' if result.verification.passed else 'fail'}")
+    print(f"pam latency vs naive: {report.latency_reduction_pct:.1f}% lower")
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
     scenario = _load(args)
     report = compare(scenario)
-    payload = _comparison_payload(report)
     if args.json:
-        print(_json_text(payload))
+        print(_comparison_json(report))
     else:
-        _print_comparison_text(payload)
+        _print_comparison_text(report)
     if args.svg:
-        Path(args.svg).write_text(comparison_svg(report))
+        Path(args.svg).write_text(comparison_svg(report), encoding="utf-8")
     return EXIT_OK
 
 

@@ -119,7 +119,7 @@ def emit_report(data, format: str, path: str | Path) -> None:
             raise ValueError(f"cannot chart object of type {type(data).__name__}")
     else:
         raise ValueError(f"unknown report format {format!r}")
-    Path(path).write_text(content)
+    Path(path).write_text(content, encoding="utf-8")
 
 
 def _is_timeline(data) -> bool:

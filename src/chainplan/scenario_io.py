@@ -189,7 +189,7 @@ def _strict_object(pairs: list[tuple[str, object]]) -> dict:
 
 def load_scenario(path: str | Path) -> Scenario:
     """Parse, resolve and validate a scenario file."""
-    text = Path(path).read_text()
+    text = Path(path).read_text(encoding="utf-8")
     try:
         data = json.loads(text, object_pairs_hook=_strict_object)
     except json.JSONDecodeError as exc:
@@ -227,13 +227,14 @@ def scenario_to_dict(scenario: Scenario) -> dict:
 def save_scenario(scenario: Scenario, path: str | Path) -> None:
     """Write `scenario` as JSON. A non-finite number, which `load_scenario`
     rejects and `validate` does not, raises ValueError before any write."""
-    Path(path).write_text(json.dumps(scenario_to_dict(scenario), indent=2, allow_nan=False) + "\n")
+    text = json.dumps(scenario_to_dict(scenario), indent=2, allow_nan=False) + "\n"
+    Path(path).write_text(text, encoding="utf-8")
 
 
 def load_trace(path: str | Path) -> tuple[TracePoint, ...]:
     """Parse a trace CSV with header t,theta_cur_gbps and at least one data
     row; t must strictly increase."""
-    text = Path(path).read_text()
+    text = Path(path).read_text(encoding="utf-8")
     rows = list(csv.reader(io.StringIO(text)))
     if not rows or tuple(rows[0]) != TRACE_HEADER:
         raise ScenarioFormatError(

@@ -5,7 +5,10 @@ import gc
 import hashlib
 import io
 import json
+import math
+import os
 import random
+import subprocess
 import sys
 from dataclasses import replace
 
@@ -24,8 +27,10 @@ from chainplan import (
     parse_timeline_csv,
     scenario_from_dict,
 )
+from chainplan.oracle import MAX_ORACLE_CHAIN, AssertionResult, VerificationReport
 from chainplan.perf import count_crossings
 from chainplan.resources import device_utilizations
+from chainplan.simulate import ComparisonReport, compare
 
 
 def run(capsys, *argv) -> tuple[int, str, str]:
@@ -301,6 +306,7 @@ class TestSteadyStateMemory:
         rejecting.write_text(_fig1_at(2.0))  # naive rejects three vNFs
         argvs = [
             ["compare", "--json", "--scenario", str(golden.FIG1_SCENARIO)],
+            ["compare", "--scenario", str(rejecting)],
             ["plan", "--policy", "pam", "--json",
              "--scenario", str(golden.MONITOR_BOTTLENECK_SCENARIO)],
             ["plan", "--policy", "naive", "--scenario", str(rejecting)],
@@ -325,6 +331,23 @@ class TestSteadyStateMemory:
         finally:
             gc.enable()
         assert growth < self.MAX_BLOCK_GROWTH
+
+    def test_comparison_writer_keeps_no_blocks(self):
+        """No tuple per call parked on the interpreter's free lists, which
+        keep up to 2,000 of each length."""
+        report = compare(golden.golden_scenario())
+        for _ in range(50):
+            cli._comparison_json(report)
+        gc.collect()
+        gc.disable()
+        try:
+            before = sys.getallocatedblocks()
+            for _ in range(1000):
+                cli._comparison_json(report)
+            growth = sys.getallocatedblocks() - before
+        finally:
+            gc.enable()
+        assert growth < 100
 
     def test_simulate_allocated_blocks_stay_flat(self, tmp_path):
         """Replays hold no memory past their call: no records, texts or
@@ -626,85 +649,9 @@ class TestOutputBytes:
         assert digests == CLI_OUTPUT_SHA256[scenario]
 
 
-# Values the JSON encoder must get right: escapes and non-ASCII text, float
-# reprs in exponent form, -0.0, the smallest subnormal and the largest
-# double, ints past 64 bits, and the three constants.
+# vNF ids the JSON writers must escape as json does: escapes, non-ASCII text
+# (in and past the Basic Multilingual Plane), the empty string.
 ODD_STRINGS = ("\u00e9", " ", '"', "\\", "", "LB", "tab\t", "\u2028", "\U0001F600")
-ODD_FLOATS = (1e-07, 1e+16, -0.0, 5e-324, 1.7976931348623157e308, 0.1, 1.2)
-ODD_INTS = (0, -1, 10**30, -(2**70))
-
-
-def _odd_scalar(rng: random.Random) -> object:
-    kind = rng.randrange(5)
-    if kind == 0:
-        return rng.choice(ODD_STRINGS) + rng.choice(ODD_STRINGS)
-    if kind == 1:
-        return rng.choice(ODD_FLOATS)
-    if kind == 2:
-        return rng.uniform(-1.0, 1.0) * 10.0 ** rng.randint(-300, 300)
-    if kind == 3:
-        return rng.choice(ODD_INTS) if rng.random() < 0.5 else rng.randint(-10**6, 10**6)
-    return rng.choice((True, False, None))
-
-
-def _shake(rng: random.Random, value: object) -> object:
-    """value with some of its members, at every depth, swapped for an odd
-    scalar or an empty list or dict."""
-    if rng.random() < 0.08:
-        return rng.choice(([], {}, _odd_scalar(rng)))
-    if isinstance(value, dict):
-        return {key: _shake(rng, member) for key, member in value.items()}
-    if isinstance(value, list):
-        return [_shake(rng, member) for member in value]
-    return value
-
-
-def _plan_shaped(rng: random.Random) -> dict:
-    ids = [rng.choice(ODD_STRINGS) + str(i) for i in range(rng.randint(0, 6))]
-    return {
-        "policy": rng.choice(("pam", "naive")),
-        "theta_cur_gbps": _odd_scalar(rng),
-        "outcome": rng.choice(("Resolved", "ScaleOutRequired", "NotOverloaded")),
-        "steps": [
-            {"vnf_id": i, "from": "SmartNIC", "to": "CPU", "reason": "min_smartnic_capacity",
-             "selected_as_candidate": True}
-            for i in ids[: rng.randint(0, len(ids))]
-        ],
-        "rejected_candidates": [{"vnf_id": i, "reason": "cpu_headroom"} for i in ids[:1]],
-        "post_placements": [{"id": i, "placement": rng.choice(("SmartNIC", "CPU"))} for i in ids],
-        "smartnic_util_before": _odd_scalar(rng),
-        "smartnic_util_after": _odd_scalar(rng),
-        "cpu_util_before": _odd_scalar(rng),
-        "cpu_util_after": _odd_scalar(rng),
-        "crossings_before": rng.randint(0, 12),
-        "crossings_after": rng.randint(0, 12),
-    }
-
-
-def _compare_shaped(rng: random.Random) -> dict:
-    def policy() -> dict:
-        payload = {
-            "outcome": rng.choice(("Resolved", "ScaleOutRequired")),
-            "steps": [rng.choice(ODD_STRINGS) for _ in range(rng.randint(0, 4))],
-            "rejected_candidates": [{"vnf_id": rng.choice(ODD_STRINGS), "reason": "cpu_headroom"}],
-            "crossings_before": rng.randint(0, 12),
-            "crossings_after": rng.randint(0, 12),
-            "latency_before_us": _odd_scalar(rng),
-            "latency_after_us": _odd_scalar(rng),
-            "max_throughput_before_gbps": _odd_scalar(rng),
-            "max_throughput_after_gbps": _odd_scalar(rng),
-        }
-        if rng.random() < 0.5:
-            payload["verification"] = rng.choice(("pass", "fail"))
-        return payload
-
-    return {
-        "theta_cur_gbps": _odd_scalar(rng),
-        "pcie_latency_us": _odd_scalar(rng),
-        "pam": policy(),
-        "naive": policy(),
-        "latency_reduction_pct": _odd_scalar(rng),
-    }
 
 
 def _dumps(value: object) -> str:
@@ -715,32 +662,6 @@ def _raised(encode, value: object) -> tuple[type, str]:
     with pytest.raises((ValueError, TypeError)) as excinfo:
         encode(value)
     return excinfo.type, str(excinfo.value)
-
-
-class TestJsonText:
-    """The CLI's JSON emitter against `json.dumps(indent=2, allow_nan=False)`."""
-
-    @pytest.mark.parametrize("shape", [_plan_shaped, _compare_shaped], ids=["plan", "compare"])
-    def test_matches_json_dumps(self, shape):
-        rng = random.Random(20181)
-        for _ in range(2000):
-            payload = _shake(rng, shape(rng))
-            assert cli._json_text(payload) == _dumps(payload)
-
-    def test_scalars_and_empty_containers(self):
-        for value in (*ODD_STRINGS, *ODD_FLOATS, *ODD_INTS, True, False, None, [], {}, [[]], {"": {}}):
-            assert cli._json_text(value) == _dumps(value)
-
-    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
-    def test_non_finite_float_raises_json_value_error(self, bad):
-        for value in (bad, [1, bad], {"pam": {"latency_after_us": bad}}):
-            assert _raised(cli._json_text, value) == _raised(_dumps, value)
-            assert _raised(cli._json_text, value)[0] is ValueError
-
-    def test_other_types_raise_type_error(self):
-        value = {"steps": [{1, 2}]}
-        assert _raised(cli._json_text, value) == _raised(_dumps, value)
-        assert _raised(cli._json_text, value)[0] is TypeError
 
 
 def reference_payload(scenario: Scenario, policy: str, plan) -> dict:
@@ -898,3 +819,184 @@ class TestPlanJson:
             assert _stdout(cli._print_plan_text, scenario, policy, plan) == _stdout(
                 _print_reference_text, payload
             )
+
+
+def reference_comparison_payload(report: ComparisonReport) -> dict:
+    """The `compare` command's output as plain dicts, lists and scalars: the
+    `compare --json` document is `json.dumps(payload, indent=2,
+    allow_nan=False)` of it, and the text output is
+    `_print_reference_comparison_text(payload)`."""
+
+    def policy_payload(result) -> dict:
+        payload = {
+            "outcome": result.plan.outcome.value,
+            "steps": list(result.plan.steps),
+            "rejected_candidates": [
+                {"vnf_id": vnf_id, "reason": "cpu_headroom"}
+                for vnf_id in result.plan.rejected_candidates
+            ],
+            "crossings_before": result.crossings_before,
+            "crossings_after": result.crossings_after,
+            "latency_before_us": result.latency_before_us,
+            "latency_after_us": result.latency_after_us,
+            "max_throughput_before_gbps": result.max_throughput_before_gbps,
+            "max_throughput_after_gbps": result.max_throughput_after_gbps,
+        }
+        if result.verification is not None:
+            payload["verification"] = "pass" if result.verification.passed else "fail"
+        return payload
+
+    return {
+        "theta_cur_gbps": report.theta_cur,
+        "pcie_latency_us": report.pcie_latency_us,
+        "pam": policy_payload(report.pam),
+        "naive": policy_payload(report.naive),
+        "latency_reduction_pct": report.latency_reduction_pct,
+    }
+
+
+def _print_reference_comparison_text(payload: dict) -> None:
+    print(
+        f"theta_cur: {payload['theta_cur_gbps']} Gbps, "
+        f"pcie latency: {payload['pcie_latency_us']} us/crossing"
+    )
+    for policy in ("pam", "naive"):
+        p = payload[policy]
+        print(f"== {policy} ==")
+        print(f"outcome: {p['outcome']}")
+        print(f"steps: {', '.join(p['steps']) if p['steps'] else '(none)'}")
+        print(f"crossings: {p['crossings_before']} -> {p['crossings_after']}")
+        print(f"latency_us: {p['latency_before_us']!r} -> {p['latency_after_us']!r}")
+        print(
+            f"max_throughput_gbps: {p['max_throughput_before_gbps']!r} -> "
+            f"{p['max_throughput_after_gbps']!r}"
+        )
+        if "verification" in p:
+            print(f"verification: {p['verification']}")
+    print(f"pam latency vs naive: {payload['latency_reduction_pct']:.1f}% lower")
+
+
+def _check_compare_writers(report: ComparisonReport) -> str:
+    """Check both `compare` writers against the reference payload; returns
+    the JSON document."""
+    payload = reference_comparison_payload(report)
+    doc = cli._comparison_json(report)
+    assert doc == _dumps(payload), report
+    assert _stdout(cli._print_comparison_text, report) == _stdout(
+        _print_reference_comparison_text, payload
+    )
+    return doc
+
+
+class TestCompareJson:
+    """`cli._comparison_json` and `cli._print_comparison_text`, which write
+    `compare`'s output straight from the report, against the reference
+    payload's `json.dumps(indent=2, allow_nan=False)` and its text printer."""
+
+    @pytest.mark.parametrize("name", sorted(CLI_SCENARIOS))
+    def test_cli_scenarios(self, name):
+        text = CLI_SCENARIOS[name]
+        if text is None:
+            scenario = load_scenario(golden.SCENARIO_DIR / f"{name}.scenario.json")
+        else:
+            scenario = scenario_from_dict(json.loads(text))
+        _check_compare_writers(compare(scenario))
+
+    def test_random_and_boundary_reports(self):
+        rng = random.Random(17)
+        kinds = set()
+        for i in range(600):
+            make = randgen.random_scenario if i % 2 else randgen.boundary_scenario
+            chain, specs, theta = make(rng, max_len=rng.choice((4, 10, 12)))
+            pcie = rng.choice((0.0, 1e-07, 2.5, 10.0, 1e16))
+            report = compare(Scenario(chain, specs, theta, pcie_latency_us=pcie))
+            _check_compare_writers(report)
+            for result in (report.pam, report.naive):
+                kinds.add((bool(result.plan.steps), bool(result.plan.rejected_candidates)))
+        # Plans with and without steps, each with and without rejections.
+        assert kinds == {(False, False), (False, True), (True, False), (True, True)}
+
+    def test_long_chain_has_no_verification_key(self):
+        rng = random.Random(21)
+        for _ in range(20):
+            chain, specs, theta = randgen.random_scenario(rng, max_len=40)
+            report = compare(Scenario(chain, specs, theta))
+            doc = _check_compare_writers(report)
+            if len(chain) > MAX_ORACLE_CHAIN:
+                assert report.pam.verification is report.naive.verification is None
+                assert '"verification"' not in doc
+            else:
+                assert doc.count('"verification": ') == 2
+
+    def test_failed_verification(self):
+        report = compare(golden.golden_scenario())
+        failed = VerificationReport(False, (AssertionResult("reachability", False, "x"),))
+        report = replace(report, naive=replace(report.naive, verification=failed))
+        doc = _check_compare_writers(report)
+        assert '"verification": "pass"' in doc and '"verification": "fail"' in doc
+
+    def test_odd_vnf_ids(self):
+        rng = random.Random(2029)
+        for _ in range(200):
+            chain, specs, theta = randgen.random_scenario(rng, max_len=len(ODD_STRINGS))
+            chain = _with_ids(chain, rng.sample(ODD_STRINGS, len(chain)))
+            _check_compare_writers(compare(Scenario(chain, specs, theta)))
+
+    def test_plans_without_steps_or_rejections(self):
+        # The golden chain at a load the SmartNIC carries: NotOverloaded.
+        report = compare(replace(golden.golden_scenario(), theta_cur=0.1))
+        for result in (report.pam, report.naive):
+            assert result.plan.steps == result.plan.rejected_candidates == ()
+        doc = _check_compare_writers(report)
+        assert doc.count('"steps": [],\n    "rejected_candidates": [],') == 2
+
+    def test_non_finite_latency_raises_json_value_error(self):
+        scenario = golden.golden_scenario()
+        specs = dict(scenario.specs)
+        specs["Logger"] = replace(specs["Logger"], proc_latency_cpu=math.inf)
+        report = compare(replace(scenario, specs=specs))
+        payload = reference_comparison_payload(report)
+        raised = _raised(cli._comparison_json, report)
+        assert raised == _raised(_dumps, payload)
+        assert raised[0] is ValueError
+        assert _stdout(cli._print_comparison_text, report) == _stdout(
+            _print_reference_comparison_text, payload
+        )
+
+
+class TestUtf8Files:
+    """Scenario, trace and timeline files are UTF-8 whatever the locale."""
+
+    def test_non_ascii_vnf_id_under_the_c_locale(self, tmp_path):
+        data = json.loads(golden.FIG1_SCENARIO.read_text(encoding="utf-8"))
+        for entry in data["chain"]:
+            if entry["id"] == "Logger":
+                entry["id"] = "Loggeré"
+        scenario = tmp_path / "fig1.scenario.json"
+        scenario.write_bytes(json.dumps(data, ensure_ascii=False).encode("utf-8"))
+        trace = tmp_path / "theta.trace.csv"
+        trace.write_bytes(b"t,theta_cur_gbps\n0.0,1.2\n")
+        timeline = tmp_path / "timeline.csv"
+        env = {
+            key: value for key, value in os.environ.items()
+            if not key.startswith(("PYTHON", "LC_", "LANG"))
+        }
+        env.update(
+            PYTHONUTF8="0", PYTHONCOERCECLOCALE="0", LC_ALL="C",
+            PYTHONPATH=str(golden.ROOT / "src"),
+        )
+
+        def chainplan(*argv: str) -> str:
+            done = subprocess.run(
+                [sys.executable, "-m", "chainplan.cli", *argv, "--scenario", str(scenario)],
+                env=env, capture_output=True, check=False,
+            )
+            assert (done.returncode, done.stderr) == (0, b""), argv
+            return done.stdout.decode("ascii")
+
+        doc = json.loads(chainplan("plan", "--policy", "pam", "--json"))
+        assert "Loggeré" in [entry["id"] for entry in doc["post_placements"]]
+        chainplan(
+            "simulate", "--policy", "pam", "--trace", str(trace), "--out", str(timeline)
+        )
+        assert "Loggeré".encode("utf-8") in timeline.read_bytes()
