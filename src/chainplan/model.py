@@ -6,7 +6,7 @@ import math
 import operator
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 DEFAULT_PCIE_LATENCY_US = 10.0
 
@@ -90,15 +90,13 @@ class Scenario:
     pcie_latency_us: float = DEFAULT_PCIE_LATENCY_US
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     code: str
     where: str
     message: str
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     violations: tuple[Violation, ...]
 
     @property

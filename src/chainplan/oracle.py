@@ -10,8 +10,7 @@ placements. Both are capped at 20 vNFs.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 from .model import Placement, ServiceChain, VnfSpec
 from .perf import count_crossings
@@ -27,8 +26,7 @@ class ChainTooLongError(ValueError):
     """Chain exceeds the exhaustive-enumeration cap."""
 
 
-@dataclass(frozen=True)
-class PlacementRecord:
+class PlacementRecord(NamedTuple):
     """One point of the placement space, scored.
 
     `migrations_from_input` counts vNFs moved SmartNIC-to-CPU relative to the
@@ -43,15 +41,13 @@ class PlacementRecord:
     migrations_from_input: int
 
 
-@dataclass(frozen=True)
-class AssertionResult:
+class AssertionResult(NamedTuple):
     name: str
     passed: bool
     detail: str = ""
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     passed: bool
     assertions: tuple[AssertionResult, ...]
     info: tuple[tuple[str, str], ...] = ()
@@ -79,8 +75,7 @@ def enumerate_placements(
 
     Record index 0 is the all-SmartNIC vector; bit j of the index gives vNF
     j's placement (set bit = CPU), with chain position 0 as the least
-    significant bit. `verify_plan` no longer calls it: its informational
-    scan walks only the placements reachable from the input, in this order.
+    significant bit.
     """
     _check_length(chain)
     n = len(chain)

@@ -25,9 +25,9 @@ decides.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from enum import Enum
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .model import Placement, ServiceChain, VnfSpec
 from .resources import below_one, chain_sum, demand_ratios, hosted, rounding_band
@@ -39,8 +39,7 @@ class PlanOutcome(Enum):
     SCALE_OUT_REQUIRED = "ScaleOutRequired"
 
 
-@dataclass(frozen=True)
-class MigrationPlan:
+class MigrationPlan(NamedTuple):
     """The vNFs to move SmartNIC-to-CPU, plus the outcome and resulting chain.
 
     `steps` holds the ids of the vNFs to migrate, in order; `post_chain` is

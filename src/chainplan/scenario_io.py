@@ -187,9 +187,17 @@ def _strict_object(pairs: list[tuple[str, object]]) -> dict:
     return repeats
 
 
+def _read_text(path: str | Path) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        message = f"{path}: invalid UTF-8 at byte {exc.start}: {exc.reason}"
+        raise ScenarioFormatError(message) from exc
+
+
 def load_scenario(path: str | Path) -> Scenario:
     """Parse, resolve and validate a scenario file."""
-    text = Path(path).read_text(encoding="utf-8")
+    text = _read_text(path)
     try:
         data = json.loads(text, object_pairs_hook=_strict_object)
     except json.JSONDecodeError as exc:
@@ -234,7 +242,7 @@ def save_scenario(scenario: Scenario, path: str | Path) -> None:
 def load_trace(path: str | Path) -> tuple[TracePoint, ...]:
     """Parse a trace CSV with header t,theta_cur_gbps and at least one data
     row; t must strictly increase."""
-    text = Path(path).read_text(encoding="utf-8")
+    text = _read_text(path)
     rows = list(csv.reader(io.StringIO(text)))
     if not rows or tuple(rows[0]) != TRACE_HEADER:
         raise ScenarioFormatError(

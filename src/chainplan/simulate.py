@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 from .model import Placement, Scenario
@@ -110,8 +109,7 @@ def run_trace(
     return tuple(records)
 
 
-@dataclass(frozen=True)
-class PolicyResult:
+class PolicyResult(NamedTuple):
     """One policy's plan plus before/after performance numbers."""
 
     policy: str
@@ -125,8 +123,7 @@ class PolicyResult:
     verification: VerificationReport | None
 
 
-@dataclass(frozen=True)
-class ComparisonReport:
+class ComparisonReport(NamedTuple):
     """Both policies run from the same start on the same load.
 
     `latency_reduction_pct` is how much lower the border policy's post

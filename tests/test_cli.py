@@ -418,6 +418,13 @@ class TestErrorHandling:
         assert code == 1
         assert "error:" in err
 
+    def test_non_utf8_scenario_is_exit_one_naming_the_file(self, capsys, tmp_path):
+        path = tmp_path / "binary.scenario.json"
+        path.write_bytes(b"\xff")
+        code, out, err = run(capsys, "plan", "--scenario", str(path), "--policy", "pam")
+        assert (code, out) == (1, "")
+        assert err == f"error: {path}: invalid UTF-8 at byte 0: invalid start byte\n"
+
     def test_unwritable_output_is_exit_three(self, capsys, tmp_path):
         code, _, err = run(
             capsys,
@@ -931,7 +938,7 @@ class TestCompareJson:
     def test_failed_verification(self):
         report = compare(golden.golden_scenario())
         failed = VerificationReport(False, (AssertionResult("reachability", False, "x"),))
-        report = replace(report, naive=replace(report.naive, verification=failed))
+        report = report._replace(naive=report.naive._replace(verification=failed))
         doc = _check_compare_writers(report)
         assert '"verification": "pass"' in doc and '"verification": "fail"' in doc
 

@@ -114,6 +114,13 @@ class TestLoadScenario:
         with pytest.raises(ScenarioFormatError, match="line 2"):
             load_scenario(path)
 
+    def test_non_utf8_bytes_name_the_file(self, tmp_path):
+        path = tmp_path / "binary.scenario.json"
+        path.write_bytes(b"\xff")
+        with pytest.raises(ScenarioFormatError) as err:
+            load_scenario(path)
+        assert str(err.value) == f"{path}: invalid UTF-8 at byte 0: invalid start byte"
+
     def test_anchors_default_to_smartnic(self):
         doc = fig1_doc()
         del doc["anchors"]
@@ -416,3 +423,10 @@ class TestLoadTrace:
         path.write_text(f"t,theta_cur_gbps\n0.0,1.0\n{row}\n")
         with pytest.raises(ScenarioFormatError, match="line 3: values must be finite"):
             load_trace(path)
+
+    def test_non_utf8_bytes_name_the_file(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_bytes(b"t,theta_cur_gbps\n0.0,1.0\n1.0,\xff2.0\n")
+        with pytest.raises(ScenarioFormatError) as err:
+            load_trace(path)
+        assert str(err.value) == f"{path}: invalid UTF-8 at byte 29: invalid start byte"

@@ -15,6 +15,7 @@ from chainplan import (
     TracePoint,
     compare,
     count_crossings,
+    enumerate_placements,
     estimate_latency,
     is_overloaded,
     load_scenario,
@@ -25,6 +26,7 @@ from chainplan import (
     run_trace,
     simulate,
     utilization,
+    validate,
 )
 from chainplan.reports import TIMELINE_COLUMNS
 
@@ -292,6 +294,25 @@ class TestPolicyNoneBoundary:
         assert records[0].outcome == "NotOverloaded"
 
 
+RESULT_TYPES = (
+    "Violation", "ValidationReport", "MigrationPlan", "PlacementRecord",
+    "AssertionResult", "VerificationReport", "PolicyResult", "ComparisonReport",
+)
+
+
+def result_values() -> dict:
+    """One value of each result type the package returns, by type name."""
+    report = compare(golden.golden_scenario())
+    verification = report.pam.verification
+    invalid = validate(golden.golden_scenario(theta=-1.0))
+    placements = enumerate_placements(golden.golden_chain(), golden.golden_specs(), 1.2)
+    values = (
+        invalid.violations[0], invalid, report.pam.plan, placements[0],
+        verification.assertions[0], verification, report.pam, report,
+    )
+    return dict(zip(RESULT_TYPES, values))
+
+
 class TestRecordsArePlainTuples:
     def test_trace_point(self):
         point = TracePoint(0.0, 1.0)
@@ -312,6 +333,17 @@ class TestRecordsArePlainTuples:
         with pytest.raises(AttributeError):
             record.outcome = "x"  # type: ignore[misc]
         assert not is_dataclass(record)
+
+    @pytest.mark.parametrize("name", RESULT_TYPES)
+    def test_result(self, name):
+        value = result_values()[name]
+        assert type(value).__name__ == name
+        assert value == tuple(getattr(value, field) for field in value._fields)
+        field = value._fields[0]
+        assert getattr(value._replace(**{field: "x"}), field) == "x"
+        with pytest.raises(AttributeError):
+            setattr(value, field, "x")
+        assert not is_dataclass(value)
 
 
 class TestCompare:
