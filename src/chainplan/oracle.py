@@ -4,7 +4,8 @@
 exhausting the placements reachable from the input: every border-peelable
 one and, for information, every move of SmartNIC vNFs to the CPU that adds
 no crossings. `enumerate_placements` is the reference full scan of all 2^n
-placements. Both are capped at 20 vNFs.
+placements. Both are capped at 20 vNFs. Every fit decision is a
+`resources.fits` call on hosted ratios in chain order; nothing carries sums.
 """
 
 from __future__ import annotations
@@ -15,9 +16,7 @@ from typing import Iterator, Mapping, NamedTuple, Sequence
 from .model import Placement, ServiceChain, VnfSpec
 from .perf import count_crossings
 from .planner import MigrationPlan, PlanOutcome, identify_borders
-from .resources import (
-    below_one, chain_sum, demand_ratios, fits, hosted, rounding_band, utilization,
-)
+from .resources import demand_ratios, fits, hosted, utilization
 
 MAX_ORACLE_CHAIN = 20
 
@@ -134,58 +133,45 @@ def _first_reachable_witness(
     Only the 2^k subsets of the k SmartNIC vNFs can qualify. A depth-first
     walk decides them from the highest chain index down, staying on the
     SmartNIC first, so its leaves come in increasing binary-counting index.
-    It carries the CPU sum, the sum of the SmartNIC vNFs decided to stay and
-    the crossings of pairs whose two ends are decided, so a leaf outside the
-    rounding band around 1.0 costs O(1), and it drops a subtree as soon as
-    one of them rules out every leaf below.
+    Each decision asks `fits` of the ratios its device hosts so far, in
+    chain order: staying, of the SmartNIC vNFs decided to stay; moving (and
+    once at the start), of the CPU vNFs. Every leaf below hosts them too,
+    and a chain-order sum of ratios >= 0 never decreases when a term is
+    inserted (rounding is monotone), so a failed test rules out every leaf
+    below, and a leaf that is reached fits on both devices with no further
+    test. Crossings only accumulate, so decided ones past `base_crossings`
+    rule out every leaf below too.
     """
-    n = len(chain)
     # row[j + 1] is vNF j's placement, between the anchors. The anchors and
-    # the input's CPU vNFs are decided from the start; the walk writes each
-    # SmartNIC position as it decides it, before anything to its left.
-    row = list(chain.placement_sequence())
-    free_at = [False, *(p is Placement.SMARTNIC for p in row[1:-1]), False]
-    free = [j for j in range(n) if free_at[j + 1]]
-    left_fixed = [not free_at[j] for j in free]
-    cross0 = sum(
-        1 for i in range(n + 1) if row[i] is not row[i + 1] and not (free_at[i] or free_at[i + 1])
-    )
-    cpu0 = chain_sum(hosted(c_ratio, row[1:-1], Placement.CPU))
-    # The leaf test is the reference scan's `fits` on both devices; the
-    # carried sums decide it outside the rounding band (`below_one`). A
-    # carried sum past 1 + tol rules out every leaf below, since a leaf holds
-    # all of its terms (see `rounding_band`); crossings only accumulate, so
-    # decided ones past `base_crossings` do too.
-    tol = rounding_band(s_ratio, c_ratio)
-    limit = 1.0 + tol
-    if cross0 > base_crossings or cpu0 > limit:
+    # the input's CPU vNFs are fixed; each SmartNIC position reads None until
+    # the walk decides it, before anything to its left.
+    row: list[Placement | None] = list(chain.placement_sequence())
+    free = [j for j in range(len(chain)) if row[j + 1] is Placement.SMARTNIC]
+    for j in free:
+        row[j + 1] = None
+    cross0 = sum(1 for a, b in zip(row, row[1:]) if a is not b and None not in (a, b))
+    if cross0 > base_crossings or not fits(hosted(c_ratio, row[1:-1], Placement.CPU)):
         return None
 
-    def walk(t: int, nic: float, cpu: float, cross: int) -> tuple[Placement, ...] | None:
+    def walk(t: int, cross: int) -> tuple[Placement, ...] | None:
         if t < 0:
-            nic_fits = below_one(nic, tol, lambda: hosted(s_ratio, row[1:-1], Placement.SMARTNIC))
-            if nic_fits and below_one(cpu, tol, lambda: hosted(c_ratio, row[1:-1], Placement.CPU)):
-                return tuple(row[1:-1])
-            return None
+            return tuple(row[1:-1])
         p = free[t]
-        for place, nic_next, cpu_next in (
-            (Placement.SMARTNIC, nic + s_ratio[p], cpu),
-            (Placement.CPU, nic, cpu + c_ratio[p]),
-        ):
-            if nic_next > limit or cpu_next > limit:
-                continue
-            # The right neighbour is an anchor, a CPU vNF or decided already.
-            cross_next = cross + (place is not row[p + 2]) + (left_fixed[t] and place is not row[p])
+        left, right = row[p], row[p + 2]  # right is decided, left only if fixed
+        for place, ratios in ((Placement.SMARTNIC, s_ratio), (Placement.CPU, c_ratio)):
+            cross_next = cross + (place is not right) + (left is not None and place is not left)
             if cross_next > base_crossings:
                 continue
             row[p + 1] = place
-            found = walk(t - 1, nic_next, cpu_next, cross_next)
-            if found is not None:
-                return found
+            if fits(hosted(ratios, row[1:-1], place)):
+                found = walk(t - 1, cross_next)
+                if found is not None:
+                    return found
+        row[p + 1] = None
         return None
 
     try:
-        return walk(len(free) - 1, 0.0, cpu0, cross0)
+        return walk(len(free) - 1, cross0)
     finally:
         # `walk` refers to itself; dropping it here frees it, and the lists it
         # holds, without waiting for the cycle collector.

@@ -9,10 +9,10 @@ The planner, the oracle and trace replay pick a device's entries of a
 per-vNF column (ratios, capacities) from a placement vector with `hosted`.
 `utilization` sums one device; `device_utilizations`, which the CLI's `plan`
 output uses, sums both in one walk with the same additions. Every capacity
-decision is `fits`: the hosted ratios' chain_sum is below 1. Callers
-that keep a sum up to date (the planner starts its sums from the hosted
-ratios' chain_sum) decide with `below_one`, which asks `fits` only when the
-carried sum is too close to 1 to stand in for the chain_sum.
+decision is `fits`: the hosted ratios' chain_sum is below 1. The oracle
+asks it of every set it tests. The planner keeps its sums up to date (from
+the hosted ratios' chain_sum) and decides with `below_one`, which asks `fits`
+only when a carried sum is too close to 1 to stand in for the chain_sum.
 """
 
 from __future__ import annotations
@@ -113,10 +113,10 @@ def rounding_band(nic: Sequence[float], cpu: Sequence[float]) -> float:
     """Half-width tol of the band around 1.0 inside which a carried sum
     cannot stand in for the `chain_sum` of its terms.
 
-    `nic` and `cpu` are the `demand_ratios` of a chain of n vNFs. A carried
-    sum starts from 0 or from the chain_sum of some ratios of one device (the
-    planner starts from its hosted ratios, the oracle's walk from 0 and the
-    CPU's) and then adds or subtracts one ratio at a time. With u = 2**-53,
+    The planner is the band's only user. `nic` and `cpu` are the
+    `demand_ratios` of a chain of n vNFs. A carried sum starts from the
+    chain_sum of some ratios of one device (the planner's hosted ratios) and
+    then adds or subtracts one ratio at a time. With u = 2**-53,
     T = 1 + the sum of all the ratios (they are >= 0, so T bounds every
     partial sum) and n < 2**40:
     - a left-to-right sum of m <= n ratios is within 1.01*n*u*T of exact;
@@ -127,9 +127,10 @@ def rounding_band(nic: Sequence[float], cpu: Sequence[float]) -> float:
     carried value farther than tol from 1.0 is on the chain_sum's side of
     1.0. A carried value above 1 + tol also rules out every superset of its
     terms: their exact sum is no smaller, so their chain_sum exceeds
-    1 + tol - 1.01*(2n+2)*u*T > 1. (Exact sums only: float sums need not be
-    monotone.) A negative or NaN ratio voids the bound, and an overflowing T
-    is infinite; tol is then infinite and every test takes the chain_sum.
+    1 + tol - 1.01*(2n+2)*u*T > 1. (A carried sum need not be monotone, but
+    a chain-order sum of ratios >= 0 is: inserting a term never lowers it.)
+    A negative or NaN ratio voids the bound, and an overflowing T is
+    infinite; tol is then infinite and every test takes the chain_sum.
     """
     ratios = [*nic, *cpu]
     if not all(r >= 0.0 for r in ratios):

@@ -202,6 +202,8 @@ def load_scenario(path: str | Path) -> Scenario:
         data = json.loads(text, object_pairs_hook=_strict_object)
     except json.JSONDecodeError as exc:
         raise ScenarioFormatError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+    except (RecursionError, ValueError) as exc:  # nested too deep, an int of too many digits
+        raise ScenarioFormatError(f"{path}: invalid JSON: {exc}") from exc
     return scenario_from_dict(data)
 
 
@@ -243,7 +245,11 @@ def load_trace(path: str | Path) -> tuple[TracePoint, ...]:
     """Parse a trace CSV with header t,theta_cur_gbps and at least one data
     row; t must strictly increase."""
     text = _read_text(path)
-    rows = list(csv.reader(io.StringIO(text)))
+    reader = csv.reader(io.StringIO(text))
+    try:
+        rows = list(reader)
+    except csv.Error as exc:  # a field over csv's field_size_limit, say
+        raise ScenarioFormatError(f"{path}: line {reader.line_num}: {exc}") from exc
     if not rows or tuple(rows[0]) != TRACE_HEADER:
         raise ScenarioFormatError(
             f"{path}: trace header must be '{','.join(TRACE_HEADER)}'"

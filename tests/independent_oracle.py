@@ -118,6 +118,25 @@ def golden_minimum_migration_sets(theta=1.2):
     return {m for m in feasible_moves if len(m) == smallest}
 
 
+def golden_first_feasible_subset(theta=1.2):
+    """First placement of the golden chain, in binary-counting order (bit j
+    set puts vNF j on the CPU, chain position 0 least significant), that
+    moves only SmartNIC vNFs to the CPU and fits both devices without adding
+    crossings. Several fit at 1.2 Gbps; C,C,S,S,C (index 0b10011) is first.
+    """
+    base_cross = crossings(GOLDEN_PLACEMENT)
+    n = len(GOLDEN_CHAIN)
+    for index in range(1 << n):
+        bits = tuple("C" if (index >> j) & 1 else "S" for j in range(n))
+        if any(a == "C" and b == "S" for a, b in zip(GOLDEN_PLACEMENT, bits)):
+            continue  # moves a CPU vNF to the SmartNIC
+        s_util = left_to_right(theta / CAPS[m][0] for m, p in zip(GOLDEN_CHAIN, bits) if p == "S")
+        c_util = left_to_right(theta / CAPS[m][1] for m, p in zip(GOLDEN_CHAIN, bits) if p == "C")
+        if s_util < 1.0 and c_util < 1.0 and crossings(bits) <= base_cross:
+            return ",".join(bits)
+    return "none"
+
+
 def two_step_hand_trace():
     """Straight-line trace of the two-step scenario.
 
@@ -192,6 +211,7 @@ def main():
     print(f"golden crossings (in, naive, border) = {golden_crossing_counts()!r}")
     print(f"bottleneck throughputs (border, naive) = {bottleneck_scenario_throughputs()!r}")
     print(f"golden minimum migration sets @1.2   = {sorted(sorted(m) for m in golden_minimum_migration_sets())!r}")
+    print(f"golden first feasible subset @1.2    = {golden_first_feasible_subset()!r}")
     print(f"two-step trace                       = {two_step_hand_trace()!r}")
     print(f"latency calibration                  = {latency_calibration()!r}")
     print(f"bottleneck crossing deltas           = {bottleneck_crossing_deltas()!r}")

@@ -425,6 +425,28 @@ class TestErrorHandling:
         assert (code, out) == (1, "")
         assert err == f"error: {path}: invalid UTF-8 at byte 0: invalid start byte\n"
 
+    @pytest.mark.parametrize(
+        "name, text",
+        [
+            ("deep.scenario.json", '{"chain": ' + "[" * 100_000 + "]" * 100_000 + "}"),
+            ("digits.scenario.json", '{"chain": [], "theta_cur": ' + "9" * 5000 + "}"),
+            ("wide.trace.csv", "t,theta_cur_gbps\n0.0," + "1" * 200_000 + "\n"),
+        ],
+        ids=["nested", "digits", "wide-field"],
+    )
+    def test_input_past_a_parser_limit_is_exit_one_naming_the_file(self, capsys, tmp_path, name, text):
+        path = tmp_path / name
+        path.write_text(text)
+        scenario, trace = (golden.FIG1_SCENARIO, path) if name.endswith(".csv") else (path, golden.RAMP_TRACE)
+        code, out, err = run(
+            capsys,
+            "simulate", "--scenario", str(scenario), "--trace", str(trace), "--policy", "pam",
+            "--out", str(tmp_path / "timeline.csv"),
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
+        assert not (tmp_path / "timeline.csv").exists()
+
     def test_unwritable_output_is_exit_three(self, capsys, tmp_path):
         code, _, err = run(
             capsys,

@@ -15,6 +15,7 @@ from chainplan import (
     MigrationPlan,
     Placement,
     PlanOutcome,
+    Scenario,
     ServiceChain,
     VnfInstance,
     VnfSpec,
@@ -24,6 +25,7 @@ from chainplan import (
     identify_borders,
     plan_naive,
     plan_pam,
+    validate,
     verify_plan,
 )
 from chainplan.oracle import MAX_ORACLE_CHAIN
@@ -321,11 +323,10 @@ def label(vec) -> str:
 def reference_global_subset(chain, specs, load) -> tuple[str, bool]:
     """`global_feasible_subset` by the full scan `verify_plan` used to run.
 
-    Also says whether a record up to the first witness needs the walk's
-    in-band recheck: it is reachable, adds no crossings, neither chain-order
-    sum exceeds 1.0 by more than 4 ulps and one lies within 4 ulps of 1.0.
-    The walk's band is wider than 4 ulps and it prunes nothing such a record
-    lies under, so it visits that leaf and decides it in chain order.
+    Also says whether a record up to the first witness lies where only the
+    chain order decides: it is reachable, adds no crossings, neither
+    chain-order sum exceeds 1.0 by more than 4 ulps and one lies within 4
+    ulps of 1.0, so summing its ratios in another order could flip its fit.
     """
     base_crossings = count_crossings(chain)
     input_vec = chain.placements()
@@ -359,6 +360,13 @@ class TestGlobalFeasibleSubset:
             assert dict(report.info)["global_feasible_subset"] == expected[0]
         return [expected] * len(plans)
 
+    def check_claim(self, chain, specs, load) -> tuple[str, bool]:
+        # A claimed ScaleOutRequired plan runs the walk whatever the planners decide.
+        claim = MigrationPlan((), PlanOutcome.SCALE_OUT_REQUIRED, (), chain)
+        expected = reference_global_subset(chain, specs, load)
+        assert dict(verify_plan(chain, specs, load, claim).info)["global_feasible_subset"] == expected[0]
+        return expected
+
     def test_random_scenarios(self):
         rng = random.Random(53)
         results = []
@@ -369,7 +377,7 @@ class TestGlobalFeasibleSubset:
 
     def test_boundary_scenarios(self):
         # Witnesses are rare (a few per 500 plans), and some leaves sum to
-        # within a few ulps of 1.0, where the carried sums cannot decide.
+        # within a few ulps of 1.0, where only chain-order sums decide.
         rng = random.Random(51)
         results = []
         for _ in range(800):
@@ -382,10 +390,11 @@ class TestGlobalFeasibleSubset:
         "placements, caps, expected",
         [
             # On one device, ratios 0.1, 0.2, 0.7 sum to 1.0 in chain order
-            # (no fit) and to 0.9999999999999999 in the walk's order; 0.7,
-            # 0.2, 0.1 the other way round (a fit that the walk reads as 1.0).
-            # The walk adds the SmartNIC stay sum from the right, and the CPU
-            # sum from the input's CPU vNFs before the moved ones.
+            # (no fit) and to 0.9999999999999999 from the right; 0.7, 0.2,
+            # 0.1 the other way round (a fit that reads 1.0 from the right).
+            # A walk deciding from the right that carried its sums would add
+            # in those other orders (stayers from the right, the input's CPU
+            # vNFs before the moved ones) and flip each answer.
             ("SSS", [(10.0, 100.0), (5.0, 100.0), (1 / 0.7, 100.0)], "none"),
             ("SSS", [(1 / 0.7, 100.0), (5.0, 100.0), (10.0, 100.0)], "S,S,S"),
             ("SCC", [(1.0, 10.0), (100.0, 5.0), (100.0, 1 / 0.7)], "none"),
@@ -394,20 +403,50 @@ class TestGlobalFeasibleSubset:
     )
     def test_chain_order_decides_inside_the_band(self, placements, caps, expected):
         chain, specs = chain_from(placements, caps)
-        load = 1.0
-        # A claimed ScaleOutRequired plan runs the scan whatever the planners decide.
-        claim = MigrationPlan((), PlanOutcome.SCALE_OUT_REQUIRED, (), chain)
-        assert reference_global_subset(chain, specs, load) == (expected, True)
-        assert dict(verify_plan(chain, specs, load, claim).info)["global_feasible_subset"] == expected
+        assert self.check_claim(chain, specs, 1.0) == (expected, True)
+
+    def test_anchored_scenarios(self):
+        rng = random.Random(55)
+        results = []
+        for i in range(300):
+            generate = randgen.boundary_scenario if i % 2 else randgen.random_scenario
+            chain, specs, load = generate(rng, max_len=8 if i % 2 else 10)
+            ingress, egress = rng.choice((S, C)), rng.choice((S, C))
+            chain = replace(chain, ingress_anchor=ingress, egress_anchor=egress)
+            results += [*self.check(chain, specs, load), self.check_claim(chain, specs, load)]
+        found = {expected for expected, _ in results}
+        assert len(results) >= 400
+        assert "none" in found and len(found) > 20
+        assert any(near_one for _, near_one in results)
+
+    def test_infinite_and_nan_ratios(self):
+        # theta = inf gives inf ratios, and inf over an inf capacity NaN; a
+        # finite theta over an inf capacity gives ratio 0.
+        rng = random.Random(56)
+        found = set()
+        for i in range(200):
+            n = rng.randint(1, 8)
+            placements = "".join(rng.choice("SC") for _ in range(n))
+            caps = [
+                tuple(math.inf if rng.random() < 0.4 else randgen.log_uniform(rng) for _ in "SC")
+                for _ in range(n)
+            ]
+            chain, specs = chain_from(placements, caps)
+            ingress, egress = rng.choice((S, C)), rng.choice((S, C))
+            chain = replace(chain, ingress_anchor=ingress, egress_anchor=egress)
+            load = math.inf if i % 2 else rng.uniform(0.1, 4.0)
+            assert validate(Scenario(chain, specs, load)).ok
+            found.add((load == math.inf, self.check_claim(chain, specs, load)[0]))
+        # No device fits an inf or NaN ratio, so theta = inf has no witness.
+        assert (True, "none") in found and not any(inf and e != "none" for inf, e in found)
+        assert len(found) > 10
 
     def test_first_of_several_fits_is_reported(self, fig1_chain, fig1_specs):
         # On the fig1 chain at 1.2 Gbps several subsets fit; counting order
         # puts C,C,S,S,C (index 0b10011) first.
-        chain, specs, load = fig1_chain, fig1_specs, 1.2
-        claim = MigrationPlan((), PlanOutcome.SCALE_OUT_REQUIRED, (), chain)
-        report = verify_plan(chain, specs, load, claim)
-        assert reference_global_subset(chain, specs, load)[0] == "C,C,S,S,C"
-        assert dict(report.info)["global_feasible_subset"] == "C,C,S,S,C"
+        expected = oracle_script.golden_first_feasible_subset(1.2)
+        assert expected == "C,C,S,S,C"
+        assert self.check_claim(fig1_chain, fig1_specs, 1.2)[0] == expected
 
     def test_known_limitation_witness(self):
         chain, specs, load = greedy_limitation()

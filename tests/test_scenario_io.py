@@ -121,6 +121,23 @@ class TestLoadScenario:
             load_scenario(path)
         assert str(err.value) == f"{path}: invalid UTF-8 at byte 0: invalid start byte"
 
+    def test_nesting_past_the_parser_limit_names_the_file(self, tmp_path):
+        # Far deeper than CPython's recursion guard for json, whose depth
+        # differs between supported versions.
+        depth = 100_000
+        path = tmp_path / "deep.scenario.json"
+        path.write_text('{"chain": ' + "[" * depth + "]" * depth + ', "theta_cur": 1.0}')
+        with pytest.raises(ScenarioFormatError) as err:
+            load_scenario(path)
+        assert str(err.value).startswith(f"{path}: invalid JSON: maximum recursion depth")
+
+    def test_number_past_the_digit_limit_names_the_file(self, tmp_path):
+        path = tmp_path / "digits.scenario.json"
+        path.write_text('{"chain": [], "theta_cur": ' + "9" * 5000 + "}")
+        with pytest.raises(ScenarioFormatError) as err:
+            load_scenario(path)
+        assert str(err.value).startswith(f"{path}: invalid JSON: Exceeds the limit")
+
     def test_anchors_default_to_smartnic(self):
         doc = fig1_doc()
         del doc["anchors"]
@@ -430,3 +447,10 @@ class TestLoadTrace:
         with pytest.raises(ScenarioFormatError) as err:
             load_trace(path)
         assert str(err.value) == f"{path}: invalid UTF-8 at byte 29: invalid start byte"
+
+    def test_field_over_the_csv_limit_names_the_file(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("t,theta_cur_gbps\n0.0,1.0\n1.0," + "1" * 200_000 + "\n")
+        with pytest.raises(ScenarioFormatError) as err:
+            load_trace(path)
+        assert str(err.value) == f"{path}: line 3: field larger than field limit (131072)"
