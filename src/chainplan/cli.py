@@ -19,12 +19,7 @@ from .perf import count_crossings
 from .planner import MigrationPlan, plan_pam
 from .reports import comparison_svg, timeline_svg, timeline_to_csv
 from .resources import device_utilizations
-from .scenario_io import (
-    ScenarioFormatError,
-    ScenarioValidationError,
-    load_scenario,
-    load_trace,
-)
+from .scenario_io import ScenarioValidationError, load_scenario, load_trace
 from .simulate import _PLANNERS, POLICIES, ComparisonReport, PolicyResult, compare, run_trace
 
 EXIT_OK = 0
@@ -317,7 +312,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
-    except (ScenarioFormatError, ScenarioValidationError, ValueError) as exc:
+    except ValueError as exc:  # the readers' two error classes are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID_INPUT
     except OSError as exc:

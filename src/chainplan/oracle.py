@@ -202,30 +202,27 @@ def verify_plan(
     info: list[tuple[str, str]] = []
 
     # (a) post_chain is the input with exactly the steps applied, in order.
-    work: ServiceChain | None = chain
+    work = chain
     replay_problem = ""
     for step_no, vnf_id in enumerate(plan.steps, start=1):
         try:
             idx = work.index_of(vnf_id)
         except KeyError:
             replay_problem = f"step {step_no} names unknown vNF {vnf_id!r}"
-            work = None
             break
         if work.vnfs[idx].placement is not Placement.SMARTNIC:
             replay_problem = (
                 f"step {step_no} migrates {vnf_id!r} which is not on the SmartNIC "
                 f"in {_vector_label(work.placements())}"
             )
-            work = None
             break
         work = work.with_placement(idx, Placement.CPU)
-    if work is not None and work != plan.post_chain:
+    if not replay_problem and work != plan.post_chain:
         replay_problem = (
             f"replayed steps give {_vector_label(work.placements())} but post_chain is "
             f"{_vector_label(plan.post_chain.placements())}"
         )
-        work = None
-    assertions.append(AssertionResult("reachability", work is not None, replay_problem))
+    assertions.append(AssertionResult("reachability", not replay_problem, replay_problem))
 
     # (b) Resolved means strictly feasible on both devices.
     if plan.outcome is PlanOutcome.RESOLVED:

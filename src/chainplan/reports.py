@@ -12,6 +12,7 @@ import re
 from pathlib import Path
 from typing import Sequence
 
+from .scenario_io import _csv_rows
 from .simulate import ComparisonReport, TimelineRecord
 
 TIMELINE_COLUMNS = (
@@ -74,30 +75,22 @@ class _CsvText(dict):
 _CSV_SPECIAL = re.compile('[,"\r\n]')
 
 
+def _vnf_ids(field: str) -> tuple[str, ...]:
+    return tuple(x for x in field.split(";") if x)
+
+
+# How `parse_timeline_csv` reads each field, in TIMELINE_COLUMNS order.
+_TIMELINE_READERS = (float, float, str, float, float, int, float, float, _vnf_ids, int, str)
+
+
 def parse_timeline_csv(text: str) -> tuple[TimelineRecord, ...]:
-    rows = list(csv.reader(io.StringIO(text)))
-    if not rows or tuple(rows[0]) != TIMELINE_COLUMNS:
-        raise ValueError(f"timeline header must be {','.join(TIMELINE_COLUMNS)}")
-    records = []
-    for row in rows[1:]:
-        if not row:
-            continue
-        records.append(
-            TimelineRecord(
-                t=float(row[0]),
-                theta_cur=float(row[1]),
-                policy=row[2],
-                smartnic_util=float(row[3]),
-                cpu_util=float(row[4]),
-                crossings=int(row[5]),
-                latency_us=float(row[6]),
-                max_throughput_gbps=float(row[7]),
-                migrations_this_step=tuple(x for x in row[8].split(";") if x),
-                cumulative_migrations=int(row[9]),
-                outcome=row[10],
-            )
-        )
-    return tuple(records)
+    """The records of a timeline CSV. The header must be TIMELINE_COLUMNS, and
+    a row of the wrong width or a field over csv's field limit raises a
+    ValueError naming its line."""
+    return tuple(
+        TimelineRecord._make([read(field) for read, field in zip(_TIMELINE_READERS, row)])
+        for _, row in _csv_rows(text, TIMELINE_COLUMNS, "timeline")
+    )
 
 
 def emit_report(data, format: str, path: str | Path) -> None:

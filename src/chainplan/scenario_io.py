@@ -15,7 +15,7 @@ import json
 import math
 from dataclasses import MISSING, fields, replace
 from pathlib import Path
-from typing import NamedTuple
+from typing import Callable, Iterator, NamedTuple, TypeVar
 
 from .model import (
     DEFAULT_PCIE_LATENCY_US,
@@ -39,9 +39,13 @@ NEW_SPEC_KEYS = tuple(f.name for f in fields(VnfSpec) if f.name != "name" and f.
 
 TRACE_HEADER = ("t", "theta_cur_gbps")
 
+_T = TypeVar("_T")
+
 
 class ScenarioFormatError(ValueError):
-    """Malformed scenario or trace file; the message names the offending key or line."""
+    """Malformed scenario, trace or timeline input. The message names the
+    offending key or line; from `load_scenario` and `load_trace` it starts
+    with the file's path."""
 
 
 class ScenarioValidationError(ValueError):
@@ -191,20 +195,31 @@ def _read_text(path: str | Path) -> str:
     try:
         return Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
-        message = f"{path}: invalid UTF-8 at byte {exc.start}: {exc.reason}"
-        raise ScenarioFormatError(message) from exc
+        raise ScenarioFormatError(f"invalid UTF-8 at byte {exc.start}: {exc.reason}") from exc
+
+
+def _parse_file(path: str | Path, parse: Callable[[str], _T]) -> _T:
+    """`parse` applied to the file's text. Each ScenarioFormatError that the
+    read or the parse raises gets `{path}: ` in front, once."""
+    try:
+        return parse(_read_text(path))
+    except ScenarioFormatError as exc:
+        raise ScenarioFormatError(f"{path}: {exc}") from exc
+
+
+def _scenario_from_json(text: str) -> Scenario:
+    try:
+        data = json.loads(text, object_pairs_hook=_strict_object)
+    except json.JSONDecodeError as exc:
+        raise ScenarioFormatError(f"invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+    except (RecursionError, ValueError) as exc:  # nested too deep, an int of too many digits
+        raise ScenarioFormatError(f"invalid JSON: {exc}") from exc
+    return scenario_from_dict(data)
 
 
 def load_scenario(path: str | Path) -> Scenario:
     """Parse, resolve and validate a scenario file."""
-    text = _read_text(path)
-    try:
-        data = json.loads(text, object_pairs_hook=_strict_object)
-    except json.JSONDecodeError as exc:
-        raise ScenarioFormatError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
-    except (RecursionError, ValueError) as exc:  # nested too deep, an int of too many digits
-        raise ScenarioFormatError(f"{path}: invalid JSON: {exc}") from exc
-    return scenario_from_dict(data)
+    return _parse_file(path, _scenario_from_json)
 
 
 def scenario_to_dict(scenario: Scenario) -> dict:
@@ -241,40 +256,44 @@ def save_scenario(scenario: Scenario, path: str | Path) -> None:
     Path(path).write_text(text, encoding="utf-8")
 
 
-def load_trace(path: str | Path) -> tuple[TracePoint, ...]:
-    """Parse a trace CSV with header t,theta_cur_gbps and at least one data
-    row; t must strictly increase."""
-    text = _read_text(path)
+def _csv_rows(text: str, header: tuple[str, ...], name: str) -> Iterator[tuple[int, list[str]]]:
+    """Yield (line, row) for each data row of CSV `text`, whose first row must
+    be `header`. Blank rows are skipped, every other row must have one field
+    per column, and a row's line counts rows from the header's 1."""
     reader = csv.reader(io.StringIO(text))
     try:
         rows = list(reader)
     except csv.Error as exc:  # a field over csv's field_size_limit, say
-        raise ScenarioFormatError(f"{path}: line {reader.line_num}: {exc}") from exc
-    if not rows or tuple(rows[0]) != TRACE_HEADER:
-        raise ScenarioFormatError(
-            f"{path}: trace header must be '{','.join(TRACE_HEADER)}'"
-        )
+        raise ScenarioFormatError(f"line {reader.line_num}: {exc}") from exc
+    if not rows or tuple(rows[0]) != header:
+        raise ScenarioFormatError(f"{name} header must be '{','.join(header)}'")
+    for line, row in enumerate(rows[1:], start=2):
+        if row:
+            if len(row) != len(header):
+                raise ScenarioFormatError(f"line {line}: expected {len(header)} fields")
+            yield line, row
+
+
+def _trace_points(text: str) -> tuple[TracePoint, ...]:
     points: list[TracePoint] = []
-    for lineno, row in enumerate(rows[1:], start=2):
-        if not row:
-            continue
-        if len(row) != 2:
-            raise ScenarioFormatError(f"{path}: line {lineno}: expected 2 fields")
+    for line, (t_text, theta_text) in _csv_rows(text, TRACE_HEADER, "trace"):
         try:
-            t, theta = float(row[0]), float(row[1])
+            t, theta = float(t_text), float(theta_text)
         except ValueError as exc:
-            raise ScenarioFormatError(f"{path}: line {lineno}: {exc}") from exc
+            raise ScenarioFormatError(f"line {line}: {exc}") from exc
         if not (math.isfinite(t) and math.isfinite(theta)):
-            raise ScenarioFormatError(f"{path}: line {lineno}: values must be finite")
+            raise ScenarioFormatError(f"line {line}: values must be finite")
         if points and t <= points[-1].t:
-            raise ScenarioFormatError(
-                f"{path}: line {lineno}: t must be strictly increasing"
-            )
+            raise ScenarioFormatError(f"line {line}: t must be strictly increasing")
         if theta < 0:
-            raise ScenarioFormatError(
-                f"{path}: line {lineno}: theta_cur_gbps must be >= 0"
-            )
+            raise ScenarioFormatError(f"line {line}: theta_cur_gbps must be >= 0")
         points.append(TracePoint(t, theta))
     if not points:
-        raise ScenarioFormatError(f"{path}: trace has no data rows")
+        raise ScenarioFormatError("trace has no data rows")
     return tuple(points)
+
+
+def load_trace(path: str | Path) -> tuple[TracePoint, ...]:
+    """Parse a trace CSV with header t,theta_cur_gbps and at least one data
+    row; t must strictly increase."""
+    return _parse_file(path, _trace_points)

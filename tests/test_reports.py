@@ -61,8 +61,25 @@ class TestTimelineCsv:
         assert parsed[0].migrations_this_step == ("Logger", "Monitor")
 
     def test_bad_header_rejected(self):
-        with pytest.raises(ValueError, match="header"):
+        with pytest.raises(ValueError) as err:
             parse_timeline_csv("a,b\n1,2\n")
+        assert str(err.value) == f"timeline header must be '{','.join(TIMELINE_COLUMNS)}'"
+
+    @pytest.mark.parametrize(
+        "edit", [lambda fields: fields[:2], lambda fields: fields + ["extra"]], ids=["short-row", "long-row"]
+    )
+    def test_row_of_the_wrong_width_names_its_line(self, edit):
+        header, row = timeline_to_csv(sample_records()[:1]).splitlines()
+        bad = ",".join(edit(row.split(",")))
+        with pytest.raises(ValueError) as err:
+            parse_timeline_csv(f"{header}\n{row}\n{bad}\n")
+        assert str(err.value) == f"line 3: expected {len(TIMELINE_COLUMNS)} fields"
+
+    def test_field_over_the_csv_limit_names_its_line(self):
+        header, row = timeline_to_csv(sample_records()[:1]).splitlines()
+        with pytest.raises(ValueError) as err:
+            parse_timeline_csv(f"{header}\n{row}\n{'1' * 200_000}\n")
+        assert str(err.value) == "line 3: field larger than field limit (131072)"
 
 
 def reference_timeline_csv(records):

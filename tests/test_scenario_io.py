@@ -171,7 +171,7 @@ class TestLoadScenario:
             with pytest.raises(ScenarioFormatError) as exc:
                 load_scenario(path)
             got = repr(float(constant))
-            assert str(exc.value) == f"{where} must be a finite number, got {got}"
+            assert str(exc.value) == f"{path}: {where} must be a finite number, got {got}"
 
     def test_duplicate_key_is_named(self, tmp_path):
         path = tmp_path / "dup.scenario.json"
@@ -187,7 +187,7 @@ class TestLoadScenario:
             path.write_text(text.replace(old, f"{old}, {old}"))
             with pytest.raises(ScenarioFormatError) as exc:
                 load_scenario(path)
-            assert str(exc.value) == f"duplicate key {key!r} in {where}"
+            assert str(exc.value) == f"{path}: duplicate key {key!r} in {where}"
 
 
 def _set(doc: dict, path: tuple, value: object) -> dict:
@@ -325,7 +325,7 @@ class TestChainReader:
         path.write_text(_long_chain_text(pos, bad_entry))
         with pytest.raises(ScenarioFormatError) as excinfo:
             load_scenario(path)
-        assert str(excinfo.value) == message.format(pos=pos)
+        assert str(excinfo.value) == f"{path}: " + message.format(pos=pos)
 
     def test_long_chain_reads_every_entry(self, tmp_path):
         path = tmp_path / "long.scenario.json"
@@ -448,9 +448,67 @@ class TestLoadTrace:
             load_trace(path)
         assert str(err.value) == f"{path}: invalid UTF-8 at byte 29: invalid start byte"
 
+    @pytest.mark.parametrize("row", ["1.0", "1.0,2.0,3.0"], ids=["short", "long"])
+    def test_row_of_the_wrong_width_reports_the_line(self, tmp_path, row):
+        path = tmp_path / "t.csv"
+        path.write_text(f"t,theta_cur_gbps\n0.0,1.0\n{row}\n")
+        with pytest.raises(ScenarioFormatError) as err:
+            load_trace(path)
+        assert str(err.value) == f"{path}: line 3: expected 2 fields"
+
     def test_field_over_the_csv_limit_names_the_file(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_text("t,theta_cur_gbps\n0.0,1.0\n1.0," + "1" * 200_000 + "\n")
         with pytest.raises(ScenarioFormatError) as err:
             load_trace(path)
         assert str(err.value) == f"{path}: line 3: field larger than field limit (131072)"
+
+
+# (reader, file contents): the bad inputs of the tests above, for both
+# readers. Every format error must start with the file's path, once.
+BAD_FILES = [
+    *(
+        pytest.param(load_scenario, json.dumps(case.values[0](fig1_doc())).encode(), id=f"scenario-{case.id}")
+        for case in STRICT_READER_CASES
+    ),
+    *(
+        pytest.param(load_scenario, _long_chain_text(1, case.values[0]).encode(), id=f"chain-{case.id}")
+        for case in BAD_CHAIN_ENTRIES
+    ),
+    pytest.param(load_scenario, b'{\n  "chain": [,]\n}\n', id="scenario-invalid-json"),
+    pytest.param(load_scenario, b"\xff", id="scenario-not-utf8"),
+    pytest.param(
+        load_scenario, b'{"chain": ' + b"[" * 100_000 + b"]" * 100_000 + b', "theta_cur": 1.0}',
+        id="scenario-nested-too-deep",
+    ),
+    pytest.param(load_scenario, b'{"chain": [], "theta_cur": ' + b"9" * 5000 + b"}", id="scenario-too-many-digits"),
+    pytest.param(
+        load_scenario, golden.FIG1_SCENARIO.read_bytes().replace(b'"theta_cur": 1.2', b'"theta_cur": NaN'),
+        id="scenario-nan",
+    ),
+    pytest.param(
+        load_scenario, golden.FIG1_SCENARIO.read_bytes().replace(b'"theta_cur": 1.2', b'"theta_cur": 1.2, "theta_cur": 1.2'),
+        id="scenario-duplicate-key",
+    ),
+    pytest.param(load_trace, b"t,theta_cur_gbps\n\n", id="trace-no-rows"),
+    pytest.param(load_trace, b"time,gbps\n0,1\n", id="trace-header"),
+    pytest.param(load_trace, b"t,theta_cur_gbps\n0.0,1.0\n0.0,2.0\n", id="trace-not-increasing"),
+    pytest.param(load_trace, b"t,theta_cur_gbps\n0.0,-1.0\n", id="trace-negative"),
+    pytest.param(load_trace, b"t,theta_cur_gbps\n0.0,1.0\nx,2.0\n", id="trace-not-a-number"),
+    pytest.param(load_trace, b"t,theta_cur_gbps\n0.0,1.0\n1.0,nan\n", id="trace-not-finite"),
+    pytest.param(load_trace, b"t,theta_cur_gbps\n0.0,1.0\n1.0\n", id="trace-short-row"),
+    pytest.param(load_trace, b"t,theta_cur_gbps\n0.0,1.0\n1.0,2.0,3.0\n", id="trace-long-row"),
+    pytest.param(load_trace, b"t,theta_cur_gbps\n0.0,1.0\n1.0,\xff2.0\n", id="trace-not-utf8"),
+    pytest.param(load_trace, b"t,theta_cur_gbps\n0.0,1.0\n1.0," + b"1" * 200_000 + b"\n", id="trace-field-over-limit"),
+]
+
+
+@pytest.mark.parametrize("load, data", BAD_FILES)
+def test_format_error_starts_with_the_path_once(tmp_path, load, data):
+    path = tmp_path / "bad.input"
+    path.write_bytes(data)
+    with pytest.raises(ScenarioFormatError) as err:
+        load(path)
+    message = str(err.value)
+    assert message.startswith(f"{path}: ")
+    assert message.count(str(path)) == 1
