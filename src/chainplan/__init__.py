@@ -7,7 +7,6 @@ from .model import (
     ServiceChain,
     ValidationReport,
     Violation,
-    VnfInstance,
     VnfSpec,
     builtin_table1,
     validate,
@@ -62,7 +61,6 @@ __all__ = [
     "ValidationReport",
     "VerificationReport",
     "Violation",
-    "VnfInstance",
     "VnfSpec",
     "border_peel_closure",
     "builtin_table1",

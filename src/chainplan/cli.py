@@ -155,8 +155,8 @@ def _plan_json(scenario: Scenario, policy: str, plan: MigrationPlan) -> str:
             [_VNF_ID_HEAD + enc(i) + _REJECTION_TAIL for i in plan.rejected_candidates], "  "
         ),
         ',\n  "post_placements": ', _entries([
-            _PLACEMENT_HEAD + enc(v.id) + (nic_tail if v.placement is nic else cpu_tail)
-            for v in plan.post_chain.vnfs
+            _PLACEMENT_HEAD + enc(i) + (nic_tail if p is nic else cpu_tail)
+            for i, p in zip(plan.post_chain.ids, plan.post_chain.placements)
         ], "  "),
         ',\n  "smartnic_util_before": ', nic_before,
         ',\n  "smartnic_util_after": ', nic_after,

@@ -36,48 +36,40 @@ class VnfSpec:
 
 
 @dataclass(frozen=True)
-class VnfInstance:
-    id: str
-    spec: str
-    placement: Placement
-
-
-@dataclass(frozen=True)
 class ServiceChain:
-    """Ordered vNF instances in traffic order, bracketed by the NIC-side anchors.
+    """vNFs in traffic order as three equal-length columns (their ids, the
+    names of their specs and their placements), bracketed by the NIC-side
+    anchors.
 
     Anchors default to the SmartNIC because packets physically enter and
     leave the host through the NIC; a chain-head vNF on the SmartNIC is
     therefore not adjacent to the CPU.
     """
 
-    vnfs: tuple[VnfInstance, ...]
+    ids: tuple[str, ...]
+    spec_names: tuple[str, ...]
+    placements: tuple[Placement, ...]
     ingress_anchor: Placement = Placement.SMARTNIC
     egress_anchor: Placement = Placement.SMARTNIC
 
-    def __len__(self) -> int:
-        return len(self.vnfs)
+    def __post_init__(self) -> None:
+        if not len(self.ids) == len(self.spec_names) == len(self.placements):
+            raise ValueError(
+                f"chain columns differ in length: {len(self.ids)} ids, "
+                f"{len(self.spec_names)} spec names, {len(self.placements)} placements"
+            )
 
-    def placements(self) -> tuple[Placement, ...]:
-        # From a list, not a generator: CPython builds tuple(<generator>) at a
-        # guessed length and resizes it, so each call parks one tuple of the
-        # real length on the interpreter's free lists (up to 2,000 per length).
-        return tuple([v.placement for v in self.vnfs])
+    def __len__(self) -> int:
+        return len(self.ids)
 
     def placement_sequence(self) -> tuple[Placement, ...]:
         """Placements as traffic sees them: ingress anchor, every vNF, egress anchor."""
-        return (self.ingress_anchor, *(v.placement for v in self.vnfs), self.egress_anchor)
-
-    def index_of(self, vnf_id: str) -> int:
-        for i, v in enumerate(self.vnfs):
-            if v.id == vnf_id:
-                return i
-        raise KeyError(vnf_id)
+        return (self.ingress_anchor, *self.placements, self.egress_anchor)
 
     def with_placement(self, index: int, placement: Placement) -> "ServiceChain":
-        vnfs = list(self.vnfs)
-        vnfs[index] = replace(vnfs[index], placement=placement)
-        return replace(self, vnfs=tuple(vnfs))
+        placements = list(self.placements)
+        placements[index] = placement
+        return replace(self, placements=tuple(placements))
 
 
 @dataclass(frozen=True)
@@ -104,7 +96,10 @@ class ValidationReport(NamedTuple):
         return not self.violations
 
     def codes(self) -> tuple[str, ...]:
-        return tuple([v.code for v in self.violations])  # a list: see placements
+        # From a list, not a generator: CPython builds tuple(<generator>) at a
+        # guessed length and resizes it, so each call parks one tuple of the
+        # real length on the interpreter's free lists (up to 2,000 per length).
+        return tuple([v.code for v in self.violations])
 
 
 def builtin_table1() -> dict[str, VnfSpec]:
@@ -143,22 +138,22 @@ def validate(scenario: Scenario) -> ValidationReport:
     violations: list[Violation] = []
     chain = scenario.chain
 
-    if not chain.vnfs:
+    if not chain.ids:
         violations.append(Violation("empty_chain", "chain", "chain has no vNF instances"))
 
     seen: set[str] = set()
-    for v in chain.vnfs:
-        if v.id in seen:
+    for vnf_id, spec in zip(chain.ids, chain.spec_names):
+        if vnf_id in seen:
             violations.append(
-                Violation("duplicate_vnf_id", f"chain[{v.id}]", f"vNF id {v.id!r} appears more than once")
+                Violation("duplicate_vnf_id", f"chain[{vnf_id}]", f"vNF id {vnf_id!r} appears more than once")
             )
-        seen.add(v.id)
-        if v.spec not in scenario.specs:
+        seen.add(vnf_id)
+        if spec not in scenario.specs:
             violations.append(
                 Violation(
                     "unresolved_spec_reference",
-                    f"chain[{v.id}].spec",
-                    f"vNF {v.id!r} references unknown spec {v.spec!r}",
+                    f"chain[{vnf_id}].spec",
+                    f"vNF {vnf_id!r} references unknown spec {spec!r}",
                 )
             )
 

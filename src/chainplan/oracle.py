@@ -79,7 +79,7 @@ def enumerate_placements(
     _check_length(chain)
     n = len(chain)
     s_ratio, c_ratio = demand_ratios(chain, specs, theta_cur)
-    input_vec = chain.placements()
+    input_vec = chain.placements
 
     records = []
     for k in range(1 << n):
@@ -107,8 +107,8 @@ def border_peel_closure(chain: ServiceChain) -> Iterator[tuple[Placement, ...]]:
     borders are fixed by it and the anchors) needs no second visit.
     """
     n = len(chain)
-    seen = {chain.placements()}
-    queue = deque([(chain.placements(), identify_borders(chain))])
+    seen = {chain.placements}
+    queue = deque([(chain.placements, identify_borders(chain))])
     while queue:
         vec, borders = queue.popleft()
         yield vec
@@ -206,21 +206,21 @@ def verify_plan(
     replay_problem = ""
     for step_no, vnf_id in enumerate(plan.steps, start=1):
         try:
-            idx = work.index_of(vnf_id)
-        except KeyError:
+            idx = work.ids.index(vnf_id)
+        except ValueError:
             replay_problem = f"step {step_no} names unknown vNF {vnf_id!r}"
             break
-        if work.vnfs[idx].placement is not Placement.SMARTNIC:
+        if work.placements[idx] is not Placement.SMARTNIC:
             replay_problem = (
                 f"step {step_no} migrates {vnf_id!r} which is not on the SmartNIC "
-                f"in {_vector_label(work.placements())}"
+                f"in {_vector_label(work.placements)}"
             )
             break
         work = work.with_placement(idx, Placement.CPU)
     if not replay_problem and work != plan.post_chain:
         replay_problem = (
-            f"replayed steps give {_vector_label(work.placements())} but post_chain is "
-            f"{_vector_label(plan.post_chain.placements())}"
+            f"replayed steps give {_vector_label(work.placements)} but post_chain is "
+            f"{_vector_label(plan.post_chain.placements)}"
         )
     assertions.append(AssertionResult("reachability", not replay_problem, replay_problem))
 
@@ -229,9 +229,9 @@ def verify_plan(
         # Scored on post_chain's own specs: (a) may have found it is not the
         # input's vNFs re-placed.
         post = plan.post_chain
-        ok = _both_fit(post.placements(), *demand_ratios(post, specs, theta_cur))
+        ok = _both_fit(post.placements, *demand_ratios(post, specs, theta_cur))
         detail = "" if ok else (
-            f"post placement {_vector_label(post.placements())} has "
+            f"post placement {_vector_label(post.placements)} has "
             f"smartnic={utilization(post, specs, Placement.SMARTNIC, theta_cur)!r}, "
             f"cpu={utilization(post, specs, Placement.CPU, theta_cur)!r}"
         )
@@ -244,7 +244,7 @@ def verify_plan(
         ok = after <= before
         detail = "" if ok else (
             f"crossings {after} > {before} for placement "
-            f"{_vector_label(plan.post_chain.placements())}"
+            f"{_vector_label(plan.post_chain.placements)}"
         )
         assertions.append(AssertionResult("crossing_nonincrease", ok, detail))
 

@@ -23,6 +23,8 @@ def count_crossings(chain: ServiceChain) -> int:
 def estimate_latency(
     chain: ServiceChain, specs: Mapping[str, VnfSpec], pcie_latency_us: float
 ) -> float:
-    proc = chain_sum([specs[v.spec].proc_latency(v.placement) for v in chain.vnfs])
+    proc = chain_sum(
+        [specs[spec].proc_latency(p) for spec, p in zip(chain.spec_names, chain.placements)]
+    )
     return proc + count_crossings(chain) * pcie_latency_us
 

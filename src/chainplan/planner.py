@@ -59,8 +59,8 @@ def identify_borders(chain: ServiceChain) -> frozenset[int]:
     count, so with SmartNIC anchors a chain-head vNF borders only downstream."""
     seq = chain.placement_sequence()
     return frozenset(
-        i for i, v in enumerate(chain.vnfs)
-        if v.placement is Placement.SMARTNIC and Placement.CPU in (seq[i], seq[i + 2])
+        i for i, p in enumerate(chain.placements)
+        if p is Placement.SMARTNIC and Placement.CPU in (seq[i], seq[i + 2])
     )
 
 
@@ -73,15 +73,15 @@ def _plan(
 ) -> MigrationPlan:
     nic_ratio, cpu_ratio = demand_ratios(chain, specs, theta_cur)
     S, C = Placement.SMARTNIC, Placement.CPU
-    placed = list(chain.placements())
+    placed = list(chain.placements)
     # `nic` is the SmartNIC's `utilization`, the same additions in the same
     # order, so this is `is_overloaded`'s verdict (NaN is not overloaded).
     nic = chain_sum(hosted(nic_ratio, placed, S))
     if not nic >= 1.0:
         return MigrationPlan((), PlanOutcome.NOT_OVERLOADED, (), chain)
 
-    n = len(chain.vnfs)
-    cap_nic = [specs[v.spec].cap_smartnic for v in chain.vnfs]
+    n = len(chain)
+    cap_nic = [specs[name].cap_smartnic for name in chain.spec_names]
     # An overflowing sum is inf, and so is tol then: every test takes `fits`.
     tol = rounding_band(nic_ratio, cpu_ratio)
     cpu = chain_sum(hosted(cpu_ratio, placed, C))
@@ -119,17 +119,10 @@ def _plan(
                 queued.add(j)
                 heapq.heappush(heap, (cap_nic[j], j))
 
-    # Lists, not generators, as in `ServiceChain.placements`.
-    steps = tuple([chain.vnfs[i].id for i in moved])
-    rejections = tuple([chain.vnfs[i].id for i in rejected])
-    post_chain = chain
-    if moved:
-        # Only the moved vNFs are rebuilt; rebuilding every one is about 5x
-        # slower on a 1500-vNF chain.
-        vnfs = list(chain.vnfs)
-        for i in moved:
-            vnfs[i] = replace(vnfs[i], placement=Placement.CPU)
-        post_chain = replace(chain, vnfs=tuple(vnfs))
+    # Lists, not generators, as in `ValidationReport.codes`.
+    steps = tuple([chain.ids[i] for i in moved])
+    rejections = tuple([chain.ids[i] for i in rejected])
+    post_chain = replace(chain, placements=tuple(placed)) if moved else chain
     return MigrationPlan(steps, outcome, rejections, post_chain)
 
 

@@ -32,7 +32,9 @@ TIMELINE_COLUMNS = (
 
 def timeline_to_csv(records: Sequence[TimelineRecord]) -> str:
     """The timeline as CSV, byte for byte what `csv.writer` writes: floats
-    as `repr`, ints as `str`, and the migrated vNF ids `;`-joined.
+    as `repr`, ints as `str`, and the migrated vNF ids `;`-joined. A migrated
+    id that is empty or holds a `;` would not read back, so it raises a
+    ValueError naming the id.
 
     Latency and max throughput are the same float objects for every record
     of one chain state, so each is `repr`-ed only when its object changes
@@ -49,6 +51,12 @@ def timeline_to_csv(records: Sequence[TimelineRecord]) -> str:
             latency, latency_text = lat, repr(lat)
         if tput is not throughput:
             throughput, throughput_text = tput, repr(tput)
+        for vnf_id in migrated:
+            if not vnf_id or ";" in vnf_id:
+                raise ValueError(
+                    f"vNF id {vnf_id!r} cannot be written to the timeline's ;-joined "
+                    "migrations_this_step column"
+                )
         lines.append(
             f"{t!r},{theta!r},{text[policy]},{nic_util!r},{cpu_util!r},"
             f"{crossings},{latency_text},{throughput_text},"

@@ -54,9 +54,10 @@ def utilization(
     Not clamped: a value of 1 or more shows how far over capacity a hot spot
     is. Anchors contribute nothing; a device hosting no vNFs reports 0.
     """
-    return chain_sum(
-        [theta_cur / specs[v.spec].capacity(device) for v in chain.vnfs if v.placement is device]
-    )
+    return chain_sum([
+        theta_cur / specs[spec].capacity(device)
+        for spec, p in zip(chain.spec_names, chain.placements) if p is device
+    ])
 
 
 def device_utilizations(
@@ -68,11 +69,11 @@ def device_utilizations(
     as `chain_sum` adds them, so both values have `utilization`'s bits.
     """
     nic = cpu = 0
-    for v in chain.vnfs:
-        if v.placement is Placement.SMARTNIC:
-            nic += theta_cur / specs[v.spec].cap_smartnic
+    for spec, p in zip(chain.spec_names, chain.placements):
+        if p is Placement.SMARTNIC:
+            nic += theta_cur / specs[spec].cap_smartnic
         else:
-            cpu += theta_cur / specs[v.spec].cap_cpu
+            cpu += theta_cur / specs[spec].cap_cpu
     return nic, cpu
 
 
@@ -105,7 +106,7 @@ def demand_ratios(
 ) -> tuple[list[float], list[float]]:
     """theta_cur / capacity of every vNF, in chain order, on the SmartNIC and
     on the CPU, wherever it sits now."""
-    spec_at = [specs[v.spec] for v in chain.vnfs]
+    spec_at = [specs[name] for name in chain.spec_names]
     return [theta_cur / s.cap_smartnic for s in spec_at], [theta_cur / s.cap_cpu for s in spec_at]
 
 

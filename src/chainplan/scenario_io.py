@@ -23,7 +23,6 @@ from .model import (
     Scenario,
     ServiceChain,
     ValidationReport,
-    VnfInstance,
     VnfSpec,
     builtin_table1,
     validate,
@@ -119,12 +118,13 @@ def _placement(value: object, where: str) -> Placement:
 _CHAIN_ENTRY_KEY_SET = frozenset(CHAIN_ENTRY_KEYS)
 
 
-def _chain_entry(entry: object, where: str) -> VnfInstance:
+def _chain_entry(entry: object, where: str) -> tuple[str, str, Placement]:
+    """The (id, spec name, placement) of one chain entry."""
     entry = _object(entry, where, CHAIN_ENTRY_KEYS, required=CHAIN_ENTRY_KEYS)
-    return VnfInstance(
-        id=_string(entry["id"], f"{where}.id"),
-        spec=_string(entry["spec"], f"{where}.spec"),
-        placement=_placement(entry["placement"], f"{where}.placement"),
+    return (
+        _string(entry["id"], f"{where}.id"),
+        _string(entry["spec"], f"{where}.spec"),
+        _placement(entry["placement"], f"{where}.placement"),
     )
 
 
@@ -135,12 +135,12 @@ def scenario_from_dict(data: object) -> Scenario:
     chain_data = data["chain"]
     if not isinstance(chain_data, list):
         raise ScenarioFormatError("chain must be a list")
-    vnfs = []
+    ids, spec_names, placements = [], [], []
     for pos, entry in enumerate(chain_data):
         # The common, well-formed entry is accepted without building the
         # error locations; any other goes through the strict checks, which
         # raise their message or accept it (a str subclass, say).
-        if (
+        if not (
             type(entry) is dict
             and entry.keys() == _CHAIN_ENTRY_KEY_SET
             and type(vnf_id := entry["id"]) is str
@@ -148,9 +148,10 @@ def scenario_from_dict(data: object) -> Scenario:
             and type(name := entry["placement"]) is str
             and (placement := _PLACEMENTS.get(name)) is not None
         ):
-            vnfs.append(VnfInstance(vnf_id, spec, placement))
-        else:
-            vnfs.append(_chain_entry(entry, f"chain[{pos}]"))
+            vnf_id, spec, placement = _chain_entry(entry, f"chain[{pos}]")
+        ids.append(vnf_id)
+        spec_names.append(spec)
+        placements.append(placement)
 
     anchors = _object(data.get("anchors", {}), "anchors", ANCHOR_KEYS)
     ingress, egress = (
@@ -170,7 +171,7 @@ def scenario_from_dict(data: object) -> Scenario:
     pcie = _number(data.get("pcie_latency_us", DEFAULT_PCIE_LATENCY_US), "pcie_latency_us")
 
     scenario = Scenario(
-        chain=ServiceChain(tuple(vnfs), ingress_anchor=ingress, egress_anchor=egress),
+        chain=ServiceChain(tuple(ids), tuple(spec_names), tuple(placements), ingress, egress),
         specs=specs,
         theta_cur=theta_cur,
         pcie_latency_us=pcie,
@@ -234,15 +235,13 @@ def scenario_to_dict(scenario: Scenario) -> dict:
         for name, spec in scenario.specs.items()
         if builtin.get(name) != spec
     }
+    chain = scenario.chain
     return {
         "chain": [
-            {"id": v.id, "spec": v.spec, "placement": v.placement.value}
-            for v in scenario.chain.vnfs
+            {"id": vnf_id, "spec": spec, "placement": placement.value}
+            for vnf_id, spec, placement in zip(chain.ids, chain.spec_names, chain.placements)
         ],
-        "anchors": {
-            "ingress": scenario.chain.ingress_anchor.value,
-            "egress": scenario.chain.egress_anchor.value,
-        },
+        "anchors": {"ingress": chain.ingress_anchor.value, "egress": chain.egress_anchor.value},
         "spec_overrides": overrides,
         "theta_cur": scenario.theta_cur,
         "pcie_latency_us": scenario.pcie_latency_us,
@@ -259,15 +258,16 @@ def save_scenario(scenario: Scenario, path: str | Path) -> None:
 def _csv_rows(text: str, header: tuple[str, ...], name: str) -> Iterator[tuple[int, list[str]]]:
     """Yield (line, row) for each data row of CSV `text`, whose first row must
     be `header`. Blank rows are skipped, every other row must have one field
-    per column, and a row's line counts rows from the header's 1."""
+    per column, and a row's line is the physical line it ends on (a quoted
+    field may hold a newline), as a `csv.Error`'s is."""
     reader = csv.reader(io.StringIO(text))
     try:
-        rows = list(reader)
+        rows = [(reader.line_num, row) for row in reader]
     except csv.Error as exc:  # a field over csv's field_size_limit, say
         raise ScenarioFormatError(f"line {reader.line_num}: {exc}") from exc
-    if not rows or tuple(rows[0]) != header:
+    if not rows or tuple(rows[0][1]) != header:
         raise ScenarioFormatError(f"{name} header must be '{','.join(header)}'")
-    for line, row in enumerate(rows[1:], start=2):
+    for line, row in rows[1:]:
         if row:
             if len(row) != len(header):
                 raise ScenarioFormatError(f"line {line}: expected {len(header)} fields")

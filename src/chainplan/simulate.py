@@ -60,10 +60,10 @@ def run_trace(
     planner = _PLANNERS.get(policy)
     chain = scenario.chain
     specs = scenario.specs
-    nic_col = [specs[v.spec].cap_smartnic for v in chain.vnfs]
-    cpu_col = [specs[v.spec].cap_cpu for v in chain.vnfs]
-    nic_caps = hosted(nic_col, chain.placements(), Placement.SMARTNIC)
-    cpu_caps = hosted(cpu_col, chain.placements(), Placement.CPU)
+    nic_col = [specs[name].cap_smartnic for name in chain.spec_names]
+    cpu_col = [specs[name].cap_cpu for name in chain.spec_names]
+    nic_caps = hosted(nic_col, chain.placements, Placement.SMARTNIC)
+    cpu_caps = hosted(cpu_col, chain.placements, Placement.CPU)
     not_overloaded = PlanOutcome.NOT_OVERLOADED.value
     make = TimelineRecord._make
     shown = None
@@ -85,8 +85,8 @@ def run_trace(
                 chain = plan.post_chain
                 migrated = plan.steps
                 cumulative += len(migrated)
-                nic_caps = hosted(nic_col, chain.placements(), Placement.SMARTNIC)
-                cpu_caps = hosted(cpu_col, chain.placements(), Placement.CPU)
+                nic_caps = hosted(nic_col, chain.placements, Placement.SMARTNIC)
+                cpu_caps = hosted(cpu_col, chain.placements, Placement.CPU)
                 nic_util = 0
                 for c in nic_caps:
                     nic_util += theta / c

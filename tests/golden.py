@@ -9,7 +9,6 @@ from chainplan import (
     Placement,
     Scenario,
     ServiceChain,
-    VnfInstance,
     VnfSpec,
     builtin_table1,
 )
@@ -36,16 +35,23 @@ def golden_specs(**overrides: VnfSpec) -> dict[str, VnfSpec]:
     return specs
 
 
+def chain_from_rows(rows, ingress: Placement = S, egress: Placement = S) -> ServiceChain:
+    """The chain of `rows`, one (id, spec name, placement) per vNF in traffic
+    order, turned into the chain's three columns."""
+    ids, spec_names, placements = tuple(zip(*rows)) or ((), (), ())
+    return ServiceChain(ids, spec_names, placements, ingress, egress)
+
+
 def golden_chain() -> ServiceChain:
     """LB and C2 on the CPU flanking a three-vNF SmartNIC run."""
-    return ServiceChain(
-        (
-            VnfInstance("LB", "LoadBalancer", C),
-            VnfInstance("Logger", "Logger", S),
-            VnfInstance("Monitor", "Monitor", S),
-            VnfInstance("Firewall", "Firewall", S),
-            VnfInstance("C2", "C2", C),
-        )
+    return chain_from_rows(
+        [
+            ("LB", "LoadBalancer", C),
+            ("Logger", "Logger", S),
+            ("Monitor", "Monitor", S),
+            ("Firewall", "Firewall", S),
+            ("C2", "C2", C),
+        ]
     )
 
 
@@ -79,11 +85,11 @@ def chain_of(placements: str, ingress: Placement = S, egress: Placement = S) -> 
     Every vNF gets the same 4/4 capacities so placement structure is the only
     thing that varies.
     """
-    vnfs = tuple(
-        VnfInstance(f"nf{i}", "any", S if ch == "S" else C)
-        for i, ch in enumerate(placements)
+    return chain_from_rows(
+        [(f"nf{i}", "any", S if ch == "S" else C) for i, ch in enumerate(placements)],
+        ingress,
+        egress,
     )
-    return ServiceChain(vnfs, ingress_anchor=ingress, egress_anchor=egress)
 
 
 UNIFORM_SPECS = {"any": VnfSpec("any", cap_smartnic=4.0, cap_cpu=4.0)}

@@ -15,7 +15,8 @@ from __future__ import annotations
 import math
 import random
 
-from chainplan import Placement, ServiceChain, VnfInstance, VnfSpec
+from chainplan import Placement, ServiceChain, VnfSpec
+from golden import chain_from_rows
 
 CAP_LO, CAP_HI = 0.5, 16.0
 THETA_LO, THETA_HI = 0.1, 4.0
@@ -31,7 +32,7 @@ def random_scenario(
 ) -> tuple[ServiceChain, dict[str, VnfSpec], float]:
     n = rng.randint(1, max_len)
     specs: dict[str, VnfSpec] = {}
-    vnfs = []
+    rows = []
     for j in range(n):
         name = f"nf{j}"
         proc = rng.uniform(0.0, 20.0)
@@ -42,15 +43,9 @@ def random_scenario(
             proc_latency_smartnic=proc,
             proc_latency_cpu=proc,
         )
-        vnfs.append(
-            VnfInstance(
-                id=name,
-                spec=name,
-                placement=rng.choice((Placement.SMARTNIC, Placement.CPU)),
-            )
-        )
+        rows.append((name, name, rng.choice((Placement.SMARTNIC, Placement.CPU))))
     theta = rng.uniform(THETA_LO, THETA_HI)
-    return ServiceChain(tuple(vnfs)), specs, theta
+    return chain_from_rows(rows), specs, theta
 
 
 BOUNDARY_THETAS = (0.3, 0.7, 1.0, 1.1, 1.2, 1.5, 2.4)
@@ -68,15 +63,9 @@ def boundary_scenario(
 
     n = rng.randint(1, max_len)
     specs: dict[str, VnfSpec] = {}
-    vnfs = []
+    rows = []
     for j in range(n):
         name = f"nf{j}"
         specs[name] = VnfSpec(name, cap_smartnic=cap(), cap_cpu=cap())
-        vnfs.append(
-            VnfInstance(
-                id=name,
-                spec=name,
-                placement=rng.choice((Placement.SMARTNIC, Placement.CPU)),
-            )
-        )
-    return ServiceChain(tuple(vnfs)), specs, theta
+        rows.append((name, name, rng.choice((Placement.SMARTNIC, Placement.CPU))))
+    return chain_from_rows(rows), specs, theta

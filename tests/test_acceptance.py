@@ -140,7 +140,7 @@ def test_criterion_5_oracle_suite():
             plan = plan_pam(chain, specs, load)
             report = verify_plan(chain, specs, load, plan)
             if not report.passed:
-                failures.append((i, chain.placements(), report))
+                failures.append((i, chain.placements, report))
         assert not failures, f"{len(failures)} verification failures: {failures[:3]}"
         elapsed = time.perf_counter() - t0
         assert elapsed < 60.0, f"criterion 5 took {elapsed:.1f}s"
@@ -151,8 +151,8 @@ def test_criterion_6_throughput_formula():
         rng = random.Random(SEED)
         for _ in range(200):
             chain, specs, _ = randgen.random_scenario(rng)
-            s_caps = [specs[v.spec].cap_smartnic for v in chain.vnfs if v.placement is S]
-            c_caps = [specs[v.spec].cap_cpu for v in chain.vnfs if v.placement is C]
+            s_caps = [specs[n].cap_smartnic for n, p in zip(chain.spec_names, chain.placements) if p is S]
+            c_caps = [specs[n].cap_cpu for n, p in zip(chain.spec_names, chain.placements) if p is C]
             expected = oracle_script.bisect_max_throughput(s_caps, c_caps, hi=32.0)
             got = max_chain_throughput(chain, specs)
             assert got == pytest.approx(expected, abs=1e-6)
@@ -210,7 +210,7 @@ def test_criterion_7_determinism_and_round_trip(tmp_path, capsys):
 def _migrated_nonborder(chain, plan) -> bool:
     work = chain
     for vnf_id in plan.steps:
-        idx = work.index_of(vnf_id)
+        idx = work.ids.index(vnf_id)
         if idx not in identify_borders(work):
             return True
         work = work.with_placement(idx, C)

@@ -19,8 +19,6 @@ import randgen
 from chainplan import (
     Placement,
     Scenario,
-    ServiceChain,
-    VnfInstance,
     VnfSpec,
     cli,
     load_scenario,
@@ -130,6 +128,23 @@ class TestSimulateCommand:
         assert code == 1
         assert f"{trace}: trace has no data rows" in err
         assert not out_csv.exists()
+
+    @pytest.mark.parametrize("bad_id", ["a;b", ""])
+    def test_a_migrated_id_the_timeline_cannot_carry_is_exit_one(self, capsys, tmp_path, bad_id):
+        # fig1 migrates Logger at the ramp's second point; `validate` accepts both ids.
+        doc = json.loads(golden.FIG1_SCENARIO.read_text())
+        doc["chain"][1]["id"] = bad_id
+        scenario = tmp_path / "renamed.scenario.json"
+        scenario.write_text(json.dumps(doc))
+        out_csv, out_svg = tmp_path / "timeline.csv", tmp_path / "timeline.svg"
+        code, out, err = run(
+            capsys,
+            "simulate", "--scenario", str(scenario), "--trace", str(golden.RAMP_TRACE),
+            "--policy", "pam", "--out", str(out_csv), "--svg", str(out_svg),
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: vNF id {bad_id!r} ") and err.count("\n") == 1
+        assert not out_csv.exists() and not out_svg.exists()
 
 
 # SHA-256 of the timeline CSV and SVG that `chainplan simulate` writes for each
@@ -718,7 +733,7 @@ def reference_payload(scenario: Scenario, policy: str, plan) -> dict:
             {"vnf_id": vnf_id, "reason": "cpu_headroom"} for vnf_id in plan.rejected_candidates
         ],
         "post_placements": [
-            {"id": v.id, "placement": v.placement.value} for v in after.vnfs
+            {"id": vnf_id, "placement": p.value} for vnf_id, p in zip(after.ids, after.placements)
         ],
         "smartnic_util_before": nic_before,
         "smartnic_util_after": nic_after,
@@ -782,10 +797,6 @@ def _check_plan_writers(scenario: Scenario) -> list:
     return written
 
 
-def _with_ids(chain: ServiceChain, ids) -> ServiceChain:
-    return replace(chain, vnfs=tuple(replace(v, id=i) for v, i in zip(chain.vnfs, ids)))
-
-
 class TestPlanJson:
     """`cli._plan_json` and `cli._print_plan_text`, which write `plan`'s
     output straight from the plan, against the reference payload's
@@ -815,7 +826,7 @@ class TestPlanJson:
         rng = random.Random(2028)
         for _ in range(200):
             chain, specs, theta = randgen.random_scenario(rng, max_len=len(ODD_STRINGS))
-            chain = _with_ids(chain, rng.sample(ODD_STRINGS, len(chain)))
+            chain = replace(chain, ids=tuple(rng.sample(ODD_STRINGS, len(chain))))
             _check_plan_writers(Scenario(chain, specs, theta))
 
     def test_empty_smartnic_reads_int_zero(self):
@@ -825,8 +836,7 @@ class TestPlanJson:
             ((C, S), ('"smartnic_util_after": 0,',)),  # both policies move the SmartNIC vNF
             ((C, C), ('"smartnic_util_before": 0,', '"smartnic_util_after": 0,')),
         ):
-            vnfs = tuple(VnfInstance(f"v{i}", "nf", p) for i, p in enumerate(placements))
-            chain = ServiceChain(vnfs)
+            chain = golden.chain_from_rows([(f"v{i}", "nf", p) for i, p in enumerate(placements)])
             for _, doc in _check_plan_writers(Scenario(chain, specs, 1.0)):
                 for zero in zeros:
                     assert zero in doc
@@ -968,7 +978,7 @@ class TestCompareJson:
         rng = random.Random(2029)
         for _ in range(200):
             chain, specs, theta = randgen.random_scenario(rng, max_len=len(ODD_STRINGS))
-            chain = _with_ids(chain, rng.sample(ODD_STRINGS, len(chain)))
+            chain = replace(chain, ids=tuple(rng.sample(ODD_STRINGS, len(chain))))
             _check_compare_writers(compare(Scenario(chain, specs, theta)))
 
     def test_plans_without_steps_or_rejections(self):

@@ -10,7 +10,6 @@ from chainplan import (
     Placement,
     Scenario,
     ServiceChain,
-    VnfInstance,
     VnfSpec,
     builtin_table1,
     validate,
@@ -51,17 +50,32 @@ class TestServiceChain:
 
     def test_with_placement_returns_new_chain(self, fig1_chain):
         moved = fig1_chain.with_placement(1, Placement.CPU)
-        assert moved.vnfs[1].placement is Placement.CPU
-        assert fig1_chain.vnfs[1].placement is Placement.SMARTNIC
-        assert moved.vnfs[0] == fig1_chain.vnfs[0]
+        assert moved.placements[1] is Placement.CPU
+        assert fig1_chain.placements[1] is Placement.SMARTNIC
+        assert moved.placements[0] == fig1_chain.placements[0]
+        assert moved.placements[2:] == fig1_chain.placements[2:]
+        assert moved.ids == fig1_chain.ids
+        assert moved.spec_names == fig1_chain.spec_names
+        assert (moved.ingress_anchor, moved.egress_anchor) == (
+            fig1_chain.ingress_anchor, fig1_chain.egress_anchor
+        )
 
-    def test_index_of_missing_id_raises(self, fig1_chain):
-        with pytest.raises(KeyError):
-            fig1_chain.index_of("nope")
+    @pytest.mark.parametrize(
+        "ids, spec_names, placements",
+        [
+            (("a", "b"), ("Logger",), (Placement.CPU, Placement.CPU)),
+            (("a",), ("Logger", "Logger"), (Placement.CPU,)),
+            (("a",), ("Logger",), ()),
+            ((), (), (Placement.CPU,)),
+        ],
+    )
+    def test_columns_of_unequal_length_raise(self, ids, spec_names, placements):
+        with pytest.raises(ValueError, match="chain columns differ in length"):
+            ServiceChain(ids, spec_names, placements)
 
     def test_types_are_frozen(self, fig1_chain):
         with pytest.raises(dataclasses.FrozenInstanceError):
-            fig1_chain.vnfs[0].placement = Placement.SMARTNIC  # type: ignore[misc]
+            fig1_chain.placements = (Placement.SMARTNIC,) * len(fig1_chain)  # type: ignore[misc]
         with pytest.raises(dataclasses.FrozenInstanceError):
             golden.golden_specs()["Logger"].cap_cpu = 1.0  # type: ignore[misc]
 
@@ -73,7 +87,7 @@ class TestValidate:
         assert report.violations == ()
 
     def test_empty_chain(self):
-        scenario = Scenario(ServiceChain(()), golden.golden_specs(), 1.0)
+        scenario = Scenario(ServiceChain((), (), ()), golden.golden_specs(), 1.0)
         report = validate(scenario)
         assert not report.ok
         assert "empty_chain" in report.codes()
@@ -86,7 +100,7 @@ class TestValidate:
         assert "cap_smartnic" in report.violations[0].where
 
     def test_unresolved_spec_reference(self):
-        chain = ServiceChain((VnfInstance("x", "Mystery", Placement.CPU),))
+        chain = golden.chain_from_rows([("x", "Mystery", Placement.CPU)])
         report = validate(Scenario(chain, golden.golden_specs(), 1.0))
         assert report.codes() == ("unresolved_spec_reference",)
 
@@ -97,11 +111,8 @@ class TestValidate:
         assert report.codes() == ("negative_latency",)
 
     def test_duplicate_vnf_id(self):
-        chain = ServiceChain(
-            (
-                VnfInstance("a", "Logger", Placement.CPU),
-                VnfInstance("a", "Monitor", Placement.CPU),
-            )
+        chain = golden.chain_from_rows(
+            [("a", "Logger", Placement.CPU), ("a", "Monitor", Placement.CPU)]
         )
         report = validate(Scenario(chain, golden.golden_specs(), 1.0))
         assert "duplicate_vnf_id" in report.codes()

@@ -17,7 +17,6 @@ from chainplan import (
     PlanOutcome,
     Scenario,
     ServiceChain,
-    VnfInstance,
     VnfSpec,
     border_peel_closure,
     count_crossings,
@@ -37,7 +36,7 @@ C = Placement.CPU
 
 class TestEnumeratePlacements:
     def test_single_vnf_gives_two_records(self, fig1_specs):
-        chain = ServiceChain((VnfInstance("Logger", "Logger", S),))
+        chain = golden.chain_from_rows([("Logger", "Logger", S)])
         records = enumerate_placements(chain, fig1_specs, 1.0)
         assert len(records) == 2
 
@@ -66,7 +65,7 @@ class TestEnumeratePlacements:
         load = 1.2
         base_crossings = 4
         records = enumerate_placements(fig1_chain, fig1_specs, load)
-        input_vec = fig1_chain.placements()
+        input_vec = fig1_chain.placements
         candidates = []
         for record in records:
             reachable = all(
@@ -84,7 +83,7 @@ class TestEnumeratePlacements:
         assert smallest == 1
         moved_sets = {
             frozenset(
-                fig1_chain.vnfs[j].id
+                fig1_chain.ids[j]
                 for j in range(len(fig1_chain))
                 if input_vec[j] is S and r.placement_vector[j] is C
             )
@@ -103,11 +102,11 @@ class TestEnumeratePlacements:
             theta = load
             for record in enumerate_placements(chain, specs, load):
                 s_util = c_util = 0.0
-                for v, p in zip(chain.vnfs, record.placement_vector):
+                for spec, p in zip(chain.spec_names, record.placement_vector):
                     if p is S:
-                        s_util += theta / specs[v.spec].cap_smartnic
+                        s_util += theta / specs[spec].cap_smartnic
                     else:
-                        c_util += theta / specs[v.spec].cap_cpu
+                        c_util += theta / specs[spec].cap_cpu
                 seq = (chain.ingress_anchor, *record.placement_vector, chain.egress_anchor)
                 crossings = sum(1 for a, b in zip(seq, seq[1:]) if a is not b)
                 assert record.feasible_smartnic == (s_util < 1.0)
@@ -115,9 +114,9 @@ class TestEnumeratePlacements:
                 assert record.crossings == crossings
 
     def test_rejects_chains_over_the_cap(self, fig1_specs):
-        vnfs = tuple(VnfInstance(f"n{i}", "Logger", S) for i in range(21))
+        chain = golden.chain_from_rows([(f"n{i}", "Logger", S) for i in range(21)])
         with pytest.raises(ChainTooLongError):
-            enumerate_placements(ServiceChain(vnfs), fig1_specs, 0.1)
+            enumerate_placements(chain, fig1_specs, 0.1)
 
 
 class TestVerifyPlan:
@@ -177,6 +176,21 @@ class TestVerifyPlan:
         failed = {a.name for a in report.assertions if not a.passed}
         assert "reachability" in failed
 
+    @pytest.mark.parametrize(
+        "steps, detail",
+        [
+            (("nope",), "step 1 names unknown vNF 'nope'"),
+            (("Logger", "nope"), "step 2 names unknown vNF 'nope'"),
+            (("LB",), "step 1 migrates 'LB' which is not on the SmartNIC in C,S,S,S,C"),
+            (("Logger", "Logger"), "step 2 migrates 'Logger' which is not on the SmartNIC in C,C,S,S,C"),
+            (("Logger",), "replayed steps give C,C,S,S,C but post_chain is C,S,S,S,C"),
+        ],
+    )
+    def test_reachability_failures_name_the_step(self, fig1_chain, fig1_specs, steps, detail):
+        bogus = MigrationPlan(steps, PlanOutcome.NOT_OVERLOADED, (), fig1_chain)
+        report = verify_plan(fig1_chain, fig1_specs, 1.2, bogus)
+        assert report.assertions[0] == ("reachability", False, detail)
+
     def test_infeasible_resolved_claim_fails(self, fig1_chain, fig1_specs):
         load = 3.0
         bogus = MigrationPlan(
@@ -201,15 +215,15 @@ class TestVerifyPlan:
 def reference_closure(chain: ServiceChain):
     """Reference border-peel closure over chains: breadth-first from the
     input, each state a rebuilt chain whose borders are found from scratch."""
-    seen = {chain.placements()}
+    seen = {chain.placements}
     queue = deque([chain])
     while queue:
         cur = queue.popleft()
         yield cur
         for i in sorted(identify_borders(cur)):
             nxt = cur.with_placement(i, C)
-            if nxt.placements() not in seen:
-                seen.add(nxt.placements())
+            if nxt.placements not in seen:
+                seen.add(nxt.placements)
                 queue.append(nxt)
 
 
@@ -224,7 +238,7 @@ def random_anchored_chain(rng: random.Random, max_len: int = randgen.MAX_CHAIN) 
 class TestBorderPeelClosure:
     def test_contains_the_input(self, fig1_chain):
         states = list(border_peel_closure(fig1_chain))
-        assert states[0] == fig1_chain.placements()
+        assert states[0] == fig1_chain.placements
 
     def test_golden_chain_closure_is_prefix_suffix_peels(self, fig1_chain):
         vectors = set(border_peel_closure(fig1_chain))
@@ -269,7 +283,7 @@ class TestBorderPeelClosure:
         states = 0
         for _ in range(1000):
             chain = random_anchored_chain(rng, 12)
-            expected = [state.placements() for state in reference_closure(chain)]
+            expected = [state.placements for state in reference_closure(chain)]
             assert list(border_peel_closure(chain)) == expected, chain
             states += len(expected)
         assert states > 10_000
@@ -280,11 +294,8 @@ def chain_from(placements: str, caps) -> tuple[ServiceChain, dict[str, VnfSpec]]
     specs = {
         f"nf{i}": VnfSpec(f"nf{i}", cap_smartnic=s, cap_cpu=c) for i, (s, c) in enumerate(caps)
     }
-    chain = ServiceChain(
-        tuple(
-            VnfInstance(f"nf{i}", f"nf{i}", S if p == "S" else C)
-            for i, p in enumerate(placements)
-        )
+    chain = golden.chain_from_rows(
+        [(f"nf{i}", f"nf{i}", S if p == "S" else C) for i, p in enumerate(placements)]
     )
     return chain, specs
 
@@ -329,7 +340,7 @@ def reference_global_subset(chain, specs, load) -> tuple[str, bool]:
     ulps of 1.0, so summing its ratios in another order could flip its fit.
     """
     base_crossings = count_crossings(chain)
-    input_vec = chain.placements()
+    input_vec = chain.placements
     theta = load
     near_one = False
     for record in enumerate_placements(chain, specs, load):
@@ -337,8 +348,8 @@ def reference_global_subset(chain, specs, load) -> tuple[str, bool]:
         reachable = all(not (a is C and b is S) for a, b in zip(input_vec, vec))
         if not reachable or record.crossings > base_crossings:
             continue
-        nic = chain_sum(theta / specs[v.spec].cap_smartnic for v, p in zip(chain.vnfs, vec) if p is S)
-        cpu = chain_sum(theta / specs[v.spec].cap_cpu for v, p in zip(chain.vnfs, vec) if p is C)
+        nic = chain_sum(theta / specs[n].cap_smartnic for n, p in zip(chain.spec_names, vec) if p is S)
+        cpu = chain_sum(theta / specs[n].cap_cpu for n, p in zip(chain.spec_names, vec) if p is C)
         edge = 4 * math.ulp(1.0)
         near_one |= max(nic, cpu) <= 1.0 + edge and min(abs(nic - 1.0), abs(cpu - 1.0)) <= edge
         if record.feasible_smartnic and record.feasible_cpu:
@@ -457,17 +468,16 @@ def brute_force_subset(chain, specs, load) -> str:
     """First feasible subset of the SmartNIC vNFs moved to the CPU, in
     binary-counting order over chain positions, with chain-order sums."""
     theta = load
-    nic_positions = [j for j, v in enumerate(chain.vnfs) if v.placement is S]
+    nic_positions = [j for j, p in enumerate(chain.placements) if p is S]
     base_crossings = count_crossings(chain)
     for mask in range(1 << len(nic_positions)):
-        vec = list(chain.placements())
+        vec = list(chain.placements)
         for bit, j in enumerate(nic_positions):
             if (mask >> bit) & 1:
                 vec[j] = C
-        nic = chain_sum(theta / specs[v.spec].cap_smartnic for v, p in zip(chain.vnfs, vec) if p is S)
-        cpu = chain_sum(theta / specs[v.spec].cap_cpu for v, p in zip(chain.vnfs, vec) if p is C)
-        vnfs = tuple(replace(v, placement=p) for v, p in zip(chain.vnfs, vec))
-        crossings = count_crossings(replace(chain, vnfs=vnfs))
+        nic = chain_sum(theta / specs[n].cap_smartnic for n, p in zip(chain.spec_names, vec) if p is S)
+        cpu = chain_sum(theta / specs[n].cap_cpu for n, p in zip(chain.spec_names, vec) if p is C)
+        crossings = count_crossings(replace(chain, placements=tuple(vec)))
         if nic < 1.0 and cpu < 1.0 and crossings <= base_crossings:
             return label(vec)
     return "none"

@@ -69,7 +69,9 @@ class TestCountCrossings:
                 egress_anchor=rng.choice(anchors),
             )
             reversed_chain = ServiceChain(
-                tuple(reversed(chain.vnfs)),
+                chain.ids[::-1],
+                chain.spec_names[::-1],
+                chain.placements[::-1],
                 ingress_anchor=chain.egress_anchor,
                 egress_anchor=chain.ingress_anchor,
             )
@@ -145,7 +147,7 @@ class TestEstimatePerf:
 
     def test_latency_is_additive(self, fig1_chain, fig1_specs):
         proc = sum(
-            fig1_specs[v.spec].proc_latency(v.placement) for v in fig1_chain.vnfs
+            fig1_specs[n].proc_latency(p) for n, p in zip(fig1_chain.spec_names, fig1_chain.placements)
         )
         assert estimate_latency(fig1_chain, fig1_specs, 7.5) == pytest.approx(
             proc + count_crossings(fig1_chain) * 7.5, abs=1e-9
@@ -185,7 +187,7 @@ class TestPolicyComparisonProperty:
 def _migrated_nonborder(chain, plan):
     work = chain
     for vnf_id in plan.steps:
-        idx = work.index_of(vnf_id)
+        idx = work.ids.index(vnf_id)
         if idx not in identify_borders(work):
             return True
         work = work.with_placement(idx, C)

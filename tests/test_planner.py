@@ -15,7 +15,6 @@ from chainplan import (
     Placement,
     PlanOutcome,
     ServiceChain,
-    VnfInstance,
     VnfSpec,
     count_crossings,
     identify_borders,
@@ -33,12 +32,12 @@ C = Placement.CPU
 def direct_border_scan(chain: ServiceChain) -> tuple[set[int], set[int]]:
     """Reference scan: spell the neighbor rule out position by position."""
     left, right = set(), set()
-    n = len(chain.vnfs)
-    for i, vnf in enumerate(chain.vnfs):
-        if vnf.placement is not S:
+    n = len(chain)
+    for i, placement in enumerate(chain.placements):
+        if placement is not S:
             continue
-        upstream = chain.ingress_anchor if i == 0 else chain.vnfs[i - 1].placement
-        downstream = chain.egress_anchor if i == n - 1 else chain.vnfs[i + 1].placement
+        upstream = chain.ingress_anchor if i == 0 else chain.placements[i - 1]
+        downstream = chain.egress_anchor if i == n - 1 else chain.placements[i + 1]
         if upstream is C:
             left.add(i)
         if downstream is C:
@@ -51,14 +50,14 @@ def select_candidate(chain, pool, specs):
     chain index on ties; None for an empty pool."""
     if not pool:
         return None
-    return min(pool, key=lambda i: (specs[chain.vnfs[i].spec].cap_smartnic, i))
+    return min(pool, key=lambda i: (specs[chain.spec_names[i]].cap_smartnic, i))
 
 
 def check_cpu_headroom(chain, specs, index, load):
     """Reference headroom test: the chain-order CPU sum plus the vNF at
     `index` stays strictly under capacity."""
     cpu = utilization(chain, specs, C, load)
-    spec = specs[chain.vnfs[index].spec]
+    spec = specs[chain.spec_names[index]]
     return cpu + load / spec.cap_cpu < 1.0
 
 
@@ -93,7 +92,7 @@ class TestIdentifyBorders:
         for _ in range(100):
             chain, _, _ = randgen.random_scenario(rng)
             for i in identify_borders(chain):
-                assert chain.vnfs[i].placement is S
+                assert chain.placements[i] is S
 
     def test_matches_direct_scan_exhaustively(self):
         anchors = (S, C)
@@ -125,14 +124,14 @@ class TestSelectCandidate:
             "pad": VnfSpec("pad", cap_smartnic=4.0, cap_cpu=4.0),
             "four": VnfSpec("four", cap_smartnic=4.0, cap_cpu=4.0),
         }
-        chain = ServiceChain(
-            (
-                VnfInstance("x", "pad", C),
-                VnfInstance("a", "four", S),
-                VnfInstance("y", "pad", C),
-                VnfInstance("b", "four", S),
-                VnfInstance("z", "pad", C),
-            )
+        chain = golden.chain_from_rows(
+            [
+                ("x", "pad", C),
+                ("a", "four", S),
+                ("y", "pad", C),
+                ("b", "four", S),
+                ("z", "pad", C),
+            ]
         )
         borders = identify_borders(chain)
         assert borders == {1, 3}
@@ -166,9 +165,7 @@ class TestAlleviated:
         assert self.alleviated(fig1_chain, fig1_specs, LOGGER, 1.2)
 
     def test_candidate_is_only_smartnic_vnf(self, fig1_specs):
-        chain = ServiceChain(
-            (VnfInstance("x", "LoadBalancer", C), VnfInstance("Logger", "Logger", S))
-        )
+        chain = golden.chain_from_rows([("x", "LoadBalancer", C), ("Logger", "Logger", S)])
         assert self.alleviated(chain, fig1_specs, 1, 100.0)
 
     def test_monitor_override_at_1_6_fails(self, fig1_chain):
@@ -222,9 +219,9 @@ class TestPlanPam:
         plan = plan_pam(fig1_chain, golden.two_step_specs(), 1.6)
         assert plan.steps
         for vnf_id in plan.steps:
-            i = fig1_chain.index_of(vnf_id)
-            assert fig1_chain.vnfs[i].placement is S
-            assert plan.post_chain.vnfs[i].placement is C
+            i = fig1_chain.ids.index(vnf_id)
+            assert fig1_chain.placements[i] is S
+            assert plan.post_chain.placements[i] is C
 
     def test_rejected_border_is_not_readmitted_when_its_neighbor_migrates(self):
         # v2 fails the headroom check; migrating v1 then makes v2 a left
@@ -235,14 +232,14 @@ class TestPlanPam:
             "H": VnfSpec("H", cap_smartnic=5.0, cap_cpu=3.0),
             "D": VnfSpec("D", cap_smartnic=2.0, cap_cpu=40.0),
         }
-        chain = ServiceChain(
-            (
-                VnfInstance("v0", "H", C),
-                VnfInstance("v1", "A", S),
-                VnfInstance("v2", "B", S),
-                VnfInstance("v3", "H", C),
-                VnfInstance("v4", "D", S),
-            )
+        chain = golden.chain_from_rows(
+            [
+                ("v0", "H", C),
+                ("v1", "A", S),
+                ("v2", "B", S),
+                ("v3", "H", C),
+                ("v4", "D", S),
+            ]
         )
         plan = plan_pam(chain, specs, 0.9)
         assert plan.outcome is PlanOutcome.RESOLVED
@@ -254,22 +251,14 @@ class TestPlanPam:
             "slow": VnfSpec("slow", cap_smartnic=1.0, cap_cpu=16.0),
             "pad": VnfSpec("pad", cap_smartnic=16.0, cap_cpu=16.0),
         }
-        chain = ServiceChain(
-            (
-                VnfInstance("x", "pad", C),
-                VnfInstance("mid", "slow", S),
-                VnfInstance("y", "pad", C),
-            )
-        )
+        chain = golden.chain_from_rows([("x", "pad", C), ("mid", "slow", S), ("y", "pad", C)])
         assert identify_borders(chain) == {1}
         plan = plan_pam(chain, specs, 1.2)
         assert list(plan.steps) == ["mid"]
         assert plan.outcome is PlanOutcome.RESOLVED
 
     def test_no_borders_means_scale_out_without_steps(self, fig1_specs):
-        chain = ServiceChain(
-            (VnfInstance("Logger", "Logger", S), VnfInstance("Monitor", "Monitor", S))
-        )
+        chain = golden.chain_from_rows([("Logger", "Logger", S), ("Monitor", "Monitor", S)])
         plan = plan_pam(chain, fig1_specs, 3.0)
         assert plan.outcome is PlanOutcome.SCALE_OUT_REQUIRED
         assert plan.steps == ()
@@ -297,7 +286,7 @@ class TestPlanNaive:
         specs = golden.monitor_bottleneck_specs()
         plan = plan_naive(fig1_chain, specs, 1.0)
         post = plan.post_chain
-        assert post.vnfs[2].placement is C  # Monitor was interior
+        assert post.placements[2] is C  # Monitor was interior
         assert count_crossings(post) == count_crossings(fig1_chain) + 2
 
 
@@ -318,13 +307,13 @@ class TestPlanProperties:
             drained = 0
             seq = chain.placement_sequence()
             i = 0
-            while i < len(chain.vnfs):
-                if chain.vnfs[i].placement is S:
+            while i < len(chain):
+                if chain.placements[i] is S:
                     j = i
-                    while j + 1 < len(chain.vnfs) and chain.vnfs[j + 1].placement is S:
+                    while j + 1 < len(chain) and chain.placements[j + 1] is S:
                         j += 1
                     flanked = seq[i] is C and seq[j + 2] is C
-                    if flanked and all(v.id in migrated for v in chain.vnfs[i : j + 1]):
+                    if flanked and all(vnf_id in migrated for vnf_id in chain.ids[i : j + 1]):
                         drained += 1
                     i = j + 1
                 else:
@@ -349,7 +338,7 @@ class TestPlanProperties:
                 plan = planner(chain, specs, load)
                 work = chain
                 for vnf_id in plan.steps:
-                    work = work.with_placement(work.index_of(vnf_id), C)
+                    work = work.with_placement(work.ids.index(vnf_id), C)
                 assert work == plan.post_chain
                 rejected = list(plan.rejected_candidates)
                 assert len(rejected) == len(set(rejected))
@@ -361,7 +350,7 @@ class TestPlanProperties:
             return identify_borders(chain)
 
         def smartnic_pool(chain):
-            return {i for i, v in enumerate(chain.vnfs) if v.placement is S}
+            return {i for i, p in enumerate(chain.placements) if p is S}
 
         rng = random.Random(15)
         for _ in range(200):
@@ -371,11 +360,11 @@ class TestPlanProperties:
                 rejected = set(plan.rejected_candidates)
                 work = chain
                 for vnf_id in plan.steps:
-                    idx = work.index_of(vnf_id)
+                    idx = work.ids.index(vnf_id)
                     pool = pool_of(work)
                     assert idx in pool
-                    key = lambda i: (specs[work.vnfs[i].spec].cap_smartnic, i)
-                    ahead = {work.vnfs[i].id for i in pool if key(i) < key(idx)}
+                    key = lambda i: (specs[work.spec_names[i]].cap_smartnic, i)
+                    ahead = {work.ids[i] for i in pool if key(i) < key(idx)}
                     assert ahead <= rejected
                     work = work.with_placement(idx, C)
 
@@ -411,15 +400,15 @@ class TestLoadBalancerStandIn:
                 assert got_pam.outcome is reference[0].outcome
                 assert got_naive.steps == reference[1].steps
                 assert got_naive.outcome is reference[1].outcome
-                assert got_pam.post_chain.placements() == reference[0].post_chain.placements()
+                assert got_pam.post_chain.placements == reference[0].post_chain.placements
 
 
 def chain_order_sum(chain, specs, device, load):
     """Device demand added left to right in chain order, as a plain loop."""
     total = 0.0
-    for v in chain.vnfs:
-        if v.placement is device:
-            total += load / specs[v.spec].capacity(device)
+    for name, placement in zip(chain.spec_names, chain.placements):
+        if placement is device:
+            total += load / specs[name].capacity(device)
     return total
 
 
@@ -435,27 +424,27 @@ def reference_plan(chain, specs, load, *, borders_only):
     if borders_only:
         pool = set(identify_borders(chain))
     else:
-        pool = {i for i, v in enumerate(chain.vnfs) if v.placement is S}
+        pool = {i for i, p in enumerate(chain.placements) if p is S}
     work = chain
     steps, rejected, sums = [], [], []
     outcome = PlanOutcome.SCALE_OUT_REQUIRED
     while (idx := select_candidate(work, pool, specs)) is not None:
         pool.discard(idx)
         cpu = chain_order_sum(work, specs, C, load)
-        sums.append(cpu + load / specs[work.vnfs[idx].spec].cap_cpu)
+        sums.append(cpu + load / specs[work.spec_names[idx]].cap_cpu)
         if not check_cpu_headroom(work, specs, idx, load):
             rejected.append(idx)
             continue
-        steps.append(work.vnfs[idx].id)
+        steps.append(work.ids[idx])
         work = work.with_placement(idx, C)
         sums.append(chain_order_sum(work, specs, S, load))
         if not is_overloaded(work, specs, S, load):
             outcome = PlanOutcome.RESOLVED
             break
         for j in (idx - 1, idx + 1):
-            if 0 <= j < len(work.vnfs) and work.vnfs[j].placement is S and j not in rejected:
+            if 0 <= j < len(work) and work.placements[j] is S and j not in rejected:
                 pool.add(j)
-    rejections = tuple(chain.vnfs[i].id for i in rejected)
+    rejections = tuple(chain.ids[i] for i in rejected)
     return MigrationPlan(tuple(steps), outcome, rejections, work), sums
 
 
@@ -467,7 +456,7 @@ def long_scenario(rng):
     the CPU fills, reject candidates.
     """
     n = rng.randint(100, 400)
-    specs, vnfs = {}, []
+    specs, rows = {}, []
     for j in range(n):
         name = f"nf{j}"
         specs[name] = VnfSpec(
@@ -475,8 +464,8 @@ def long_scenario(rng):
             cap_smartnic=randgen.log_uniform(rng) * n / 8,
             cap_cpu=randgen.log_uniform(rng) * n / 2,
         )
-        vnfs.append(VnfInstance(name, name, rng.choice((S, C))))
-    return ServiceChain(tuple(vnfs)), specs, rng.uniform(0.5, 2.0)
+        rows.append((name, name, rng.choice((S, C))))
+    return golden.chain_from_rows(rows), specs, rng.uniform(0.5, 2.0)
 
 
 class TestMatchesReferenceLoop:
@@ -528,9 +517,7 @@ def boundary_witness():
     """C,S,S,S,C at theta = 1.0 where the CPU sums to 1.0 up to rounding."""
     caps = ((0.7, 6.0), (1.1, 3.0), (0.7, 6.0), (1.1, 3.0), (0.3, 3.0))
     specs = {f"n{i}": VnfSpec(f"n{i}", cap_smartnic=s, cap_cpu=c) for i, (s, c) in enumerate(caps)}
-    chain = ServiceChain(
-        tuple(VnfInstance(f"n{i}", f"n{i}", p) for i, p in enumerate((C, S, S, S, C)))
-    )
+    chain = golden.chain_from_rows([(f"n{i}", f"n{i}", p) for i, p in enumerate((C, S, S, S, C))])
     return chain, specs, 1.0
 
 

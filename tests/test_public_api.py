@@ -51,3 +51,11 @@ def test_benchmark_check_imports_exist():
     from chainplan.reports import parse_timeline_csv, timeline_to_csv
 
     assert callable(parse_timeline_csv) and callable(timeline_to_csv)
+
+
+def test_readme_library_example_runs(monkeypatch):
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("## Library use", 1)[1].split("\n## ", 1)[0]
+    example = section.split("```python\n", 1)[1].split("\n```", 1)[0]
+    monkeypatch.chdir(ROOT)
+    exec(compile(example, "README.md", "exec"), {})

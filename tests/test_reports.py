@@ -60,20 +60,36 @@ class TestTimelineCsv:
         parsed = parse_timeline_csv(timeline_to_csv(records))
         assert parsed[0].migrations_this_step == ("Logger", "Monitor")
 
+    @pytest.mark.parametrize("bad_id", ["a;b", ";", ""])
+    def test_a_migrated_id_the_column_cannot_carry_raises(self, bad_id):
+        # `;` joins the ids, so "a;b" would read back as two and "" as none.
+        records = list(sample_records())
+        records[1] = records[1]._replace(migrations_this_step=("Logger", bad_id))
+        with pytest.raises(ValueError) as err:
+            timeline_to_csv(records)
+        assert repr(bad_id) in str(err.value)
+
     def test_bad_header_rejected(self):
         with pytest.raises(ValueError) as err:
             parse_timeline_csv("a,b\n1,2\n")
         assert str(err.value) == f"timeline header must be '{','.join(TIMELINE_COLUMNS)}'"
 
     @pytest.mark.parametrize(
-        "edit", [lambda fields: fields[:2], lambda fields: fields + ["extra"]], ids=["short-row", "long-row"]
+        "policy, edit, line",
+        [
+            ("pam", lambda fields: fields[:2], 3),
+            ("pam", lambda fields: fields + ["extra"], 3),
+            ("p\nam", lambda fields: fields[:2], 4),  # the good row spans lines 2 and 3
+        ],
+        ids=["short-row", "long-row", "short-row-after-a-quoted-newline"],
     )
-    def test_row_of_the_wrong_width_names_its_line(self, edit):
+    def test_row_of_the_wrong_width_names_its_line(self, policy, edit, line):
         header, row = timeline_to_csv(sample_records()[:1]).splitlines()
+        good = timeline_to_csv([sample_records()[0]._replace(policy=policy)]).split("\n", 1)[1]
         bad = ",".join(edit(row.split(",")))
         with pytest.raises(ValueError) as err:
-            parse_timeline_csv(f"{header}\n{row}\n{bad}\n")
-        assert str(err.value) == f"line 3: expected {len(TIMELINE_COLUMNS)} fields"
+            parse_timeline_csv(f"{header}\n{good}{bad}\n")
+        assert str(err.value) == f"line {line}: expected {len(TIMELINE_COLUMNS)} fields"
 
     def test_field_over_the_csv_limit_names_its_line(self):
         header, row = timeline_to_csv(sample_records()[:1]).splitlines()
@@ -108,6 +124,8 @@ def reference_timeline_csv(records):
 
 ODD_FLOATS = (1e-07, 1e16, float("inf"), -0.0, 0.0, 5e-324, 1.095890410958904, 0.1 + 0.2)
 ODD_TEXT = ("", "a,b", 'say "hi"', "cr\rhere", "lf\nhere", "a;b", " spaced ", "Überwacher", "日志", '"', ",")
+# The vNF ids a timeline can carry: `;` joins them, so none is empty or holds one.
+ODD_IDS = tuple(text for text in ODD_TEXT if text and ";" not in text)
 
 
 def random_float(rng):
@@ -117,7 +135,7 @@ def random_float(rng):
 
 
 def random_record(rng):
-    ids = tuple(rng.choice(ODD_TEXT + ("Logger", "Monitor")) for _ in range(rng.randint(0, 3)))
+    ids = tuple(rng.choice(ODD_IDS + ("Logger", "Monitor")) for _ in range(rng.randint(0, 3)))
     return TimelineRecord(
         t=random_float(rng),
         theta_cur=random_float(rng),

@@ -12,7 +12,6 @@ import randgen
 from chainplan import (
     Placement,
     ServiceChain,
-    VnfInstance,
     VnfSpec,
     is_overloaded,
     max_chain_throughput,
@@ -40,11 +39,11 @@ class TestUtilization:
         assert util == oracle_script.golden_smartnic_utilization(1.2)
 
     def test_device_without_vnfs_is_zero(self, fig1_specs):
-        chain = ServiceChain((VnfInstance("Logger", "Logger", C),))
+        chain = golden.chain_from_rows([("Logger", "Logger", C)])
         assert utilization(chain, fig1_specs, S, 3.0) == 0.0
 
     def test_single_vnf_at_capacity_is_exactly_one(self, fig1_specs):
-        chain = ServiceChain((VnfInstance("Firewall", "Firewall", S),))
+        chain = golden.chain_from_rows([("Firewall", "Firewall", S)])
         assert utilization(chain, fig1_specs, S, 10.0) == 1.0
 
     def test_linearity_in_load(self):
@@ -64,7 +63,9 @@ class TestUtilization:
             specs["extra"] = VnfSpec("extra", cap_smartnic=randgen.log_uniform(rng),
                                      cap_cpu=randgen.log_uniform(rng))
             bigger = ServiceChain(
-                chain.vnfs + (VnfInstance("extra", "extra", S),),
+                chain.ids + ("extra",),
+                chain.spec_names + ("extra",),
+                chain.placements + (S,),
                 chain.ingress_anchor,
                 chain.egress_anchor,
             )
@@ -92,7 +93,7 @@ class TestDeviceUtilizations:
         rng = random.Random(13)
         for device in (S, C):
             chain, specs, theta = randgen.random_scenario(rng)
-            chain = ServiceChain(tuple(replace(v, placement=device) for v in chain.vnfs))
+            chain = replace(chain, placements=(device,) * len(chain))
             nic, cpu = self.check(chain, specs, theta)
             assert (cpu if device is S else nic) == 0
 
@@ -123,7 +124,7 @@ class TestSummationOrder:
             chain, specs, load = randgen.random_scenario(rng)
             nic, cpu = demand_ratios(chain, specs, load)
             for device, ratios in ((S, nic), (C, cpu)):
-                hosted = [r for r, v in zip(ratios, chain.vnfs) if v.placement is device]
+                hosted = [r for r, p in zip(ratios, chain.placements) if p is device]
                 assert utilization(chain, specs, device, load) == chain_sum(hosted)
 
     def test_rounding_band_is_infinite_without_a_bound(self):
@@ -167,7 +168,7 @@ class TestIsOverloaded:
         assert is_overloaded(fig1_chain, fig1_specs, S, 1.2)
 
     def test_exactly_one_is_overloaded(self, fig1_specs):
-        chain = ServiceChain((VnfInstance("Firewall", "Firewall", S),))
+        chain = golden.chain_from_rows([("Firewall", "Firewall", S)])
         assert is_overloaded(chain, fig1_specs, S, 10.0)
 
     def test_zero_load_is_never_overloaded(self, fig1_chain, fig1_specs):
@@ -178,14 +179,14 @@ class TestIsOverloaded:
 class TestMaxChainThroughput:
     def test_monitor_bottleneck_post_plan_values(self):
         specs = golden.monitor_bottleneck_specs()
-        post_pam = ServiceChain(
-            (
-                VnfInstance("LB", "LoadBalancer", C),
-                VnfInstance("Logger", "Logger", C),
-                VnfInstance("Monitor", "Monitor", S),
-                VnfInstance("Firewall", "Firewall", S),
-                VnfInstance("C2", "C2", C),
-            )
+        post_pam = golden.chain_from_rows(
+            [
+                ("LB", "LoadBalancer", C),
+                ("Logger", "Logger", C),
+                ("Monitor", "Monitor", S),
+                ("Firewall", "Firewall", S),
+                ("C2", "C2", C),
+            ]
         )
         expected = min(1 / (1 / 1.8 + 1 / 10), 1 / (3 / 4))
         got = max_chain_throughput(post_pam, specs)
@@ -196,21 +197,19 @@ class TestMaxChainThroughput:
         )
 
     def test_single_vnf_bound_is_its_capacity(self, fig1_specs):
-        chain = ServiceChain((VnfInstance("Monitor", "Monitor", S),))
+        chain = golden.chain_from_rows([("Monitor", "Monitor", S)])
         assert max_chain_throughput(chain, fig1_specs) == 3.2
 
     def test_two_cpu_vnfs_at_four(self, fig1_specs):
-        chain = ServiceChain(
-            (VnfInstance("a", "Logger", C), VnfInstance("b", "Firewall", C))
-        )
+        chain = golden.chain_from_rows([("a", "Logger", C), ("b", "Firewall", C)])
         assert max_chain_throughput(chain, fig1_specs) == pytest.approx(2.0, abs=1e-12)
 
     def test_matches_bisection_oracle(self):
         rng = random.Random(9)
         for _ in range(50):
             chain, specs, _ = randgen.random_scenario(rng)
-            s_caps = [specs[v.spec].cap_smartnic for v in chain.vnfs if v.placement is S]
-            c_caps = [specs[v.spec].cap_cpu for v in chain.vnfs if v.placement is C]
+            s_caps = [specs[n].cap_smartnic for n, p in zip(chain.spec_names, chain.placements) if p is S]
+            c_caps = [specs[n].cap_cpu for n, p in zip(chain.spec_names, chain.placements) if p is C]
             expected = oracle_script.bisect_max_throughput(s_caps, c_caps, hi=32.0)
             assert max_chain_throughput(chain, specs) == pytest.approx(expected, abs=1e-6)
 

@@ -11,7 +11,6 @@ from chainplan import (
     Placement,
     ScenarioFormatError,
     ScenarioValidationError,
-    VnfInstance,
     cli,
     load_scenario,
     load_trace,
@@ -32,8 +31,8 @@ def fig1_doc() -> dict:
 class TestLoadScenario:
     def test_golden_file_builds_the_golden_chain(self):
         scenario = load_scenario(golden.FIG1_SCENARIO)
-        assert [v.id for v in scenario.chain.vnfs] == ["LB", "Logger", "Monitor", "Firewall", "C2"]
-        assert scenario.chain.placements() == (C, S, S, S, C)
+        assert scenario.chain.ids == ("LB", "Logger", "Monitor", "Firewall", "C2")
+        assert scenario.chain.placements == (C, S, S, S, C)
         assert scenario.chain.ingress_anchor is S
         assert scenario.chain.egress_anchor is S
         assert scenario.theta_cur == 1.2
@@ -331,10 +330,11 @@ class TestChainReader:
         path = tmp_path / "long.scenario.json"
         good = '{"placement": "SmartNIC", "spec": "Monitor", "id": "last"}'  # keys reordered
         path.write_text(_long_chain_text(LONG_CHAIN - 1, good))
-        vnfs = load_scenario(path).chain.vnfs
-        assert len(vnfs) == LONG_CHAIN
-        assert vnfs[1] == VnfInstance("v1", "Logger", C)
-        assert vnfs[-1] == VnfInstance("last", "Monitor", S)
+        chain = load_scenario(path).chain
+        assert len(chain) == LONG_CHAIN
+        rows = list(zip(chain.ids, chain.spec_names, chain.placements))
+        assert rows[1] == ("v1", "Logger", C)
+        assert rows[-1] == ("last", "Monitor", S)
 
     def test_str_subclass_values_are_accepted(self):
         class Name(str):
@@ -344,7 +344,7 @@ class TestChainReader:
         doc["chain"][1] = {"id": Name("Logger"), "spec": Name("Logger"), "placement": Name("SmartNIC")}
         scenario = scenario_from_dict(doc)
         assert scenario == scenario_from_dict(fig1_doc())
-        assert type(scenario.chain.vnfs[1].id) is Name
+        assert type(scenario.chain.ids[1]) is Name
 
 
 class TestRoundTrip:
@@ -434,6 +434,14 @@ class TestLoadTrace:
         with pytest.raises(ScenarioFormatError, match="line 3"):
             load_trace(path)
 
+    def test_a_value_error_after_a_quoted_newline_reports_the_physical_line(self, tmp_path):
+        # The quoted field spans lines 2 and 3 (float accepts "0.0\n"), so x is on line 4.
+        path = tmp_path / "t.csv"
+        path.write_text('t,theta_cur_gbps\n"0.0\n",1.0\nx,2\n')
+        with pytest.raises(ScenarioFormatError) as err:
+            load_trace(path)
+        assert str(err.value) == f"{path}: line 4: could not convert string to float: 'x'"
+
     @pytest.mark.parametrize("row", ["1.0,nan", "1.0,inf", "inf,1.0", "nan,1.0"])
     def test_non_finite_field_reports_the_line(self, tmp_path, row):
         path = tmp_path / "t.csv"
@@ -448,13 +456,17 @@ class TestLoadTrace:
             load_trace(path)
         assert str(err.value) == f"{path}: invalid UTF-8 at byte 29: invalid start byte"
 
-    @pytest.mark.parametrize("row", ["1.0", "1.0,2.0,3.0"], ids=["short", "long"])
-    def test_row_of_the_wrong_width_reports_the_line(self, tmp_path, row):
+    @pytest.mark.parametrize(
+        "rows, line",
+        [("0.0,1.0\n1.0", 3), ("0.0,1.0\n1.0,2.0,3.0", 3), ('"0.0\n",1.0\n1.0', 4)],
+        ids=["short", "long", "short-after-a-quoted-newline"],
+    )
+    def test_row_of_the_wrong_width_reports_the_line(self, tmp_path, rows, line):
         path = tmp_path / "t.csv"
-        path.write_text(f"t,theta_cur_gbps\n0.0,1.0\n{row}\n")
+        path.write_text(f"t,theta_cur_gbps\n{rows}\n")
         with pytest.raises(ScenarioFormatError) as err:
             load_trace(path)
-        assert str(err.value) == f"{path}: line 3: expected 2 fields"
+        assert str(err.value) == f"{path}: line {line}: expected 2 fields"
 
     def test_field_over_the_csv_limit_names_the_file(self, tmp_path):
         path = tmp_path / "t.csv"
@@ -498,6 +510,8 @@ BAD_FILES = [
     pytest.param(load_trace, b"t,theta_cur_gbps\n0.0,1.0\n1.0,nan\n", id="trace-not-finite"),
     pytest.param(load_trace, b"t,theta_cur_gbps\n0.0,1.0\n1.0\n", id="trace-short-row"),
     pytest.param(load_trace, b"t,theta_cur_gbps\n0.0,1.0\n1.0,2.0,3.0\n", id="trace-long-row"),
+    pytest.param(load_trace, b't,theta_cur_gbps\n"0.0\n",1.0\nx,2\n', id="trace-not-a-number-after-a-quoted-newline"),
+    pytest.param(load_trace, b't,theta_cur_gbps\n"0.0\n",1.0\n1.0\n', id="trace-short-row-after-a-quoted-newline"),
     pytest.param(load_trace, b"t,theta_cur_gbps\n0.0,1.0\n1.0,\xff2.0\n", id="trace-not-utf8"),
     pytest.param(load_trace, b"t,theta_cur_gbps\n0.0,1.0\n1.0," + b"1" * 200_000 + b"\n", id="trace-field-over-limit"),
 ]

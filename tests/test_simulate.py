@@ -138,7 +138,8 @@ def rising_and_falling_trace(rng, scenario, max_points=30):
     """Seasonal swings around the load at which the start chain's SmartNIC
     fills up, with the scenario's own load (where `boundary_scenario` puts
     device sums within a few ulps of 1.0) mixed in."""
-    nic = [1.0 / scenario.specs[v.spec].cap_smartnic for v in scenario.chain.vnfs if v.placement is S]
+    chain = scenario.chain
+    nic = [1.0 / scenario.specs[n].cap_smartnic for n, p in zip(chain.spec_names, chain.placements) if p is S]
     full = 1.0 / sum(nic) if nic else scenario.theta_cur
     period, phase = rng.uniform(3.0, 12.0), rng.uniform(0.0, 2 * math.pi)
     points = []
