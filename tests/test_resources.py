@@ -225,3 +225,18 @@ class TestMaxChainThroughput:
             assert is_overloaded(chain, specs, S, above) or is_overloaded(
                 chain, specs, C, above
             )
+
+    def test_is_one_over_each_devices_utilization_at_one_bit_for_bit(self):
+        rng = random.Random(15)
+        for i in range(400):
+            make = randgen.random_scenario if i % 2 else randgen.boundary_scenario
+            chain, specs, _ = make(rng, max_len=rng.choice((4, 10, 24)))
+            sums = [utilization(chain, specs, device, 1.0) for device in (S, C)]
+            want = min([1.0 / u for u in sums if u > 0.0], default=math.inf)
+            assert repr(max_chain_throughput(chain, specs)) == repr(want)
+
+    def test_infinite_capacities_impose_no_bound(self):
+        specs = {"x": VnfSpec("x", math.inf, math.inf)}
+        for placements in ((S, C), (S, S), (C, C)):
+            chain = golden.chain_from_rows([(f"v{i}", "x", p) for i, p in enumerate(placements)])
+            assert max_chain_throughput(chain, specs) == math.inf
