@@ -16,7 +16,7 @@ from typing import Iterator, Mapping, NamedTuple, Sequence
 from .model import Placement, ServiceChain, VnfSpec
 from .perf import count_crossings
 from .planner import MigrationPlan, PlanOutcome, identify_borders
-from .resources import demand_ratios, fits, hosted, utilization
+from .resources import chain_sum, demand_ratios, fits, hosted
 
 MAX_ORACLE_CHAIN = 20
 
@@ -229,12 +229,17 @@ def verify_plan(
         # Scored on post_chain's own specs: (a) may have found it is not the
         # input's vNFs re-placed.
         post = plan.post_chain
-        ok = _both_fit(post.placements, *demand_ratios(post, specs, theta_cur))
-        detail = "" if ok else (
-            f"post placement {_vector_label(post.placements)} has "
-            f"smartnic={utilization(post, specs, Placement.SMARTNIC, theta_cur)!r}, "
-            f"cpu={utilization(post, specs, Placement.CPU, theta_cur)!r}"
-        )
+        unknown = next((name for name in post.spec_names if name not in specs), None)
+        if unknown is not None:
+            ok, detail = False, f"post_chain names unknown spec {unknown!r}"
+        else:
+            s_post, c_post = demand_ratios(post, specs, theta_cur)
+            ok = _both_fit(post.placements, s_post, c_post)
+            detail = "" if ok else (
+                f"post placement {_vector_label(post.placements)} has "
+                f"smartnic={chain_sum(hosted(s_post, post.placements, Placement.SMARTNIC))!r}, "
+                f"cpu={chain_sum(hosted(c_post, post.placements, Placement.CPU))!r}"
+            )
         assertions.append(AssertionResult("resolved_feasibility", ok, detail))
 
     # (c) crossings must not grow.

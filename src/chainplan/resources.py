@@ -4,11 +4,11 @@ A vNF's resource consumption grows linearly with its throughput, so at chain
 throughput theta it uses the fraction theta / capacity of its device. Device
 utilization is the sum of those fractions over the hosted vNFs.
 
-Every device sum is a `chain_sum` (left to right, in chain order).
-The planner, the oracle and trace replay pick a device's entries of a
-per-vNF column (ratios, capacities) from a placement vector with `hosted`.
-`utilization` sums one device; `device_utilizations`, which the CLI's `plan`
-output uses, sums both in one walk with the same additions. Every capacity
+Every whole-chain device sum is the `chain_sum` (left to right, in chain
+order) of the device's `hosted` `demand_ratios`: `utilization`,
+`max_chain_throughput`, the planner, the oracle and the CLI's `plan` figures
+all take that form. Trace replay picks each device's capacities with `hosted`
+and adds theta / cap inline, in the same order from int 0. Every capacity
 decision is `fits`: the hosted ratios' chain_sum is below 1. The oracle
 asks it of every set it tests. The planner keeps its sums up to date (from
 the hosted ratios' chain_sum) and decides with `below_one`, which asks `fits`
@@ -43,6 +43,15 @@ def fits(ratios: Iterable[float]) -> bool:
     return chain_sum(ratios) < 1.0
 
 
+def demand_ratios(
+    chain: ServiceChain, specs: Mapping[str, VnfSpec], theta_cur: float
+) -> tuple[list[float], list[float]]:
+    """theta_cur / capacity of every vNF, in chain order, on the SmartNIC and
+    on the CPU, wherever it sits now."""
+    spec_at = [specs[name] for name in chain.spec_names]
+    return [theta_cur / s.cap_smartnic for s in spec_at], [theta_cur / s.cap_cpu for s in spec_at]
+
+
 def utilization(
     chain: ServiceChain,
     specs: Mapping[str, VnfSpec],
@@ -54,27 +63,8 @@ def utilization(
     Not clamped: a value of 1 or more shows how far over capacity a hot spot
     is. Anchors contribute nothing; a device hosting no vNFs reports 0.
     """
-    return chain_sum([
-        theta_cur / specs[spec].capacity(device)
-        for spec, p in zip(chain.spec_names, chain.placements) if p is device
-    ])
-
-
-def device_utilizations(
-    chain: ServiceChain, specs: Mapping[str, VnfSpec], theta_cur: float
-) -> tuple[float, float]:
-    """The SmartNIC and the CPU `utilization` of `chain`, from one walk.
-
-    Each device's ratios are added left to right from int 0 in chain order,
-    as `chain_sum` adds them, so both values have `utilization`'s bits.
-    """
-    nic = cpu = 0
-    for spec, p in zip(chain.spec_names, chain.placements):
-        if p is Placement.SMARTNIC:
-            nic += theta_cur / specs[spec].cap_smartnic
-        else:
-            cpu += theta_cur / specs[spec].cap_cpu
-    return nic, cpu
+    ratios = demand_ratios(chain, specs, theta_cur)[device is Placement.CPU]
+    return chain_sum(hosted(ratios, chain.placements, device))
 
 
 def is_overloaded(
@@ -91,23 +81,17 @@ def max_chain_throughput(chain: ServiceChain, specs: Mapping[str, VnfSpec]) -> f
     """Largest throughput at which neither device is overloaded.
 
     Each device bounds the chain by 1 / sum(1 / cap_i) over its hosted vNFs,
-    which is 1 / its utilization at theta = 1; a device hosting nothing
-    imposes no bound. Finite for any non-empty chain.
+    which is 1 / its utilization at theta = 1. A device whose sum is not
+    positive (it hosts nothing, or only vNFs of infinite capacity there)
+    imposes no bound, so the result is inf when neither device has a
+    positive sum. It is also inf when 1 over a subnormal sum overflows.
     """
-    best = math.inf
-    for inv in device_utilizations(chain, specs, 1.0):
-        if inv > 0.0:
-            best = min(best, 1.0 / inv)
-    return best
-
-
-def demand_ratios(
-    chain: ServiceChain, specs: Mapping[str, VnfSpec], theta_cur: float
-) -> tuple[list[float], list[float]]:
-    """theta_cur / capacity of every vNF, in chain order, on the SmartNIC and
-    on the CPU, wherever it sits now."""
-    spec_at = [specs[name] for name in chain.spec_names]
-    return [theta_cur / s.cap_smartnic for s in spec_at], [theta_cur / s.cap_cpu for s in spec_at]
+    devices = (Placement.SMARTNIC, Placement.CPU)
+    sums = [
+        chain_sum(hosted(ratios, chain.placements, device))
+        for ratios, device in zip(demand_ratios(chain, specs, 1.0), devices)
+    ]
+    return min([1.0 / inv for inv in sums if inv > 0.0], default=math.inf)
 
 
 def rounding_band(nic: Sequence[float], cpu: Sequence[float]) -> float:

@@ -24,10 +24,10 @@ from chainplan import (
     load_scenario,
     parse_timeline_csv,
     scenario_from_dict,
+    utilization,
 )
 from chainplan.oracle import MAX_ORACLE_CHAIN, AssertionResult, VerificationReport
 from chainplan.perf import count_crossings
-from chainplan.resources import device_utilizations
 from chainplan.simulate import ComparisonReport, compare
 
 
@@ -713,8 +713,8 @@ def reference_payload(scenario: Scenario, policy: str, plan) -> dict:
     `plan --json` document is `json.dumps(payload, indent=2, allow_nan=False)`
     of it, and the text output is `_print_reference_text(payload)`."""
     before, after = scenario.chain, plan.post_chain
-    nic_before, cpu_before = device_utilizations(before, scenario.specs, scenario.theta_cur)
-    nic_after, cpu_after = device_utilizations(after, scenario.specs, scenario.theta_cur)
+    specs, theta = scenario.specs, scenario.theta_cur
+    S, C = Placement.SMARTNIC, Placement.CPU
     return {
         "policy": policy,
         "theta_cur_gbps": scenario.theta_cur,
@@ -735,10 +735,10 @@ def reference_payload(scenario: Scenario, policy: str, plan) -> dict:
         "post_placements": [
             {"id": vnf_id, "placement": p.value} for vnf_id, p in zip(after.ids, after.placements)
         ],
-        "smartnic_util_before": nic_before,
-        "smartnic_util_after": nic_after,
-        "cpu_util_before": cpu_before,
-        "cpu_util_after": cpu_after,
+        "smartnic_util_before": utilization(before, specs, S, theta),
+        "smartnic_util_after": utilization(after, specs, S, theta),
+        "cpu_util_before": utilization(before, specs, C, theta),
+        "cpu_util_after": utilization(after, specs, C, theta),
         "crossings_before": count_crossings(before),
         "crossings_after": count_crossings(after),
     }
@@ -858,6 +858,50 @@ class TestPlanJson:
             assert _stdout(cli._print_plan_text, scenario, policy, plan) == _stdout(
                 _print_reference_text, payload
             )
+
+
+class TestPlanFigures:
+    """`cli._plan_figures` has the bits (and type) of `utilization` on the
+    input chain and on each policy's post chain."""
+
+    @staticmethod
+    def check(chain, specs, theta) -> tuple:
+        """Check both policies' figures; returns the input chain's SmartNIC
+        and CPU utilization."""
+        S, C = Placement.SMARTNIC, Placement.CPU
+        scenario = Scenario(chain, specs, theta)
+        for _, plan in _plans(scenario):
+            got = cli._plan_figures(scenario, plan)[:4]
+            want = [
+                utilization(c, specs, device, theta)
+                for device in (S, C) for c in (chain, plan.post_chain)
+            ]
+            assert [(type(u), repr(u)) for u in got] == [(type(u), repr(u)) for u in want]
+        return got[0], got[2]
+
+    def test_random_and_boundary_chains(self):
+        rng = random.Random(12)
+        for i in range(500):
+            make = randgen.random_scenario if i % 2 else randgen.boundary_scenario
+            self.check(*make(rng, max_len=40))
+
+    def test_device_hosting_nothing_is_int_zero(self):
+        rng = random.Random(13)
+        for device in (Placement.SMARTNIC, Placement.CPU):
+            chain, specs, theta = randgen.random_scenario(rng)
+            chain = replace(chain, placements=(device,) * len(chain))
+            nic, cpu = self.check(chain, specs, theta)
+            empty = cpu if device is Placement.SMARTNIC else nic
+            assert empty == 0 and type(empty) is int
+
+    def test_overflowing_ratio(self):
+        rng = random.Random(14)
+        for _ in range(50):
+            chain, specs, theta = randgen.random_scenario(rng)
+            name = rng.choice(list(specs))
+            specs[name] = replace(specs[name], cap_smartnic=5e-324, cap_cpu=5e-324)
+            nic, cpu = self.check(chain, specs, theta)
+            assert math.inf in (nic, cpu)
 
 
 def reference_comparison_payload(report: ComparisonReport) -> dict:

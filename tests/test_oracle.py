@@ -200,8 +200,17 @@ class TestVerifyPlan:
             post_chain=fig1_chain,
         )
         report = verify_plan(fig1_chain, fig1_specs, load, bogus)
-        failed = {a.name for a in report.assertions if not a.passed}
-        assert "resolved_feasibility" in failed
+        failed = {a.name: a.detail for a in report.assertions if not a.passed}
+        assert failed == {
+            "resolved_feasibility": "post placement C,S,S,S,C has smartnic=2.7375, cpu=1.5"
+        }
+
+    def test_unknown_post_chain_spec_fails_resolved_feasibility(self, fig1_chain, fig1_specs):
+        plan = plan_pam(fig1_chain, fig1_specs, 1.2)
+        post = replace(plan.post_chain, spec_names=("Nope",) * len(fig1_chain))
+        report = verify_plan(fig1_chain, fig1_specs, 1.2, plan._replace(post_chain=post))
+        failed = {a.name: a.detail for a in report.assertions if not a.passed}
+        assert failed["resolved_feasibility"] == "post_chain names unknown spec 'Nope'"
 
     def test_random_border_plans_pass(self):
         rng = random.Random(32)
