@@ -1,10 +1,13 @@
 """Exhaustive ground truth for small chains.
 
-`verify_plan` replays an emitted migration plan and certifies its outcome by
-exhausting the placements reachable from the input: every border-peelable
-one and, for information, every move of SmartNIC vNFs to the CPU that adds
-no crossings. `enumerate_placements` is the reference full scan of all 2^n
-placements. Both are capped at 20 vNFs. Every fit decision is a
+`verify_plan` replays an emitted migration plan and certifies its outcome.
+A ScaleOutRequired verdict is decided by a pruned walk over every way of
+moving SmartNIC vNFs to the CPU without adding crossings. Every placement
+that iterated border migration reaches is one of them, so when the walk
+finds none that fits, no border migration can relieve the SmartNIC; only
+when it finds one is the border-peel closure scanned, to name the first
+peelable witness. `enumerate_placements` is the reference full scan of all
+2^n placements. Both are capped at 20 vNFs. Every fit decision is a
 `resources.fits` call on hosted ratios in chain order; nothing carries sums.
 """
 
@@ -191,9 +194,12 @@ def verify_plan(
     Asserts that (a) the steps really transform the input into `post_chain`,
     (b) a Resolved plan leaves both devices strictly under capacity, (c) the
     post chain adds no PCIe crossings -- disable for baselines that are
-    allowed to add them -- and (d) a ScaleOutRequired outcome is certified by
-    exhausting every placement reachable through iterated border migration.
-    Failed assertions name the witness placement. Failures are report
+    allowed to add them -- and (d) no placement reachable through iterated
+    border migration fits a ScaleOutRequired outcome. (d) is decided by the
+    walk behind `global_feasible_subset`, whose leaves include every such
+    placement; the border-peel closure is scanned only when the walk finds a
+    fitting subset, to name the witness. Failed assertions name the
+    witness placement or the differing column. Failures are report
     content, not exceptions.
     """
     _check_length(chain)
@@ -217,18 +223,25 @@ def verify_plan(
             )
             break
         work = work.with_placement(idx, Placement.CPU)
-    if not replay_problem and work != plan.post_chain:
+    post = plan.post_chain
+    if not replay_problem and work.placements != post.placements:
         replay_problem = (
             f"replayed steps give {_vector_label(work.placements)} but post_chain is "
-            f"{_vector_label(plan.post_chain.placements)}"
+            f"{_vector_label(post.placements)}"
         )
+    elif not replay_problem and work != post:
+        column, mine, theirs = next(
+            (name, getattr(work, name), getattr(post, name))
+            for name in ("ids", "spec_names", "ingress_anchor", "egress_anchor")
+            if getattr(work, name) != getattr(post, name)
+        )
+        replay_problem = f"replayed steps give {column} {mine} but post_chain has {theirs}"
     assertions.append(AssertionResult("reachability", not replay_problem, replay_problem))
 
     # (b) Resolved means strictly feasible on both devices.
     if plan.outcome is PlanOutcome.RESOLVED:
         # Scored on post_chain's own specs: (a) may have found it is not the
         # input's vNFs re-placed.
-        post = plan.post_chain
         unknown = next((name for name in post.spec_names if name not in specs), None)
         if unknown is not None:
             ok, detail = False, f"post_chain names unknown spec {unknown!r}"
@@ -245,18 +258,22 @@ def verify_plan(
     # (c) crossings must not grow.
     if require_crossing_nonincrease:
         before = count_crossings(chain)
-        after = count_crossings(plan.post_chain)
+        after = count_crossings(post)
         ok = after <= before
         detail = "" if ok else (
-            f"crossings {after} > {before} for placement "
-            f"{_vector_label(plan.post_chain.placements)}"
+            f"crossings {after} > {before} for placement {_vector_label(post.placements)}"
         )
         assertions.append(AssertionResult("crossing_nonincrease", ok, detail))
 
     # (d) ScaleOutRequired must survive the border-peeling closure.
     if plan.outcome is PlanOutcome.SCALE_OUT_REQUIRED:
-        # No crossing test: migrating a border changes the count by 0 or -2.
-        witness = next(
+        # The walk decides (d): every closure placement keeps the input's CPU
+        # vNFs on the CPU and adds no crossings (migrating a border changes
+        # the count by 0 or -2), so it is a leaf of the walk, tested with the
+        # same `fits`. The closure is scanned only when some subset fits, to
+        # name its first witness in breadth-first order, if it has one.
+        global_witness = _first_reachable_witness(chain, s_ratio, c_ratio, count_crossings(chain))
+        witness = None if global_witness is None else next(
             (vec for vec in border_peel_closure(chain) if _both_fit(vec, s_ratio, c_ratio)), None
         )
         ok = witness is None
@@ -265,10 +282,8 @@ def verify_plan(
             "feasible without adding crossings"
         )
         assertions.append(AssertionResult("scale_out_certified", ok, detail))
-
-        # Informational only: border migration can never reach interior vNFs,
-        # so also report whether any SmartNIC-to-CPU subset at all would fit.
-        global_witness = _first_reachable_witness(chain, s_ratio, c_ratio, count_crossings(chain))
+        # Border migration can never reach interior vNFs, so the walk's first
+        # fitting subset, if any, is reported too.
         info.append(
             (
                 "global_feasible_subset",

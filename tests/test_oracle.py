@@ -27,8 +27,9 @@ from chainplan import (
     validate,
     verify_plan,
 )
-from chainplan.oracle import MAX_ORACLE_CHAIN
-from chainplan.resources import chain_sum
+from chainplan import oracle
+from chainplan.oracle import MAX_ORACLE_CHAIN, AssertionResult, VerificationReport
+from chainplan.resources import chain_sum, demand_ratios, fits, hosted
 
 S = Placement.SMARTNIC
 C = Placement.CPU
@@ -189,6 +190,30 @@ class TestVerifyPlan:
     def test_reachability_failures_name_the_step(self, fig1_chain, fig1_specs, steps, detail):
         bogus = MigrationPlan(steps, PlanOutcome.NOT_OVERLOADED, (), fig1_chain)
         report = verify_plan(fig1_chain, fig1_specs, 1.2, bogus)
+        assert report.assertions[0] == ("reachability", False, detail)
+
+    @pytest.mark.parametrize(
+        "column, value, detail",
+        [
+            ("ids", ("a", "b", "c", "d", "e"),
+             "replayed steps give ids ('LB', 'Logger', 'Monitor', 'Firewall', 'C2') "
+             "but post_chain has ('a', 'b', 'c', 'd', 'e')"),
+            ("spec_names", ("Nope",) * 5,
+             "replayed steps give spec_names ('LoadBalancer', 'Logger', 'Monitor', 'Firewall', 'C2') "
+             "but post_chain has ('Nope', 'Nope', 'Nope', 'Nope', 'Nope')"),
+            ("egress_anchor", C,
+             "replayed steps give egress_anchor Placement.SMARTNIC but post_chain has Placement.CPU"),
+        ],
+        ids=["ids", "spec_names", "egress_anchor"],
+    )
+    def test_reachability_failure_names_the_differing_column(
+        self, fig1_chain, fig1_specs, column, value, detail
+    ):
+        # The placements agree, so the placement labels alone would not say
+        # what differs.
+        plan = plan_pam(fig1_chain, fig1_specs, 1.2)
+        post = replace(plan.post_chain, **{column: value})
+        report = verify_plan(fig1_chain, fig1_specs, 1.2, plan._replace(post_chain=post))
         assert report.assertions[0] == ("reachability", False, detail)
 
     def test_infeasible_resolved_claim_fails(self, fig1_chain, fig1_specs):
@@ -519,3 +544,114 @@ class TestAtTheCap:
             report = verify_plan(chain, specs, load, plan)
             assert dict(report.info)["global_feasible_subset"] == brute_force_subset(chain, specs, load)
             checked += 1
+
+
+def closure_first_report(chain, specs, load, plan) -> VerificationReport:
+    """`verify_plan`'s report with check (d) taken from a scan of the whole
+    border-peel closure, whatever the walk finds, and the walk then run for
+    `global_feasible_subset`."""
+    report = verify_plan(chain, specs, load, plan)
+    if plan.outcome is not PlanOutcome.SCALE_OUT_REQUIRED:
+        return report
+    s_ratio, c_ratio = demand_ratios(chain, specs, load)
+    witness = next(
+        (
+            vec
+            for vec in border_peel_closure(chain)
+            if fits(hosted(s_ratio, vec, S)) and fits(hosted(c_ratio, vec, C))
+        ),
+        None,
+    )
+    certified = AssertionResult(
+        "scale_out_certified",
+        witness is None,
+        "" if witness is None
+        else f"border-peelable placement {label(witness)} is fully feasible without adding crossings",
+    )
+    walked = oracle._first_reachable_witness(chain, s_ratio, c_ratio, count_crossings(chain))
+    assert report.assertions[-1].name == "scale_out_certified"
+    assertions = (*report.assertions[:-1], certified)
+    info = (("global_feasible_subset", "none" if walked is None else label(walked)),)
+    return VerificationReport(all(a.passed for a in assertions), assertions, info)
+
+
+def unreachable_subset_chain():
+    """A chain whose only fitting subsets empty nf1's run (CPU on both sides,
+    -2 crossings) and move nf4 out of the middle of nf3..nf5 (+2): nf3 and
+    nf5 fill the CPU on their own, so no border migration order fits."""
+    caps = [(100.0, 100.0), (1 / 0.45, 100.0), (100.0, 100.0), (1 / 0.3, 1.0),
+            (1 / 0.45, 100.0), (1 / 0.3, 1.0), (100.0, 100.0)]
+    return (*chain_from("CSCSSSC", caps), 1.0)
+
+
+class TestScaleOutCertificate:
+    """Check (d) is decided by the walk; the closure is scanned only to name a witness."""
+
+    def check(self, chain, specs, load) -> list[str]:
+        # Both planners' plans and a ScaleOutRequired claim, which (d) checks
+        # whatever the planners decide.
+        plans = [planner(chain, specs, load) for planner in (plan_pam, plan_naive)]
+        plans.append(MigrationPlan((), PlanOutcome.SCALE_OUT_REQUIRED, (), chain))
+        kinds = []
+        for plan in plans:
+            report = verify_plan(chain, specs, load, plan)
+            assert report == closure_first_report(chain, specs, load, plan), (chain, specs, load, plan)
+            if plan.outcome is PlanOutcome.SCALE_OUT_REQUIRED:
+                found = dict(report.info)["global_feasible_subset"] != "none"
+                kinds.append("witness" if not report.passed else "unreached" if found else "none")
+        return kinds
+
+    def test_same_reports_as_scanning_the_closure_first(self):
+        rng = random.Random(57)
+        kinds = []
+        for i in range(600):
+            generate = randgen.boundary_scenario if i % 2 else randgen.random_scenario
+            chain, specs, load = generate(rng, max_len=8 if i % 2 else 12)
+            if i % 3 == 0:
+                chain = replace(chain, ingress_anchor=rng.choice((S, C)), egress_anchor=rng.choice((S, C)))
+            kinds += self.check(chain, specs, load)
+        for chain, specs, load in (greedy_limitation(), greedy_limitation(cpu_padding=11),
+                                   unreachable_subset_chain()):
+            kinds += self.check(chain, specs, load)
+        # A fitting subset that no border migration reaches is rare in random
+        # chains; `unreachable_subset_chain` gives one for both of its plans.
+        assert len(kinds) >= 1000
+        assert kinds.count("none") >= 500 and kinds.count("witness") >= 100
+        assert kinds.count("unreached") >= 2
+
+    @pytest.fixture
+    def closure_calls(self, monkeypatch) -> list[ServiceChain]:
+        calls = []
+
+        def counted(chain):
+            calls.append(chain)
+            return border_peel_closure(chain)
+
+        monkeypatch.setattr(oracle, "border_peel_closure", counted)
+        return calls
+
+    def test_no_scan_when_no_subset_fits(self, fig1_chain, fig1_specs, closure_calls):
+        plan = plan_pam(fig1_chain, fig1_specs, 3.0)
+        assert plan.outcome is PlanOutcome.SCALE_OUT_REQUIRED
+        report = verify_plan(fig1_chain, fig1_specs, 3.0, plan)
+        assert report.passed and dict(report.info)["global_feasible_subset"] == "none"
+        assert closure_calls == []
+
+    def test_one_scan_names_the_missed_peel(self, closure_calls):
+        chain, specs, load = greedy_limitation()
+        report = verify_plan(chain, specs, load, plan_pam(chain, specs, load))
+        assert report.assertions[-1] == (
+            "scale_out_certified",
+            False,
+            "border-peelable placement S,S,C,C,C,C,C,C,C is fully feasible without adding crossings",
+        )
+        assert closure_calls == [chain]
+
+    def test_one_scan_finds_no_witness_for_an_unreachable_subset(self, closure_calls):
+        chain, specs, load = unreachable_subset_chain()
+        plan = plan_pam(chain, specs, load)
+        assert plan.outcome is PlanOutcome.SCALE_OUT_REQUIRED
+        report = verify_plan(chain, specs, load, plan)
+        assert report.passed
+        assert dict(report.info)["global_feasible_subset"] == "C,C,C,S,C,S,C"
+        assert closure_calls == [chain]
