@@ -134,28 +134,34 @@ def validate(scenario: Scenario) -> ValidationReport:
     A passing scenario is accepted by every other module without further
     checks; each kind of violation is reported under its own code with the
     offending field.
+
+    Distinct ids that all name a known spec are decided in bulk, by set
+    sizes and containment. Otherwise the chain is walked in order, and each
+    repeated id and unresolved spec is reported at its vNF.
     """
     violations: list[Violation] = []
     chain = scenario.chain
+    ids = chain.ids
 
-    if not chain.ids:
+    if not ids:
         violations.append(Violation("empty_chain", "chain", "chain has no vNF instances"))
 
-    seen: set[str] = set()
-    for vnf_id, spec in zip(chain.ids, chain.spec_names):
-        if vnf_id in seen:
-            violations.append(
-                Violation("duplicate_vnf_id", f"chain[{vnf_id}]", f"vNF id {vnf_id!r} appears more than once")
-            )
-        seen.add(vnf_id)
-        if spec not in scenario.specs:
-            violations.append(
-                Violation(
-                    "unresolved_spec_reference",
-                    f"chain[{vnf_id}].spec",
-                    f"vNF {vnf_id!r} references unknown spec {spec!r}",
+    if len(set(ids)) != len(ids) or not scenario.specs.keys() >= set(chain.spec_names):
+        seen: set[str] = set()
+        for vnf_id, spec in zip(ids, chain.spec_names):
+            if vnf_id in seen:
+                violations.append(
+                    Violation("duplicate_vnf_id", f"chain[{vnf_id}]", f"vNF id {vnf_id!r} appears more than once")
                 )
-            )
+            seen.add(vnf_id)
+            if spec not in scenario.specs:
+                violations.append(
+                    Violation(
+                        "unresolved_spec_reference",
+                        f"chain[{vnf_id}].spec",
+                        f"vNF {vnf_id!r} references unknown spec {spec!r}",
+                    )
+                )
 
     for name, spec in scenario.specs.items():
         for field, holds, code, rule in _SPEC_RULES:

@@ -13,6 +13,7 @@ import csv
 import io
 import json
 import math
+import operator
 from dataclasses import MISSING, fields, replace
 from pathlib import Path
 from typing import Callable, Iterator, NamedTuple, TypeVar
@@ -115,9 +116,6 @@ def _placement(value: object, where: str) -> Placement:
     return placement
 
 
-_CHAIN_ENTRY_KEY_SET = frozenset(CHAIN_ENTRY_KEYS)
-
-
 def _chain_entry(entry: object, where: str) -> tuple[str, str, Placement]:
     """The (id, spec name, placement) of one chain entry."""
     entry = _object(entry, where, CHAIN_ENTRY_KEYS, required=CHAIN_ENTRY_KEYS)
@@ -128,6 +126,36 @@ def _chain_entry(entry: object, where: str) -> tuple[str, str, Placement]:
     )
 
 
+_ID, _SPEC, _PLACEMENT = map(operator.itemgetter, CHAIN_ENTRY_KEYS)
+
+
+def _chain_columns(chain_data: list) -> tuple[list, list, list]:
+    """The ids, spec names and placements of the chain's entries.
+
+    The common chain is accepted in bulk: every entry a dict of three keys
+    that are `id`, `spec` and `placement`, every value a str, every
+    placement known. Any other goes through the strict checks entry by
+    entry, which raise the first bad entry's message or accept it (a str
+    subclass, say).
+    """
+    if set(map(type, chain_data)) <= {dict} and set(map(len, chain_data)) <= {3}:
+        try:
+            ids = list(map(_ID, chain_data))
+            spec_names = list(map(_SPEC, chain_data))
+            names = list(map(_PLACEMENT, chain_data))
+            if {*map(type, ids), *map(type, spec_names), *map(type, names)} <= {str}:
+                return ids, spec_names, list(map(_PLACEMENTS.__getitem__, names))
+        except KeyError:  # a key other than the three, or an unknown placement
+            pass
+    ids, spec_names, placements = [], [], []
+    for pos, entry in enumerate(chain_data):
+        vnf_id, spec, placement = _chain_entry(entry, f"chain[{pos}]")
+        ids.append(vnf_id)
+        spec_names.append(spec)
+        placements.append(placement)
+    return ids, spec_names, placements
+
+
 def scenario_from_dict(data: object) -> Scenario:
     """Build and validate a Scenario from parsed JSON."""
     data = _object(data, "scenario", TOP_LEVEL_KEYS, required=("chain", "theta_cur"))
@@ -135,23 +163,7 @@ def scenario_from_dict(data: object) -> Scenario:
     chain_data = data["chain"]
     if not isinstance(chain_data, list):
         raise ScenarioFormatError("chain must be a list")
-    ids, spec_names, placements = [], [], []
-    for pos, entry in enumerate(chain_data):
-        # The common, well-formed entry is accepted without building the
-        # error locations; any other goes through the strict checks, which
-        # raise their message or accept it (a str subclass, say).
-        if not (
-            type(entry) is dict
-            and entry.keys() == _CHAIN_ENTRY_KEY_SET
-            and type(vnf_id := entry["id"]) is str
-            and type(spec := entry["spec"]) is str
-            and type(name := entry["placement"]) is str
-            and (placement := _PLACEMENTS.get(name)) is not None
-        ):
-            vnf_id, spec, placement = _chain_entry(entry, f"chain[{pos}]")
-        ids.append(vnf_id)
-        spec_names.append(spec)
-        placements.append(placement)
+    ids, spec_names, placements = _chain_columns(chain_data)
 
     anchors = _object(data.get("anchors", {}), "anchors", ANCHOR_KEYS)
     ingress, egress = (
@@ -208,13 +220,57 @@ def _parse_file(path: str | Path, parse: Callable[[str], _T]) -> _T:
         raise ScenarioFormatError(f"{path}: {exc}") from exc
 
 
-def _scenario_from_json(text: str) -> Scenario:
+def _strict_json(text: str) -> object:
+    """`text` parsed with every object built by `_strict_object`."""
     try:
-        data = json.loads(text, object_pairs_hook=_strict_object)
+        return json.loads(text, object_pairs_hook=_strict_object)
     except json.JSONDecodeError as exc:
         raise ScenarioFormatError(f"invalid JSON at line {exc.lineno}: {exc.msg}") from exc
     except (RecursionError, ValueError) as exc:  # nested too deep, an int of too many digits
         raise ScenarioFormatError(f"invalid JSON: {exc}") from exc
+
+
+def _keys_and_objects(data: object) -> tuple[int, int]:
+    """The keys kept and the objects counted in parsed `data`: the top
+    level, the chain entries, `anchors`, `spec_overrides` and its entries."""
+    if type(data) is not dict:
+        return 0, 0
+    keys, objects = len(data), 1
+    chain = data.get("chain")
+    if type(chain) is list and set(map(type, chain)) <= {dict}:
+        keys += sum(map(len, chain))
+        objects += len(chain)
+    overrides = data.get("spec_overrides")
+    for level in (data.get("anchors"), overrides):
+        if type(level) is dict:
+            keys += len(level)
+            objects += 1
+    if type(overrides) is dict and set(map(type, overrides.values())) <= {dict}:
+        keys += sum(map(len, overrides.values()))
+        objects += len(overrides)
+    return keys, objects
+
+
+def _scenario_from_json(text: str) -> Scenario:
+    """The scenario of JSON `text`, decided without a per-object hook.
+
+    Outside strings, each ':' in JSON text separates one key from its value
+    and each '{' opens one object, so the plain parse's counted keys and
+    objects never exceed the text's ':' and '{'. When both counts meet, no
+    object repeated a key and every object was counted, so the plain parse
+    is what the strict parse gives. Otherwise (a duplicate key, a ':' or '{'
+    inside a string, an object where none is counted, invalid JSON) the text
+    is parsed again with `_strict_object`, and `scenario_from_dict` names
+    the first repeated key it meets, with its level.
+    """
+    try:
+        data = json.loads(text)
+    except (RecursionError, ValueError):
+        exact = False
+    else:
+        exact = _keys_and_objects(data) == (text.count(":"), text.count("{"))
+    if not exact:
+        data = _strict_json(text)
     return scenario_from_dict(data)
 
 

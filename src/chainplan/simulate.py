@@ -137,7 +137,11 @@ class ComparisonReport(NamedTuple):
     latency_reduction_pct: float
 
 
-def _policy_result(scenario: Scenario, policy: str, check_crossings: bool) -> PolicyResult:
+def _policy_result(
+    scenario: Scenario, policy: str, before: tuple[int, float, float], check_crossings: bool
+) -> PolicyResult:
+    """One policy's result; `before` holds the input chain's crossings,
+    latency and max throughput, which both policies share."""
     chain, specs, theta = scenario.chain, scenario.specs, scenario.theta_cur
     plan = _PLANNERS[policy](chain, specs, theta)
     verification = None
@@ -145,14 +149,15 @@ def _policy_result(scenario: Scenario, policy: str, check_crossings: bool) -> Po
         verification = verify_plan(
             chain, specs, theta, plan, require_crossing_nonincrease=check_crossings
         )
+    crossings, latency, max_throughput = before
     return PolicyResult(
         policy=policy,
         plan=plan,
-        crossings_before=count_crossings(chain),
+        crossings_before=crossings,
         crossings_after=count_crossings(plan.post_chain),
-        latency_before_us=estimate_latency(chain, specs, scenario.pcie_latency_us),
+        latency_before_us=latency,
         latency_after_us=estimate_latency(plan.post_chain, specs, scenario.pcie_latency_us),
-        max_throughput_before_gbps=max_chain_throughput(chain, specs),
+        max_throughput_before_gbps=max_throughput,
         max_throughput_after_gbps=max_chain_throughput(plan.post_chain, specs),
         verification=verification,
     )
@@ -164,8 +169,14 @@ def compare(scenario: Scenario) -> ComparisonReport:
     The baseline is allowed to add crossings, so its verification skips the
     crossing check; everything else is certified for both plans.
     """
-    pam = _policy_result(scenario, "pam", check_crossings=True)
-    naive = _policy_result(scenario, "naive", check_crossings=False)
+    chain, specs = scenario.chain, scenario.specs
+    before = (
+        count_crossings(chain),
+        estimate_latency(chain, specs, scenario.pcie_latency_us),
+        max_chain_throughput(chain, specs),
+    )
+    pam = _policy_result(scenario, "pam", before, check_crossings=True)
+    naive = _policy_result(scenario, "naive", before, check_crossings=False)
     if naive.latency_after_us > 0:
         reduction = 100.0 * (naive.latency_after_us - pam.latency_after_us) / naive.latency_after_us
     else:

@@ -2,23 +2,34 @@ from __future__ import annotations
 
 import json
 import math
+import random
 from dataclasses import replace
+from typing import Callable
 
 import pytest
 
 import golden
 from chainplan import (
+    DEFAULT_PCIE_LATENCY_US,
     Placement,
+    Scenario,
     ScenarioFormatError,
     ScenarioValidationError,
+    ServiceChain,
+    ValidationReport,
+    Violation,
+    VnfSpec,
+    builtin_table1,
     cli,
     load_scenario,
     load_trace,
+    model,
     save_scenario,
     scenario_from_dict,
     scenario_to_dict,
     validate,
 )
+from chainplan import scenario_io as sio
 
 S = Placement.SMARTNIC
 C = Placement.CPU
@@ -526,3 +537,317 @@ def test_format_error_starts_with_the_path_once(tmp_path, load, data):
     message = str(err.value)
     assert message.startswith(f"{path}: ")
     assert message.count(str(path)) == 1
+
+
+# -- The bulk loader against the strict walks --------------------------------
+#
+# The loader decides with a plain `json.loads`, key and object counts and
+# column-wide checks, and runs the strict per-object and per-entry walks only
+# when one of those fails. The reference below is the loader as it was
+# before: every object through `_strict_object`, every chain entry through
+# `_chain_entry`, every vNF through the validation loop. The two must agree
+# on every input: the same Scenario, or the same error type and message.
+
+
+def _reference_validate(scenario: Scenario) -> ValidationReport:
+    """`validate` with the chain walked vNF by vNF, in chain order."""
+    violations: list[Violation] = []
+    chain = scenario.chain
+    if not chain.ids:
+        violations.append(Violation("empty_chain", "chain", "chain has no vNF instances"))
+    seen: set[str] = set()
+    for vnf_id, spec in zip(chain.ids, chain.spec_names):
+        if vnf_id in seen:
+            violations.append(
+                Violation("duplicate_vnf_id", f"chain[{vnf_id}]", f"vNF id {vnf_id!r} appears more than once")
+            )
+        seen.add(vnf_id)
+        if spec not in scenario.specs:
+            violations.append(
+                Violation(
+                    "unresolved_spec_reference", f"chain[{vnf_id}].spec",
+                    f"vNF {vnf_id!r} references unknown spec {spec!r}",
+                )
+            )
+    for name, spec in scenario.specs.items():
+        for field, holds, code, rule in model._SPEC_RULES:
+            value = getattr(spec, field)
+            if not holds(value, 0):
+                violations.append(Violation(code, f"specs[{name}].{field}", f"{rule}, got {value}"))
+    if not scenario.theta_cur >= 0:
+        violations.append(
+            Violation("negative_load", "theta_cur", f"throughput must be >= 0, got {scenario.theta_cur}")
+        )
+    pcie = scenario.pcie_latency_us
+    if pcie < 0:
+        violations.append(Violation("negative_pcie_latency", "pcie_latency_us",
+                                    f"crossing latency must be >= 0, got {pcie}"))
+    elif not math.isfinite(pcie):
+        violations.append(Violation("non_finite_pcie_latency", "pcie_latency_us",
+                                    f"crossing latency must be finite, got {pcie}"))
+    return ValidationReport(tuple(violations))
+
+
+def _reference_from_dict(data: object) -> Scenario:
+    """`scenario_from_dict` with every chain entry through `_chain_entry`."""
+    data = sio._object(data, "scenario", sio.TOP_LEVEL_KEYS, required=("chain", "theta_cur"))
+    chain_data = data["chain"]
+    if not isinstance(chain_data, list):
+        raise ScenarioFormatError("chain must be a list")
+    rows = [sio._chain_entry(entry, f"chain[{pos}]") for pos, entry in enumerate(chain_data)]
+    anchors = sio._object(data.get("anchors", {}), "anchors", sio.ANCHOR_KEYS)
+    ingress, egress = (
+        sio._placement(anchors[end], f"anchors.{end}") if end in anchors else S for end in sio.ANCHOR_KEYS
+    )
+    specs = builtin_table1()
+    for name, entry in sio._object(data.get("spec_overrides", {}), "spec_overrides", None).items():
+        where = f"spec_overrides[{name}]"
+        base = specs.get(name)
+        entry = sio._object(entry, where, sio.OVERRIDE_KEYS, required=sio.NEW_SPEC_KEYS if base is None else ())
+        numbers = {key: sio._number(value, f"{where}.{key}") for key, value in entry.items()}
+        specs[name] = VnfSpec(name=name, **numbers) if base is None else replace(base, **numbers)
+    theta_cur = sio._number(data["theta_cur"], "theta_cur")
+    pcie = sio._number(data.get("pcie_latency_us", DEFAULT_PCIE_LATENCY_US), "pcie_latency_us")
+    columns = tuple(map(tuple, zip(*rows))) if rows else ((), (), ())
+    scenario = Scenario(ServiceChain(*columns, ingress, egress), specs, theta_cur, pcie)
+    report = _reference_validate(scenario)
+    if not report.ok:
+        raise ScenarioValidationError(report)
+    return scenario
+
+
+def _reference_from_json(text: str) -> Scenario:
+    """The hook-first loader: every object of `text` through `_strict_object`."""
+    try:
+        data = json.loads(text, object_pairs_hook=sio._strict_object)
+    except json.JSONDecodeError as exc:
+        raise ScenarioFormatError(f"invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+    except (RecursionError, ValueError) as exc:
+        raise ScenarioFormatError(f"invalid JSON: {exc}") from exc
+    return _reference_from_dict(data)
+
+
+def _outcome(build: Callable[[], Scenario]) -> tuple:
+    """What `build` gives: the Scenario with its column types, or the error."""
+    try:
+        scenario = build()
+    except (ScenarioFormatError, ScenarioValidationError) as exc:
+        return type(exc), str(exc)
+    chain = scenario.chain
+    return scenario, tuple(map(type, chain.ids)), tuple(map(type, chain.spec_names))
+
+
+class _Obj(list):
+    """A JSON object as a list of [key as JSON text, value] pairs, so that a
+    mutation can repeat a key or write it with escapes."""
+
+
+def _tree(text: str) -> object:
+    return json.loads(text, object_pairs_hook=lambda pairs: _Obj([json.dumps(k), v] for k, v in pairs))
+
+
+def _text(node: object) -> str:
+    if isinstance(node, _Obj):
+        return "{" + ", ".join(f"{key}: {_text(value)}" for key, value in node) + "}"
+    if isinstance(node, list):
+        return "[" + ", ".join(map(_text, node)) + "]"
+    return json.dumps(node)
+
+
+def _objects(node: object) -> list[_Obj]:
+    """Every object in the tree, outermost first."""
+    if isinstance(node, _Obj):
+        return [node, *(found for _, value in node for found in _objects(value))]
+    if isinstance(node, list):
+        return [found for child in node for found in _objects(child)]
+    return []
+
+
+def _member(obj: _Obj, key: str) -> object:
+    """The value a parse keeps for `key`: that of its last pair."""
+    return [value for k, value in obj if k == json.dumps(key)][-1]
+
+
+def _escaped(key: str, rng: random.Random) -> str:
+    """`key` as JSON text with one character written as a \\u escape."""
+    if not key:
+        return '""'
+    pos = rng.randrange(len(key))
+    return json.dumps(key[:pos])[:-1] + f"\\u{ord(key[pos]):04x}" + json.dumps(key[pos + 1:])[1:]
+
+
+def _repeat_pair(tree, rng, escape: bool) -> None:
+    obj = rng.choice(_objects(tree))
+    if not obj:
+        obj.append(['"id"', "x"])
+    key, value = rng.choice(obj)
+    if escape:
+        key = _escaped(json.loads(key), rng)
+    value = rng.choice([value, "SmartNIC", 2.5, _Obj()])
+    obj.insert(rng.randrange(len(obj) + 1), [key, value])
+
+
+def _rename(tree, rng, mark: str) -> None:
+    """Put `mark` inside an id, or inside a spec name everywhere it is used."""
+    chain = _member(tree, "chain")
+    entry = rng.choice(chain)
+    field = rng.choice(["id", "spec", "override"])
+    if field == "id":
+        entry[0][1] = entry[0][1][:1] + mark + entry[0][1][1:]
+        return
+    old = entry[1][1]
+    new = old[:2] + mark + old[2:]
+    for other in chain:
+        if other[1][1] == old:
+            other[1][1] = new
+    if field == "override":  # also rename (or add) its override entry
+        overrides = _member(tree, "spec_overrides")
+        for pair in overrides:
+            if pair[0] == json.dumps(old):
+                pair[0] = json.dumps(new)
+                break
+        else:
+            overrides.append([json.dumps(new), _Obj([['"cap_smartnic"', 3.0], ['"cap_cpu"', 5.0]])])
+
+
+def _object_for_scalar(tree, rng) -> None:
+    slots = [(obj, i) for obj in _objects(tree) for i, (_, value) in enumerate(obj) if not isinstance(value, list)]
+    obj, i = rng.choice(slots)
+    obj[i][1] = rng.choice([_Obj([['"a"', 1]]), _Obj([['"id"', "x"], ['"id"', "y"]]), _Obj(), [_Obj()]])
+
+
+def _bad_entry(tree, rng) -> None:
+    chain = _member(tree, "chain")
+    if type(chain) is not list:  # a repeated "chain" pair replaced it
+        return
+    pos = rng.randrange(len(chain))
+    entry = chain[pos]
+    chain[pos] = rng.choice([
+        [value for _, value in entry],
+        entry[0][1],
+        _Obj(rng.sample(entry, 2)),
+        _Obj([*entry, ['"weight"', 2]]),
+        _Obj([*entry[:2], ['"placement"', "GPU"]]),
+        [_Obj()],
+    ])
+
+
+def _repeat_id(tree, rng) -> None:
+    chain = _member(tree, "chain")
+    rng.choice(chain)[0][1] = rng.choice(chain)[0][1]
+
+
+def _unresolve_spec(tree, rng) -> None:
+    rng.choice(_member(tree, "chain"))[1][1] = rng.choice(["Router", "logger", "C2 "])
+
+
+# Mutations that keep the document's shape come first: "mixed" applies three
+# in this order, so each finds the chain entries it expects.
+MUTATIONS = {
+    "colon-in-name": lambda tree, rng: _rename(tree, rng, ":"),
+    "brace-in-name": lambda tree, rng: _rename(tree, rng, rng.choice(["{", "{}", ": {"])),
+    "repeated-id": _repeat_id,
+    "unresolved-spec": _unresolve_spec,
+    "repeated-pair": lambda tree, rng: _repeat_pair(tree, rng, escape=False),
+    "repeated-escaped-key": lambda tree, rng: _repeat_pair(tree, rng, escape=True),
+    "object-for-scalar": _object_for_scalar,
+    "bad-entry": _bad_entry,
+}
+SHIPPED_SCENARIOS = sorted(golden.SCENARIO_DIR.glob("*.scenario.json"))
+MUTANTS_PER_CASE = 40
+
+
+class TestBulkLoaderMatchesTheStrictWalks:
+    @pytest.mark.parametrize("path", SHIPPED_SCENARIOS, ids=lambda p: p.stem)
+    @pytest.mark.parametrize("kind", [*MUTATIONS, "mixed"])
+    def test_seeded_mutants_load_alike(self, tmp_path, path, kind):
+        rng = random.Random(f"{path.stem}/{kind}")
+        outcomes = set()
+        for _ in range(MUTANTS_PER_CASE):
+            tree = _tree(path.read_text())
+            kinds = [kind] if kind != "mixed" else sorted(rng.sample(list(MUTATIONS), 3), key=list(MUTATIONS).index)
+            for name in kinds:
+                MUTATIONS[name](tree, rng)
+            mutant = tmp_path / "mutant.scenario.json"
+            mutant.write_text(_text(tree))
+            got = _outcome(lambda: load_scenario(mutant))
+            assert got == _outcome(lambda: sio._parse_file(mutant, _reference_from_json)), mutant.read_text()
+            outcomes.add(got[1] if isinstance(got[0], type) else "loaded")
+        assert len(outcomes) > 1  # the mutants reach more than one outcome
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_str_subclass_columns_build_alike(self, seed):
+        class Name(str):
+            pass
+
+        rng = random.Random(seed)
+        doc = fig1_doc()
+        for entry in rng.sample(doc["chain"], rng.randint(1, 3)):
+            for key in rng.sample(list(entry), rng.randint(1, 3)):
+                entry[key] = Name(entry[key])
+        if rng.random() < 0.5:
+            rng.choice(doc["chain"])["id"] = Name(rng.choice(doc["chain"])["id"])
+        if rng.random() < 0.5:
+            rng.choice(doc["chain"])["spec"] = Name("Router")
+        assert _outcome(lambda: scenario_from_dict(doc)) == _outcome(lambda: _reference_from_dict(doc))
+
+    def test_violations_keep_the_chain_order(self):
+        doc = fig1_doc()
+        doc["chain"][1]["spec"] = "Router"
+        doc["chain"][3]["id"] = "LB"
+        doc["chain"][4]["id"] = "Logger"
+        with pytest.raises(ScenarioValidationError) as err:
+            scenario_from_dict(doc)
+        assert err.value.report.codes() == (
+            "unresolved_spec_reference", "duplicate_vnf_id", "duplicate_vnf_id",
+        )
+        assert str(err.value) == (
+            "scenario failed validation: unresolved_spec_reference at chain[Logger].spec; "
+            "duplicate_vnf_id at chain[LB]; duplicate_vnf_id at chain[Logger]"
+        )
+
+
+@pytest.fixture
+def strict_calls(monkeypatch) -> list:
+    """The objects `_strict_object` builds, one entry per call."""
+    calls: list = []
+    strict_object = sio._strict_object
+    monkeypatch.setattr(sio, "_strict_object", lambda pairs: calls.append(pairs) or strict_object(pairs))
+    return calls
+
+
+class TestStrictParseRunsOnlyToNameAnError:
+    @pytest.mark.parametrize("path", SHIPPED_SCENARIOS, ids=lambda p: p.stem)
+    def test_shipped_scenarios_load_without_it(self, path, strict_calls):
+        load_scenario(path)
+        assert strict_calls == []
+
+    def test_a_colon_in_an_id_loads_through_one_strict_parse(self, tmp_path, strict_calls):
+        text = golden.FIG1_SCENARIO.read_text()
+        path = tmp_path / "colon.scenario.json"
+        path.write_text(text.replace('"id": "Monitor"', '"id": "Mon:itor"'))
+        expected = load_scenario(golden.FIG1_SCENARIO)
+        ids = tuple(vnf_id.replace("Monitor", "Mon:itor") for vnf_id in expected.chain.ids)
+        assert strict_calls == []
+        assert load_scenario(path) == replace(expected, chain=replace(expected.chain, ids=ids))
+        assert len(strict_calls) == text.count("{")  # each object once
+
+    def test_an_escaped_repeat_of_a_key_is_named(self, tmp_path, strict_calls):
+        path = tmp_path / "escaped.scenario.json"
+        text = golden.FIG1_SCENARIO.read_text()
+        path.write_text(text.replace('{"id": "LB",', '{"id": "LB", "\\u0069d": "LB",'))
+        with pytest.raises(ScenarioFormatError) as err:
+            load_scenario(path)
+        assert str(err.value) == f"{path}: duplicate key 'id' in chain[0]"
+        assert strict_calls
+
+    def test_an_empty_object_where_none_is_counted_goes_through_it(self, tmp_path, strict_calls):
+        # An empty object adds no ':'; its '{' sends it through the strict
+        # parse, whose hook call can meet the recursion limit where the
+        # plain parse does not.
+        path = tmp_path / "nested.scenario.json"
+        path.write_text('{"chain": [[{}]], "theta_cur": 1.0}')
+        with pytest.raises(ScenarioFormatError) as err:
+            load_scenario(path)
+        assert str(err.value) == f"{path}: chain[0] must be an object"
+        assert len(strict_calls) == 2
