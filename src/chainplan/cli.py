@@ -206,9 +206,12 @@ def _cmd_plan(args: argparse.Namespace) -> int:
 def _cmd_simulate(args: argparse.Namespace) -> int:
     scenario = _load(args)
     records = run_trace(scenario, load_trace(args.trace), args.policy)
-    Path(args.out).write_text(timeline_to_csv(records), encoding="utf-8")
-    if args.svg:
-        Path(args.svg).write_text(timeline_svg(records), encoding="utf-8")
+    # Both texts come first: one that raises leaves neither file behind.
+    timeline = timeline_to_csv(records)
+    chart = timeline_svg(records) if args.svg else None
+    Path(args.out).write_text(timeline, encoding="utf-8")
+    if chart is not None:
+        Path(args.svg).write_text(chart, encoding="utf-8")
     print(f"wrote {len(records)} records to {args.out}")
     return EXIT_OK
 
@@ -279,12 +282,15 @@ def _print_comparison_text(report: ComparisonReport) -> None:
 def _cmd_compare(args: argparse.Namespace) -> int:
     scenario = _load(args)
     report = compare(scenario)
-    if args.json:
-        print(_comparison_json(report))
-    else:
+    # Both texts come first: one that raises leaves no output behind.
+    document = _comparison_json(report) if args.json else None
+    chart = comparison_svg(report) if args.svg else None
+    if document is None:
         _print_comparison_text(report)
-    if args.svg:
-        Path(args.svg).write_text(comparison_svg(report), encoding="utf-8")
+    else:
+        print(document)
+    if chart is not None:
+        Path(args.svg).write_text(chart, encoding="utf-8")
     return EXIT_OK
 
 

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 import re
 from pathlib import Path
 from typing import Sequence
@@ -161,12 +162,20 @@ def _axis_box(top: float) -> tuple[str, float, float, float, float]:
 
 
 def _span(values: Sequence[float], zero_floor: bool) -> tuple[float, float]:
+    """The low and high ends of an axis over `values`. An SVG coordinate is
+    a finite number, so a NaN or infinite value, or an axis whose width
+    overflows a float or rounds to zero, raises a ValueError naming it."""
+    if not all(map(math.isfinite, values)):
+        bad = next(x for x in values if not math.isfinite(x))
+        raise ValueError(f"cannot chart {bad!r}: chart values must be finite")
     lo = min(values)
     hi = max(values)
     if zero_floor:
         lo = min(0.0, lo)
     if hi == lo:
         hi = lo + 1.0
+    if not 0 < hi - lo < math.inf:
+        raise ValueError(f"cannot scale a chart axis from {lo!r} to {hi!r}")
     return lo, hi
 
 

@@ -230,48 +230,31 @@ def _strict_json(text: str) -> object:
         raise ScenarioFormatError(f"invalid JSON: {exc}") from exc
 
 
-def _keys_and_objects(data: object) -> tuple[int, int]:
-    """The keys kept and the objects counted in parsed `data`: the top
-    level, the chain entries, `anchors`, `spec_overrides` and its entries."""
-    if type(data) is not dict:
-        return 0, 0
-    keys, objects = len(data), 1
-    chain = data.get("chain")
-    if type(chain) is list and set(map(type, chain)) <= {dict}:
-        keys += sum(map(len, chain))
-        objects += len(chain)
-    overrides = data.get("spec_overrides")
-    for level in (data.get("anchors"), overrides):
-        if type(level) is dict:
-            keys += len(level)
-            objects += 1
-    if type(overrides) is dict and set(map(type, overrides.values())) <= {dict}:
-        keys += sum(map(len, overrides.values()))
-        objects += len(overrides)
-    return keys, objects
-
-
 def _scenario_from_json(text: str) -> Scenario:
-    """The scenario of JSON `text`, decided without a per-object hook.
+    """The scenario of JSON `text`, accepted without a per-object hook.
 
-    Outside strings, each ':' in JSON text separates one key from its value
-    and each '{' opens one object, so the plain parse's counted keys and
-    objects never exceed the text's ':' and '{'. When both counts meet, no
-    object repeated a key and every object was counted, so the plain parse
-    is what the strict parse gives. Otherwise (a duplicate key, a ':' or '{'
-    inside a string, an object where none is counted, invalid JSON) the text
-    is parsed again with `_strict_object`, and `scenario_from_dict` names
-    the first repeated key it meets, with its level.
+    A plain parse is accepted when `scenario_from_dict` validates it and the
+    keys kept at the only object levels a valid scenario has (the top level,
+    the chain entries, `anchors`, `spec_overrides` and its entries) number
+    the text's ':'. Outside strings each ':' separates one key from its
+    value, so then no object repeated a key (a repeat, or an object dropped
+    by one, adds a ':' that no kept key accounts for) and the strict parse
+    builds the same data. Any other text is parsed again with
+    `_strict_object`, so every error, a repeated key's included, comes from
+    that parse or its `scenario_from_dict`, as in a load with the hook
+    alone. A ':' inside a string loads that way too.
     """
     try:
         data = json.loads(text)
+        scenario = scenario_from_dict(data)
     except (RecursionError, ValueError):
-        exact = False
+        pass
     else:
-        exact = _keys_and_objects(data) == (text.count(":"), text.count("{"))
-    if not exact:
-        data = _strict_json(text)
-    return scenario_from_dict(data)
+        overrides = data.get("spec_overrides", {})
+        objects = [data, *data["chain"], data.get("anchors", {}), overrides, *overrides.values()]
+        if sum(map(len, objects)) == text.count(":"):
+            return scenario
+    return scenario_from_dict(_strict_json(text))
 
 
 def load_scenario(path: str | Path) -> Scenario:

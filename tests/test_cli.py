@@ -510,6 +510,43 @@ class TestPcieOverride:
                 assert "at pcie_latency_us" in err
 
 
+class TestNonFiniteChartValues:
+    """A chart value SVG cannot draw is an error, as with `--json`, and no
+    output is printed or written once any output text fails."""
+
+    # fig1 at 1e308 us per crossing: 4 crossings make the latency inf.
+    LATENCY = ("--scenario", str(golden.FIG1_SCENARIO), "--pcie-latency-us", "1e308")
+
+    @pytest.mark.parametrize("command, message", [
+        (("simulate", "--trace", str(golden.RAMP_TRACE), "--policy", "pam", *LATENCY),
+         "cannot chart inf: chart values must be finite"),
+        (("compare", *LATENCY), "cannot chart inf: chart values must be finite"),
+        (("compare", "--json", *LATENCY), "Out of range float values are not JSON compliant: inf"),
+    ], ids=["simulate", "compare", "compare-json"])
+    def test_an_infinite_latency_is_exit_one(self, capsys, tmp_path, command, message):
+        out_csv, out_svg = tmp_path / "timeline.csv", tmp_path / "chart.svg"
+        written = ("--out", str(out_csv)) if command[0] == "simulate" else ()
+        code, out, err = run(capsys, *command, *written, "--svg", str(out_svg))
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+        assert not out_csv.exists() and not out_svg.exists()
+
+    @pytest.mark.parametrize("points, message", [
+        ("1e20,0.5\n", "cannot scale a chart axis from 1e+20 to 1e+20"),
+        ("-1e308,0.5\n1e308,1.2\n", "cannot scale a chart axis from -1e+308 to 1e+308"),
+    ], ids=["one-point-past-2**53", "span-past-the-float-range"])
+    def test_a_time_axis_floats_cannot_scale_is_exit_one(self, capsys, tmp_path, points, message):
+        trace = tmp_path / "times.trace.csv"
+        trace.write_text("t,theta_cur_gbps\n" + points)
+        out_csv, out_svg = tmp_path / "timeline.csv", tmp_path / "timeline.svg"
+        code, out, err = run(
+            capsys,
+            "simulate", "--scenario", str(golden.FIG1_SCENARIO), "--trace", str(trace),
+            "--policy", "pam", "--out", str(out_csv), "--svg", str(out_svg),
+        )
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+        assert not out_csv.exists() and not out_svg.exists()
+
+
 # Two SmartNIC vNFs whose demand ratios (1e308 each) add up past the float range.
 OVERFLOWING_SCENARIO = {
     "chain": [

@@ -252,6 +252,41 @@ class TestLinePanelMatchesClosures:
         assert line_panel(0, "z", xs, ys, "us") == reference_line_panel(0, "z", xs, ys, "us")
 
 
+class TestNonFiniteChartValues:
+    @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+    @pytest.mark.parametrize("field", ["t", "latency_us", "max_throughput_gbps"])
+    def test_timeline_svg_names_the_value(self, field, value):
+        records = sample_records()
+        records = (records[0], records[1]._replace(**{field: value}))
+        with pytest.raises(ValueError) as err:
+            reports.timeline_svg(records)
+        assert str(err.value) == f"cannot chart {value!r}: chart values must be finite"
+
+    @pytest.mark.parametrize("value", [float("inf"), float("nan")])
+    @pytest.mark.parametrize("policy, field", [
+        ("pam", "latency_before_us"), ("naive", "latency_after_us"), ("pam", "max_throughput_after_gbps"),
+    ])
+    def test_comparison_svg_names_the_value(self, policy, field, value):
+        report = compare(load_scenario(golden.FIG1_SCENARIO))
+        report = report._replace(**{policy: getattr(report, policy)._replace(**{field: value})})
+        with pytest.raises(ValueError) as err:
+            reports.comparison_svg(report)
+        assert str(err.value) == f"cannot chart {value!r}: chart values must be finite"
+
+    @pytest.mark.parametrize("ts", [(1e20,), (2.0**53,), (-1e308, 1e308)])
+    def test_a_time_axis_floats_cannot_scale_is_named(self, ts):
+        record = sample_records()[0]
+        records = [record._replace(t=t) for t in ts]
+        with pytest.raises(ValueError) as err:
+            reports.timeline_svg(records)
+        hi = ts[-1] if len(ts) > 1 else ts[0]
+        assert str(err.value) == f"cannot scale a chart axis from {ts[0]!r} to {hi!r}"
+
+    def test_one_point_below_2_53_still_charts(self):
+        record = sample_records()[0]
+        assert reports.timeline_svg([record._replace(t=2.0**53 - 1)]).startswith("<svg ")
+
+
 class TestEmitReport:
     def test_csv_file(self, tmp_path):
         out = tmp_path / "timeline.csv"

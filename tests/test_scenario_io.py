@@ -3,7 +3,9 @@ from __future__ import annotations
 import json
 import math
 import random
+import sys
 from dataclasses import replace
+from pathlib import Path
 from typing import Callable
 
 import pytest
@@ -541,12 +543,14 @@ def test_format_error_starts_with_the_path_once(tmp_path, load, data):
 
 # -- The bulk loader against the strict walks --------------------------------
 #
-# The loader decides with a plain `json.loads`, key and object counts and
-# column-wide checks, and runs the strict per-object and per-entry walks only
-# when one of those fails. The reference below is the loader as it was
-# before: every object through `_strict_object`, every chain entry through
-# `_chain_entry`, every vNF through the validation loop. The two must agree
-# on every input: the same Scenario, or the same error type and message.
+# The loader accepts a plain `json.loads` that validates and whose kept keys
+# number the text's ':', and parses every other text again through
+# `_strict_object`; chain columns and `validate` check column-wide and run
+# their per-entry walks only when a column check fails. The reference below
+# is the hook-first loader: every object through `_strict_object`, every
+# chain entry through `_chain_entry`, every vNF through the validation loop.
+# The two must agree on every input: the same Scenario, or the same error
+# type and message.
 
 
 def _reference_validate(scenario: Scenario) -> ValidationReport:
@@ -625,6 +629,12 @@ def _reference_from_json(text: str) -> Scenario:
     except (RecursionError, ValueError) as exc:
         raise ScenarioFormatError(f"invalid JSON: {exc}") from exc
     return _reference_from_dict(data)
+
+
+def _hook_first_load(path: Path) -> Scenario:
+    """`load_scenario` by the hook-first loader, whose `json.loads` runs as
+    many frames deep as `load_scenario`'s strict parse."""
+    return sio._parse_file(path, lambda text: _reference_from_json(text))
 
 
 def _outcome(build: Callable[[], Scenario]) -> tuple:
@@ -841,13 +851,78 @@ class TestStrictParseRunsOnlyToNameAnError:
         assert str(err.value) == f"{path}: duplicate key 'id' in chain[0]"
         assert strict_calls
 
+    def test_a_brace_in_an_id_loads_without_it(self, tmp_path, strict_calls):
+        text = golden.FIG1_SCENARIO.read_text()
+        path = tmp_path / "brace.scenario.json"
+        path.write_text(text.replace('"id": "Monitor"', '"id": "Mon{itor"'))
+        expected = load_scenario(golden.FIG1_SCENARIO)
+        ids = tuple(vnf_id.replace("Monitor", "Mon{itor") for vnf_id in expected.chain.ids)
+        assert load_scenario(path) == replace(expected, chain=replace(expected.chain, ids=ids))
+        assert strict_calls == []
+
+    def test_a_rejected_scenario_goes_through_it_once(self, tmp_path, strict_calls):
+        # Every key is counted, so only the rejection sends it there.
+        path = tmp_path / "empty.scenario.json"
+        path.write_text('{"chain": [], "theta_cur": 1.0}')
+        expected = _outcome(lambda: _hook_first_load(path))
+        assert expected == (ScenarioValidationError, "scenario failed validation: empty_chain at chain")
+        strict_calls.clear()
+        assert _outcome(lambda: load_scenario(path)) == expected
+        assert len(strict_calls) == 1
+
     def test_an_empty_object_where_none_is_counted_goes_through_it(self, tmp_path, strict_calls):
-        # An empty object adds no ':'; its '{' sends it through the strict
-        # parse, whose hook call can meet the recursion limit where the
-        # plain parse does not.
+        # A chain entry that is not an object is rejected, so the text goes
+        # through the strict parse, whose hook call can meet the recursion
+        # limit where the plain parse does not.
         path = tmp_path / "nested.scenario.json"
         path.write_text('{"chain": [[{}]], "theta_cur": 1.0}')
         with pytest.raises(ScenarioFormatError) as err:
             load_scenario(path)
         assert str(err.value) == f"{path}: chain[0] must be an object"
         assert len(strict_calls) == 2
+
+
+def _nested(depth: int, inner: str) -> str:
+    return '{"chain": ' + "[" * depth + inner + "]" * depth + ', "theta_cur": 1.0}'
+
+
+def _first_depth(overflows: Callable[[int], bool]) -> int:
+    """The least nesting depth at which `overflows` holds, by bisection."""
+    low, high = 0, sys.getrecursionlimit()
+    while not overflows(high):
+        low, high = high, high * 2
+        assert high <= 1 << 20, "no recursion limit met"
+    while high - low > 1:
+        mid = (low + high) // 2
+        low, high = (low, mid) if overflows(mid) else (mid, high)
+    return high
+
+
+@pytest.mark.parametrize("inner", ["{}", ""], ids=["object-inside", "lists-only"])
+def test_nesting_around_the_recursion_limit_loads_as_the_hook_first_loader(tmp_path, inner):
+    # The plain parse calls no hook, so it meets the recursion limit a few
+    # levels deeper than the strict parse. Around and between both points
+    # (found on the running Python, from this frame's depth give or take a
+    # frame) the loader must give what the hook-first loader gives.
+    path = tmp_path / "nested.scenario.json"
+
+    def plain_overflows(depth: int) -> bool:
+        path.write_text(_nested(depth, inner))
+        try:
+            sio._parse_file(path, lambda text: json.loads(text))
+        except RecursionError:
+            return True
+        return False
+
+    def strict_overflows(depth: int) -> bool:
+        path.write_text(_nested(depth, inner))
+        return "maximum recursion depth" in _outcome(lambda: _hook_first_load(path))[1]
+
+    points = _first_depth(strict_overflows), _first_depth(plain_overflows)
+    messages = set()
+    for depth in range(min(points) - 4, max(points) + 5):
+        path.write_text(_nested(depth, inner))
+        got = _outcome(lambda: load_scenario(path))
+        assert got == _outcome(lambda: _hook_first_load(path)), depth
+        messages.add(got[1].split(": ", 2)[-1].split(" while ")[0])
+    assert messages == {"chain[0] must be an object", "maximum recursion depth exceeded"}, points
