@@ -8,6 +8,7 @@ do not depend on the device.
 
 from __future__ import annotations
 
+import operator
 from typing import Mapping
 
 from .model import ServiceChain, VnfSpec
@@ -17,7 +18,7 @@ from .resources import chain_sum
 def count_crossings(chain: ServiceChain) -> int:
     """Adjacent placement changes along [ingress anchor, vNFs..., egress anchor]."""
     seq = chain.placement_sequence()
-    return sum(1 for a, b in zip(seq, seq[1:]) if a is not b)
+    return sum(map(operator.is_not, seq, seq[1:]))
 
 
 def estimate_latency(

@@ -179,11 +179,11 @@ def _span(values: Sequence[float], zero_floor: bool) -> tuple[float, float]:
     return lo, hi
 
 
-def _x_texts(xs: Sequence[float]) -> list[str]:
-    """The x coordinate text of each of `xs` in a line panel; every panel
-    spans the same width, so panels that plot the same xs share them."""
+def _x_texts(xs: Sequence[float], xlo: float, xhi: float) -> list[str]:
+    """The x coordinate text of each of `xs` in a line panel whose x axis
+    spans `xlo` to `xhi`; every panel spans the same width, so panels that
+    plot the same xs share them."""
     x0, x1 = _ML, _W - _MR
-    xlo, xhi = _span(xs, zero_floor=False)
     # Coordinates are x0 + (x - xlo) / dx * width, evaluated in that order:
     # a precomputed scale factor width / dx would round differently.
     dx, width = xhi - xlo, x1 - x0
@@ -193,13 +193,13 @@ def _x_texts(xs: Sequence[float]) -> list[str]:
 def _line_panel(
     top: float,
     title: str,
-    xs: Sequence[float],
+    x_span: tuple[float, float],
     x_texts: Sequence[str],
     ys: Sequence[float],
     y_label: str,
 ) -> str:
     box, x0, x1, y0, y1 = _axis_box(top)
-    xlo, xhi = _span(xs, zero_floor=False)
+    xlo, xhi = x_span
     ylo, yhi = _span(ys, zero_floor=True)
 
     # y coordinates are y1 - (y - ylo) / dy * height, in that order, as
@@ -210,14 +210,14 @@ def _line_panel(
     # a zero of either sign, and y1 minus a zero is y1.
     y_text = {y: f"{y1 - (y - ylo) / dy * height:.6g}" for y in set(ys)}
     coords = [(cx, y_text[y]) for cx, y in zip(x_texts, ys)]
-    points = " ".join(f"{cx},{cy}" for cx, cy in coords)
+    color = _SERIES_COLORS[0]
     parts = [box, _text(x0, top + _MT - 10, title, size=14)]
-    if len(xs) > 1:
-        parts.append(
-            f'<polyline points="{points}" fill="none" stroke="{_SERIES_COLORS[0]}" stroke-width="2"/>'
-        )
-    for cx, cy in coords:
-        parts.append(f'<circle cx="{cx}" cy="{cy}" r="3" fill="{_SERIES_COLORS[0]}"/>')
+    if len(coords) > 1:
+        points = " ".join([f"{cx},{cy}" for cx, cy in coords])
+        parts.append(f'<polyline points="{points}" fill="none" stroke="{color}" stroke-width="2"/>')
+    parts.append(
+        "\n".join([f'<circle cx="{cx}" cy="{cy}" r="3" fill="{color}"/>' for cx, cy in coords])
+    )
     parts.append(_text(x0 - 8, y1 + 4, _fmt(ylo), anchor="end"))
     parts.append(_text(x0 - 8, y0 + 4, _fmt(yhi), anchor="end"))
     parts.append(_text(x0, y1 + 16, _fmt(xlo)))
@@ -269,16 +269,17 @@ def timeline_svg(records: Sequence[TimelineRecord]) -> str:
         raise ValueError("no records to chart")
     policy = records[0].policy
     xs = [r.t for r in records]
-    x_texts = _x_texts(xs)
+    x_span = _span(xs, zero_floor=False)
+    x_texts = _x_texts(xs, *x_span)
     return _document(
         [
             _line_panel(
-                0, f"latency ({policy})", xs, x_texts, [r.latency_us for r in records], "us"
+                0, f"latency ({policy})", x_span, x_texts, [r.latency_us for r in records], "us"
             ),
             _line_panel(
                 _PANEL_H,
                 f"max throughput ({policy})",
-                xs,
+                x_span,
                 x_texts,
                 [r.max_throughput_gbps for r in records],
                 "Gbps",

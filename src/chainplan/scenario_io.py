@@ -15,6 +15,7 @@ import json
 import math
 import operator
 from dataclasses import MISSING, fields, replace
+from itertools import repeat
 from pathlib import Path
 from typing import Callable, Iterator, NamedTuple, TypeVar
 
@@ -314,6 +315,37 @@ def _csv_rows(text: str, header: tuple[str, ...], name: str) -> Iterator[tuple[i
 
 
 def _trace_points(text: str) -> tuple[TracePoint, ...]:
+    """The points of trace CSV `text`, accepted in bulk.
+
+    The text is accepted when the first row is the header, every other
+    non-blank row has two fields that `float` reads, all finite, t strictly
+    increases, theta is >= 0 and some row holds data: what
+    `_strict_trace_points` checks row by row. Any other text goes to that
+    loop, so every rejection comes from it, with its message.
+    """
+    try:
+        rows = list(csv.reader(io.StringIO(text)))
+        body = list(filter(None, rows[1:]))
+        # An empty body's widths are the empty set, so a trace without data
+        # rows goes to the loop.
+        if rows and tuple(rows[0]) == TRACE_HEADER and {*map(len, body)} == {2}:
+            t_texts, theta_texts = zip(*body)
+            ts, thetas = list(map(float, t_texts)), list(map(float, theta_texts))
+            if (
+                all(map(math.isfinite, ts))
+                and all(map(math.isfinite, thetas))
+                and all(map(operator.lt, ts, ts[1:]))
+                and min(thetas) >= 0
+            ):
+                return tuple(map(tuple.__new__, repeat(TracePoint), zip(ts, thetas)))
+    except (csv.Error, ValueError):  # a field over csv's limit, a number float cannot read
+        pass
+    return _strict_trace_points(text)
+
+
+def _strict_trace_points(text: str) -> tuple[TracePoint, ...]:
+    """The points of trace CSV `text`, checked row by row; the first bad
+    row raises a ScenarioFormatError naming its line."""
     points: list[TracePoint] = []
     for line, (t_text, theta_text) in _csv_rows(text, TRACE_HEADER, "trace"):
         try:

@@ -47,6 +47,16 @@ def run_trace(
     reports 0. The planner runs only at points whose SmartNIC sum is
     >= 1.0: below that (or at NaN) it would stop at its own overload test
     and return the chain unchanged.
+    Nor does it run at a load of at least `floor`, the load of the last
+    plan if that plan returned ScaleOutRequired (the chain is then still
+    its `post_chain`): such a point is ScaleOutRequired with no migration.
+    Proof sketch: every SmartNIC vNF in the post chain's pool was queued in
+    that plan and rejected there against a CPU set that the post chain's
+    contains. At a load theta' >= floor no ratio theta'/cap is smaller, and
+    a chain-order float sum with a term inserted or enlarged is never
+    smaller (rounding is monotone), so `fits` rejects each vNF again: no
+    step, so no new border. The proof needs ratios >= 0, so the floor is
+    kept only when every SmartNIC and CPU capacity of the chain is > 0.
     Crossings, latency and max throughput depend only on the chain, so they
     are computed once for each chain a record shows: the start chain unless
     the first point migrates, then the chain after each migrating point (a
@@ -64,7 +74,11 @@ def run_trace(
     cpu_col = [specs[name].cap_cpu for name in chain.spec_names]
     nic_caps = hosted(nic_col, chain.placements, Placement.SMARTNIC)
     cpu_caps = hosted(cpu_col, chain.placements, Placement.CPU)
+    # The floor's proof needs every ratio >= 0; a NaN capacity fails too.
+    monotone = all([c > 0 for c in nic_col + cpu_col])
+    floor = None
     not_overloaded = PlanOutcome.NOT_OVERLOADED.value
+    scale_out = PlanOutcome.SCALE_OUT_REQUIRED.value
     make = TimelineRecord._make
     shown = None
     cumulative = 0
@@ -78,9 +92,12 @@ def run_trace(
             outcome = not_overloaded
         elif planner is None:
             outcome = "Overloaded"
+        elif floor is not None and theta >= floor:
+            outcome = scale_out
         else:
             plan = planner(chain, specs, theta)
             outcome = plan.outcome.value
+            floor = theta if monotone and outcome == scale_out else None
             if plan.post_chain is not chain:
                 chain = plan.post_chain
                 migrated = plan.steps

@@ -213,8 +213,10 @@ def reference_line_panel(top, title, xs, ys, y_label):
 
 
 def line_panel(top, title, xs, ys, y_label):
-    """`_line_panel` with the x coordinate texts `timeline_svg` passes it."""
-    return reports._line_panel(top, title, xs, reports._x_texts(xs), ys, y_label)
+    """`_line_panel` with the x span and coordinate texts `timeline_svg`
+    passes it."""
+    x_span = reports._span(xs, zero_floor=False)
+    return reports._line_panel(top, title, x_span, reports._x_texts(xs, *x_span), ys, y_label)
 
 
 class TestLinePanelMatchesClosures:

@@ -18,6 +18,7 @@ from chainplan import (
     ScenarioFormatError,
     ScenarioValidationError,
     ServiceChain,
+    TracePoint,
     ValidationReport,
     Violation,
     VnfSpec,
@@ -926,3 +927,193 @@ def test_nesting_around_the_recursion_limit_loads_as_the_hook_first_loader(tmp_p
         assert got == _outcome(lambda: _hook_first_load(path)), depth
         messages.add(got[1].split(": ", 2)[-1].split(" while ")[0])
     assert messages == {"chain[0] must be an object", "maximum recursion depth exceeded"}, points
+
+
+# -- The bulk trace loader against the per-row loop --------------------------
+#
+# `_trace_points` accepts a trace in bulk when every check of the per-row
+# loop `_strict_trace_points` would pass, and sends every other text to that
+# loop. The two must agree on every input: the same points, or the same
+# error message, and the loop runs only on text that is rejected.
+
+
+def _generated_trace(rng: random.Random) -> str:
+    """A seasonal trace written as the benchmark's generator writes one."""
+    thetas = [abs(1.5 + math.sin(i / 5.0) + rng.uniform(-0.3, 0.3)) for i in range(rng.randint(1, 40))]
+    return "t,theta_cur_gbps\n" + "".join(f"{float(t)!r},{x!r}\n" for t, x in enumerate(thetas))
+
+
+def _data_rows(rows: list[list[str]]) -> list[list[str]]:
+    """The rows after the header that hold both fields."""
+    return [row for row in rows[1:] if len(row) >= 2]
+
+
+def _set_field(rows, rng, value) -> None:
+    data = _data_rows(rows)
+    if data:
+        rng.choice(data)[rng.randrange(2)] = value
+
+
+def _quote(rows, rng) -> None:
+    row = rng.choice(rows)
+    if row:
+        j = rng.randrange(len(row))
+        row[j] = f'"{row[j]}"'
+
+
+def _quoted_newline(rows, rng) -> None:
+    data = _data_rows(rows)
+    if data:
+        row, j = rng.choice(data), rng.randrange(2)
+        row[j] = rng.choice(['"{}\n"', '"\n{}"', '"{}\r\n"', '"{}\n1"']).format(row[j])
+
+
+def _space(rows, rng) -> None:
+    row = rng.choice(rows)
+    if row:
+        j = rng.randrange(len(row))
+        row[j] = rng.choice([" {}", "{} ", "\t{}"]).format(row[j])
+
+
+def _equal_t(rows, rng) -> None:
+    data = _data_rows(rows)
+    if len(data) > 1:
+        i = rng.randrange(1, len(data))
+        data[i][0] = data[i - 1][0]
+
+
+def _decreasing_t(rows, rng) -> None:
+    data = _data_rows(rows)
+    if len(data) > 1:
+        i = rng.randrange(1, len(data))
+        data[i][0], data[i - 1][0] = data[i - 1][0], data[i][0]
+
+
+def _negative_theta(rows, rng) -> None:
+    data = _data_rows(rows)
+    if data:
+        row = rng.choice(data)
+        row[1] = rng.choice(["-{}", "-1e-300", "-0.0"]).format(row[1])
+
+
+def _width(rows, rng) -> None:
+    row = rng.choice(rows[1:] or rows)
+    if rng.random() < 0.5:
+        row.append(rng.choice(["", "1.0"]))
+    else:
+        del row[-1:]
+
+
+TRACE_MUTATIONS = {
+    "blank-start": lambda rows, rng: rows.insert(0, []),
+    "blank-middle": lambda rows, rng: rows.insert(rng.randint(1, len(rows)), []),
+    "blank-end": lambda rows, rng: rows.extend([[]] * rng.randint(1, 3)),
+    "quoted": _quote,
+    "quoted-newline": _quoted_newline,
+    "spaces": _space,
+    "value": lambda rows, rng: _set_field(
+        rows, rng, rng.choice(["nan", "inf", "-inf", "1e400", "1_0", "-0.0", "NaN", "0x1", "", "1e-400"])
+    ),
+    "equal-t": _equal_t,
+    "decreasing-t": _decreasing_t,
+    "negative-theta": _negative_theta,
+    "width": _width,
+    "header": lambda rows, rng: rows.__setitem__(
+        0,
+        rng.choice(
+            [["t", "theta"], ["T", "theta_cur_gbps"], ["t", "theta_cur_gbps", ""], ["theta_cur_gbps", "t"], ["t"], []]
+        ),
+    ),
+}
+TRACE_NEWLINES = {"lf": "\n", "crlf": "\r\n", "cr": "\r"}
+TRACE_SOURCES = {"ramp": golden.RAMP_TRACE, "seasonal": golden.SEASONAL_TRACE, "generated": None}
+
+
+def _trace_text(source: str, rng: random.Random) -> str:
+    path = TRACE_SOURCES[source]
+    return path.read_text() if path is not None else _generated_trace(rng)
+
+
+def _trace_outcome(load: Callable[[], tuple]) -> tuple:
+    """What `load` gives: `tuple` and each point's type and value reprs (so
+    -0.0 and 0.0 differ), or the error's type and message."""
+    try:
+        points = load()
+    except ScenarioFormatError as exc:
+        return type(exc), str(exc)
+    return tuple, [(type(p), repr(p.t), repr(p.theta_cur)) for p in points]
+
+
+@pytest.fixture
+def loop_calls(monkeypatch) -> list:
+    """The texts `_trace_points` hands to the per-row loop."""
+    calls: list = []
+    loop = sio._strict_trace_points
+    monkeypatch.setattr(sio, "_strict_trace_points", lambda text: calls.append(text) or loop(text))
+    return calls
+
+
+class TestBulkTraceLoaderMatchesTheLoop:
+    @pytest.mark.parametrize("newline", TRACE_NEWLINES)
+    @pytest.mark.parametrize("kind", [*TRACE_MUTATIONS, "none", "mixed"])
+    @pytest.mark.parametrize("source", TRACE_SOURCES)
+    def test_mutated_traces_load_alike(self, tmp_path, loop_calls, source, kind, newline):
+        # Raw text keeps every '\r' for csv to see; a file is read with
+        # universal newlines, which turns each line ending into '\n'.
+        rng = random.Random(f"{source}/{kind}/{newline}")
+        path = tmp_path / "mutant.trace.csv"
+        for _ in range(12):
+            rows = [line.split(",") if line else [] for line in _trace_text(source, rng).splitlines()]
+            kinds = [] if kind == "none" else [kind] if kind != "mixed" else rng.sample(list(TRACE_MUTATIONS), 3)
+            for name in kinds:
+                TRACE_MUTATIONS[name](rows, rng)
+            text = "".join(",".join(row) + TRACE_NEWLINES[newline] for row in rows)
+            path.write_bytes(text.encode())
+            for read, load, strict_load in (
+                (text, lambda: sio._trace_points(text), lambda: sio._strict_trace_points(text)),
+                (
+                    path.read_text(encoding="utf-8"),
+                    lambda: load_trace(path),
+                    lambda: sio._parse_file(path, sio._strict_trace_points),
+                ),
+            ):
+                loop_calls.clear()
+                got = _trace_outcome(load)
+                assert loop_calls == ([] if got[0] is tuple else [read]), text
+                assert got == _trace_outcome(strict_load), text
+
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            ("\nt,theta_cur_gbps\n0,1.0\n", "trace header must be 't,theta_cur_gbps'"),
+            ("t,theta_cur_gbps\n\n\n", "trace has no data rows"),
+            ("", "trace header must be 't,theta_cur_gbps'"),
+            ("t,theta_cur_gbps\n0,1.0\n1,1e400\n", "line 3: values must be finite"),
+            ("t,theta_cur_gbps\n0,1.0\n\n0,2.0\n", "line 4: t must be strictly increasing"),
+            ("t,theta_cur_gbps\n0,-1e-300\n", "line 2: theta_cur_gbps must be >= 0"),
+            ('t,theta_cur_gbps\n"0\n1",1.0\n', "line 3: could not convert string to float: '0\\n1'"),
+        ],
+        ids=[
+            "blank-before-the-header", "blank-rows-only", "empty", "overflow", "equal-t-after-a-blank",
+            "negative", "quoted-newline-inside-a-number",
+        ],
+    )
+    def test_rejections_come_from_the_loop(self, loop_calls, text, expected):
+        with pytest.raises(ScenarioFormatError) as err:
+            sio._trace_points(text)
+        assert str(err.value) == expected
+        assert loop_calls == [text]
+
+    @pytest.mark.parametrize(
+        "text, points",
+        [
+            ('"t","theta_cur_gbps"\r\n\r\n" 0\n", 1_0 \r\n\r\n', [(0.0, 10.0)]),
+            ("t,theta_cur_gbps\n0,-0.0\n4e-324,1.5\n", [(0.0, -0.0), (5e-324, 1.5)]),
+        ],
+        ids=["quoted-spaced-crlf", "signed-zero-subnormal"],
+    )
+    def test_odd_but_valid_text_loads_in_bulk(self, loop_calls, text, points):
+        loaded = sio._trace_points(text)
+        assert [(repr(p.t), repr(p.theta_cur)) for p in loaded] == [(repr(t), repr(x)) for t, x in points]
+        assert all(type(p) is TracePoint for p in loaded)
+        assert loop_calls == []

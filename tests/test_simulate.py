@@ -13,6 +13,7 @@ from chainplan import (
     Scenario,
     TimelineRecord,
     TracePoint,
+    VnfSpec,
     compare,
     count_crossings,
     enumerate_placements,
@@ -153,13 +154,26 @@ def rising_and_falling_trace(rng, scenario, max_points=30):
     return tuple(points)
 
 
-def random_replays(seed, count):
+def revisiting_trace(rng, scenario):
+    """Seasonal levels, each followed by loads that come back to it: the
+    same load (a plateau), the next float below it, a fall and a rise back,
+    and a rise past it. A replay that meets ScaleOutRequired at a level
+    meets that load again from above, from below and at the same value."""
+    thetas = []
+    for _, level in rising_and_falling_trace(rng, scenario, max_points=8):
+        below = math.nextafter(level, 0.0)
+        fall, rise = level * rng.uniform(0.3, 0.95), level * rng.uniform(1.0, 1.5)
+        thetas += [level, level, below, level, fall, below, level, rise, level]
+    return tuple(TracePoint(float(i), theta) for i, theta in enumerate(thetas))
+
+
+def random_replays(seed, count, make_trace=rising_and_falling_trace):
     rng = random.Random(seed)
     for draw in range(count):
         generator = randgen.random_scenario if draw % 2 else randgen.boundary_scenario
         chain, specs, load = generator(rng)
         scenario = Scenario(chain, specs, load, pcie_latency_us=rng.uniform(0.0, 30.0))
-        yield scenario, rising_and_falling_trace(rng, scenario)
+        yield scenario, make_trace(rng, scenario)
 
 
 def field_reprs(records):
@@ -180,6 +194,42 @@ class TestMatchesPerPointRecompute:
         # The sweep crosses capacity both ways and moves vNFs.
         assert overloaded > 0
         assert policy == "none" or migrated > 0
+
+    @pytest.mark.parametrize("policy", ("pam", "naive"))
+    def test_traces_that_revisit_a_scale_out_load(self, monkeypatch, policy):
+        calls = count_planner_calls(monkeypatch, policy)
+        skipped = 0
+        for scenario, trace in random_replays(seed=13, count=200, make_trace=revisiting_trace):
+            calls.clear()
+            records = run_trace(scenario, trace, policy)
+            expected = reference_run_trace(scenario, trace, policy)
+            assert records == expected
+            assert field_reprs(records) == field_reprs(expected)
+            skipped += sum(1 for r in records if r.outcome != "NotOverloaded") - len(calls)
+        # Overloaded points that reused a ScaleOutRequired verdict.
+        assert skipped > 0
+
+    @pytest.mark.parametrize("policy", ("pam", "naive"))
+    def test_a_capacity_below_zero_keeps_no_floor(self, monkeypatch, policy):
+        # At load 1, X (CPU ratio 0.625) is rejected against A (0.5), and Y,
+        # whose CPU capacity is negative, moves (ratio -0.5): ScaleOutRequired
+        # with the SmartNIC at exactly 1.0. Y's move made room, so at the same
+        # load X now fits, and the plan resolves.
+        specs = {
+            "A": VnfSpec("A", 1.0, 2.0),
+            "X": VnfSpec("X", 2.0, 1.6),
+            "Y": VnfSpec("Y", 4.0, -2.0),
+            "Z": VnfSpec("Z", 2.0, 1.0),
+        }
+        chain = golden.chain_from_rows([("Z", "Z", S), ("X", "X", S), ("A", "A", C), ("Y", "Y", S)])
+        scenario = Scenario(chain, specs, 1.0, pcie_latency_us=10.0)
+        trace = (TracePoint(0.0, 1.0), TracePoint(1.0, 1.0))
+        calls = count_planner_calls(monkeypatch, policy)
+        records = run_trace(scenario, trace, policy)
+        assert records == reference_run_trace(scenario, trace, policy)
+        assert [r.outcome for r in records] == ["ScaleOutRequired", "Resolved"]
+        assert [r.migrations_this_step for r in records] == [("Y",), ("X",)]
+        assert calls == [1.0, 1.0]
 
 
 class TestChainColumnsOncePerChainState:
@@ -233,31 +283,49 @@ def count_planner_calls(monkeypatch, policy):
 
 
 class TestPlannerOnlyWhenOverloaded:
-    def overloaded_points(self, scenario, trace, policy):
-        """Points whose SmartNIC sum on the chain the point starts from is
-        >= 1.0, replayed with the planners themselves."""
+    def planned_points(self, scenario, trace, policy):
+        """The loads the planner should run at, replayed with the planners
+        themselves: points whose SmartNIC sum on the chain the point starts
+        from is >= 1.0, except those at or above the floor. The floor is the
+        load of the last planned point that returned ScaleOutRequired, and
+        the chain is still that plan's post chain, since only a planned
+        point changes it. Every capacity here is > 0, which the floor needs.
+        Also counts the points the floor skips, and checks that the planner
+        itself gives ScaleOutRequired with no step at each of them."""
         planner = {"pam": plan_pam, "naive": plan_naive}[policy]
         chain, specs = scenario.chain, scenario.specs
-        overloaded = []
+        assert all(s.cap_smartnic > 0 and s.cap_cpu > 0 for s in specs.values())
+        floor = None
+        planned = []
+        skipped = 0
         for point in trace:
             load = point.theta_cur
+            plan = planner(chain, specs, load)
             if utilization(chain, specs, S, load) >= 1.0:
-                overloaded.append(point.theta_cur)
-            chain = planner(chain, specs, load).post_chain
-        return overloaded
+                if floor is not None and load >= floor:
+                    assert plan.outcome.value == "ScaleOutRequired" and not plan.steps
+                    skipped += 1
+                else:
+                    planned.append(load)
+                    floor = load if plan.outcome.value == "ScaleOutRequired" else None
+            chain = plan.post_chain
+        return planned, skipped
 
     @pytest.mark.parametrize("policy", ("pam", "naive"))
     def test_called_exactly_at_the_overloaded_points(self, monkeypatch, policy):
         calls = count_planner_calls(monkeypatch, policy)
-        called = points = 0
+        called = points = skipped = 0
         for scenario, trace in TestChainColumnsOncePerChainState().replays():
             calls.clear()
             run_trace(scenario, trace, policy)
-            assert calls == self.overloaded_points(scenario, trace, policy)
+            planned, floor_skips = self.planned_points(scenario, trace, policy)
+            assert calls == planned
             called += len(calls)
             points += len(trace)
-        # Some points plan and most do not.
+            skipped += floor_skips
+        # Some points plan and most do not, and the floor spares some.
         assert 0 < called < points / 2
+        assert skipped > 0
 
 
 class TestPolicyNoneBoundary:
