@@ -28,7 +28,7 @@ from .planner import (
     plan_pam,
 )
 from .reports import emit_report, parse_timeline_csv, timeline_to_csv
-from .resources import is_overloaded, max_chain_throughput, utilization
+from .resources import max_chain_throughput, utilization
 from .scenario_io import (
     ScenarioFormatError,
     ScenarioValidationError,
@@ -70,7 +70,6 @@ __all__ = [
     "enumerate_placements",
     "estimate_latency",
     "identify_borders",
-    "is_overloaded",
     "load_scenario",
     "load_trace",
     "max_chain_throughput",

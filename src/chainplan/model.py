@@ -28,9 +28,6 @@ class VnfSpec:
     proc_latency_smartnic: float = 0.0
     proc_latency_cpu: float = 0.0
 
-    def capacity(self, device: Placement) -> float:
-        return self.cap_smartnic if device is Placement.SMARTNIC else self.cap_cpu
-
     def proc_latency(self, device: Placement) -> float:
         return self.proc_latency_smartnic if device is Placement.SMARTNIC else self.proc_latency_cpu
 
@@ -94,12 +91,6 @@ class ValidationReport(NamedTuple):
     @property
     def ok(self) -> bool:
         return not self.violations
-
-    def codes(self) -> tuple[str, ...]:
-        # From a list, not a generator: CPython builds tuple(<generator>) at a
-        # guessed length and resizes it, so each call parks one tuple of the
-        # real length on the interpreter's free lists (up to 2,000 per length).
-        return tuple([v.code for v in self.violations])
 
 
 def builtin_table1() -> dict[str, VnfSpec]:

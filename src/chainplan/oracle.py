@@ -208,34 +208,34 @@ def verify_plan(
     info: list[tuple[str, str]] = []
 
     # (a) post_chain is the input with exactly the steps applied, in order.
-    work = chain
+    # Steps move placements only, so the other columns must be the input's.
+    placed = list(chain.placements)
     replay_problem = ""
     for step_no, vnf_id in enumerate(plan.steps, start=1):
         try:
-            idx = work.ids.index(vnf_id)
+            idx = chain.ids.index(vnf_id)
         except ValueError:
             replay_problem = f"step {step_no} names unknown vNF {vnf_id!r}"
             break
-        if work.placements[idx] is not Placement.SMARTNIC:
+        if placed[idx] is not Placement.SMARTNIC:
             replay_problem = (
                 f"step {step_no} migrates {vnf_id!r} which is not on the SmartNIC "
-                f"in {_vector_label(work.placements)}"
+                f"in {_vector_label(placed)}"
             )
             break
-        work = work.with_placement(idx, Placement.CPU)
+        placed[idx] = Placement.CPU
     post = plan.post_chain
-    if not replay_problem and work.placements != post.placements:
+    if not replay_problem and tuple(placed) != post.placements:
         replay_problem = (
-            f"replayed steps give {_vector_label(work.placements)} but post_chain is "
+            f"replayed steps give {_vector_label(placed)} but post_chain is "
             f"{_vector_label(post.placements)}"
         )
-    elif not replay_problem and work != post:
-        column, mine, theirs = next(
-            (name, getattr(work, name), getattr(post, name))
-            for name in ("ids", "spec_names", "ingress_anchor", "egress_anchor")
-            if getattr(work, name) != getattr(post, name)
-        )
-        replay_problem = f"replayed steps give {column} {mine} but post_chain has {theirs}"
+    elif not replay_problem:
+        for column in ("ids", "spec_names", "ingress_anchor", "egress_anchor"):
+            mine, theirs = getattr(chain, column), getattr(post, column)
+            if mine != theirs:
+                replay_problem = f"replayed steps give {column} {mine} but post_chain has {theirs}"
+                break
     assertions.append(AssertionResult("reachability", not replay_problem, replay_problem))
 
     # (b) Resolved means strictly feasible on both devices.

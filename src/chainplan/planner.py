@@ -75,7 +75,7 @@ def _plan(
     S, C = Placement.SMARTNIC, Placement.CPU
     placed = list(chain.placements)
     # `nic` is the SmartNIC's `utilization`, the same additions in the same
-    # order, so this is `is_overloaded`'s verdict (NaN is not overloaded).
+    # order. The SmartNIC is a hot spot when it is >= 1 (NaN is not).
     nic = chain_sum(hosted(nic_ratio, placed, S))
     if not nic >= 1.0:
         return MigrationPlan((), PlanOutcome.NOT_OVERLOADED, (), chain)
@@ -106,7 +106,7 @@ def _plan(
         placed[idx] = C
         nic -= nic_ratio[idx]
         cpu = cpu_next
-        # `fits` (`< 1`) is `not is_overloaded` (`not >= 1`) unless the sum is
+        # `fits` (`< 1`) negates the entry test (`>= 1`) unless the sum is
         # NaN. It is not: the plan returned early unless the SmartNIC's
         # chain_sum was >= 1, so no hosted ratio is NaN, and ratios >= 0 (as
         # `validate` ensures) never sum to NaN.
@@ -119,7 +119,8 @@ def _plan(
                 queued.add(j)
                 heapq.heappush(heap, (cap_nic[j], j))
 
-    # Lists, not generators, as in `ValidationReport.codes`.
+    # From lists, not generators: CPython builds tuple(<generator>) at a
+    # guessed length and resizes it, parking a spare tuple on its free lists.
     steps = tuple([chain.ids[i] for i in moved])
     rejections = tuple([chain.ids[i] for i in rejected])
     post_chain = replace(chain, placements=tuple(placed)) if moved else chain

@@ -67,16 +67,6 @@ def utilization(
     return chain_sum(hosted(ratios, chain.placements, device))
 
 
-def is_overloaded(
-    chain: ServiceChain,
-    specs: Mapping[str, VnfSpec],
-    device: Placement,
-    theta_cur: float,
-) -> bool:
-    """A device is a hot spot when demand reaches capacity (ratio >= 1)."""
-    return utilization(chain, specs, device, theta_cur) >= 1.0
-
-
 def max_chain_throughput(chain: ServiceChain, specs: Mapping[str, VnfSpec]) -> float:
     """Largest throughput at which neither device is overloaded.
 

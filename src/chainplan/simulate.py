@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple, Sequence
 
 from .model import Placement, Scenario
@@ -144,7 +145,9 @@ class ComparisonReport(NamedTuple):
     """Both policies run from the same start on the same load.
 
     `latency_reduction_pct` is how much lower the border policy's post
-    latency is relative to the baseline's, in percent.
+    latency is relative to the baseline's, in percent. It is 0 when the two
+    are equal (both inf included) or the baseline's is not positive, and 100
+    when only the baseline's is inf, so an overflowing latency gives no NaN.
     """
 
     theta_cur: float
@@ -194,10 +197,13 @@ def compare(scenario: Scenario) -> ComparisonReport:
     )
     pam = _policy_result(scenario, "pam", before, check_crossings=True)
     naive = _policy_result(scenario, "naive", before, check_crossings=False)
-    if naive.latency_after_us > 0:
-        reduction = 100.0 * (naive.latency_after_us - pam.latency_after_us) / naive.latency_after_us
-    else:
+    pam_us, naive_us = pam.latency_after_us, naive.latency_after_us
+    if pam_us == naive_us or not naive_us > 0:
         reduction = 0.0
+    elif naive_us == math.inf:
+        reduction = 100.0
+    else:
+        reduction = 100.0 * (naive_us - pam_us) / naive_us
     return ComparisonReport(
         theta_cur=scenario.theta_cur,
         pcie_latency_us=scenario.pcie_latency_us,

@@ -8,6 +8,7 @@ import json
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -545,6 +546,80 @@ class TestNonFiniteChartValues:
         )
         assert (code, out, err) == (1, "", f"error: {message}\n")
         assert not out_csv.exists() and not out_svg.exists()
+
+
+# One SmartNIC vNF of the largest float capacity: its ratio at theta = 1 is
+# the subnormal 1 / max, and 1 over that overflows, so the chain's max
+# throughput is inf although every value in the file is finite.
+INF_THROUGHPUT_SCENARIO = {
+    "chain": [{"id": "a", "spec": "Huge", "placement": "SmartNIC"}],
+    "spec_overrides": {"Huge": {"cap_smartnic": 1.7976931348623157e308, "cap_cpu": 4.0}},
+    "theta_cur": 1.0,
+}
+
+
+class TestInfiniteFigures:
+    """Text and CSV carry an inf latency or max throughput; JSON and SVG
+    reject it (exit 1, nothing printed or written); `plan` and `verify`
+    print neither figure. No writer prints a NaN."""
+
+    @pytest.mark.parametrize("path, pcie, line", [
+        (golden.FIG1_SCENARIO, "1e308", "pam latency vs naive: 0.0% lower"),
+        (golden.MONITOR_BOTTLENECK_SCENARIO, "3e307", "pam latency vs naive: 100.0% lower"),
+    ], ids=["both-inf", "baseline-inf"])
+    def test_compare_text_reads_no_nan(self, capsys, path, pcie, line):
+        code, out, err = run(capsys, "compare", "--scenario", str(path), "--pcie-latency-us", pcie)
+        assert (code, err) == (0, "")
+        assert out.splitlines()[-1] == line
+        assert "nan" not in out
+
+    @pytest.fixture(params=["latency", "throughput"])
+    def figure(self, request, tmp_path):
+        """(scenario args, the CSV column that reads inf)."""
+        if request.param == "latency":
+            # fig1's four crossings at 1e308 us each.
+            return ("--scenario", str(golden.FIG1_SCENARIO), "--pcie-latency-us", "1e308"), "latency_us"
+        scenario = tmp_path / "huge.scenario.json"
+        scenario.write_text(json.dumps(INF_THROUGHPUT_SCENARIO))
+        return ("--scenario", str(scenario)), "max_throughput_gbps"
+
+    @pytest.mark.parametrize("command", [
+        ("plan", "--policy", "pam"), ("plan", "--policy", "pam", "--json"), ("verify",),
+    ], ids=["plan", "plan-json", "verify"])
+    def test_plan_and_verify_print_neither_figure(self, capsys, figure, command):
+        code, out, err = run(capsys, *command, *figure[0])
+        assert (code, err) == (0, "")
+        assert not re.search(r"\b(inf|nan)\b", out)
+
+    def test_compare_text_carries_inf(self, capsys, figure):
+        code, out, err = run(capsys, "compare", *figure[0])
+        assert (code, err) == (0, "")
+        assert f"{figure[1]}: inf -> inf" in out
+        assert "nan" not in out
+
+    def test_simulate_csv_carries_inf(self, capsys, tmp_path, figure):
+        out_csv = tmp_path / "timeline.csv"
+        code, out, err = run(
+            capsys, "simulate", "--trace", str(golden.RAMP_TRACE), "--policy", "pam",
+            "--out", str(out_csv), *figure[0],
+        )
+        assert (code, err) == (0, "")
+        records = parse_timeline_csv(out_csv.read_text())
+        assert records and all(getattr(r, figure[1]) == math.inf for r in records)
+        assert "nan" not in out_csv.read_text()
+
+    @pytest.mark.parametrize("command, message", [
+        (("compare", "--json"), "Out of range float values are not JSON compliant: inf"),
+        (("compare", "--svg", "SVG"), "cannot chart inf: chart values must be finite"),
+        (("simulate", "--trace", str(golden.RAMP_TRACE), "--policy", "pam", "--out", "CSV", "--svg", "SVG"),
+         "cannot chart inf: chart values must be finite"),
+    ], ids=["compare-json", "compare-svg", "simulate-svg"])
+    def test_json_and_svg_reject_inf(self, capsys, tmp_path, figure, command, message):
+        files = {"CSV": tmp_path / "timeline.csv", "SVG": tmp_path / "chart.svg"}
+        argv = [str(files.get(arg, arg)) for arg in command]
+        code, out, err = run(capsys, *argv, *figure[0])
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+        assert not any(path.exists() for path in files.values())
 
 
 # Two SmartNIC vNFs whose demand ratios (1e308 each) add up past the float range.

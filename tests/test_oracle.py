@@ -246,6 +246,110 @@ class TestVerifyPlan:
             assert report.passed, report
 
 
+def reference_reachability(chain: ServiceChain, plan: MigrationPlan) -> AssertionResult:
+    """Check (a) replayed chain by chain: one `with_placement` copy per step,
+    then the whole replayed chain compared with `post_chain`."""
+    work = chain
+    for step_no, vnf_id in enumerate(plan.steps, start=1):
+        if vnf_id not in work.ids:
+            return AssertionResult("reachability", False, f"step {step_no} names unknown vNF {vnf_id!r}")
+        idx = work.ids.index(vnf_id)
+        if work.placements[idx] is not S:
+            return AssertionResult(
+                "reachability", False,
+                f"step {step_no} migrates {vnf_id!r} which is not on the SmartNIC in {label(work.placements)}",
+            )
+        work = work.with_placement(idx, C)
+    post = plan.post_chain
+    if work.placements != post.placements:
+        return AssertionResult(
+            "reachability", False,
+            f"replayed steps give {label(work.placements)} but post_chain is {label(post.placements)}",
+        )
+    if work != post:
+        column, mine, theirs = next(
+            (name, getattr(work, name), getattr(post, name))
+            for name in ("ids", "spec_names", "ingress_anchor", "egress_anchor")
+            if getattr(work, name) != getattr(post, name)
+        )
+        return AssertionResult(
+            "reachability", False, f"replayed steps give {column} {mine} but post_chain has {theirs}"
+        )
+    return AssertionResult("reachability", True, "")
+
+
+def malformed_plan(rng: random.Random, chain: ServiceChain, plan: MigrationPlan) -> MigrationPlan:
+    """`plan` with one of its steps or one field of its post chain changed."""
+    steps, post = list(plan.steps), plan.post_chain
+    at = rng.randint(0, len(steps))
+    j = rng.randrange(len(chain))
+    kind = rng.choice(("unknown", "repeated", "cpu", "reordered", "placement", "id", "spec", "anchor"))
+    if kind == "unknown":
+        steps.insert(at, rng.choice(("nope", "", chain.ids[j] + "x")))
+    elif kind == "repeated" and steps:
+        steps.insert(at, rng.choice(steps))
+    elif kind == "cpu":
+        steps.insert(at, rng.choice([*(i for i, p in zip(chain.ids, post.placements) if p is C), "nope"]))
+    elif kind == "reordered":
+        rng.shuffle(steps)
+    elif kind == "placement":
+        flipped = C if post.placements[j] is S else S
+        post = replace(post, placements=(*post.placements[:j], flipped, *post.placements[j + 1:]))
+    elif kind == "id":
+        post = replace(post, ids=(*post.ids[:j], post.ids[j] + "'", *post.ids[j + 1:]))
+    elif kind == "spec":
+        post = replace(post, spec_names=(*post.spec_names[:j], "Nope", *post.spec_names[j + 1:]))
+    elif kind == "anchor":
+        side = rng.choice(("ingress_anchor", "egress_anchor"))
+        post = replace(post, **{side: C if getattr(post, side) is S else S})
+    return plan._replace(steps=tuple(steps), post_chain=post)
+
+
+class TestReachabilityReplay:
+    """Check (a) replays the steps on one placement list; its reports are the
+    chain-by-chain replay's."""
+
+    def test_same_reports_as_replaying_chain_by_chain(self):
+        rng = random.Random(27)
+        details = []
+        for i in range(1500):
+            generate = randgen.boundary_scenario if i % 2 else randgen.random_scenario
+            chain, specs, load = generate(rng)
+            if i % 3 == 0:
+                chain = replace(chain, ingress_anchor=rng.choice((S, C)), egress_anchor=rng.choice((S, C)))
+            plan = rng.choice((plan_pam, plan_naive))(chain, specs, load)
+            if i % 5:
+                plan = malformed_plan(rng, chain, plan)
+            report = verify_plan(chain, specs, load, plan)
+            assert report.assertions[0] == reference_reachability(chain, plan), (chain, plan)
+            details.append(report.assertions[0].detail)
+        kinds = {
+            "passed": [d for d in details if not d],
+            "unknown": [d for d in details if "names unknown vNF" in d],
+            "not on the SmartNIC": [d for d in details if "not on the SmartNIC" in d],
+            "placements": [d for d in details if " but post_chain is " in d],
+        }
+        for column in ("ids", "spec_names", "ingress_anchor", "egress_anchor"):
+            kinds[column] = [d for d in details if d.startswith(f"replayed steps give {column} ")]
+        assert all(len(found) >= 20 for found in kinds.values()), {k: len(v) for k, v in kinds.items()}
+
+    def test_makes_no_with_placement_call(self, fig1_chain, fig1_specs, monkeypatch):
+        plans = [planner(fig1_chain, fig1_specs, load) for planner in (plan_pam, plan_naive) for load in (1.2, 3.0)]
+        plans.append(plans[0]._replace(steps=("Logger", "Logger")))
+        assert any(plan.steps for plan in plans)
+        calls = []
+        original = ServiceChain.with_placement
+
+        def counted(chain, index, placement):
+            calls.append(index)
+            return original(chain, index, placement)
+
+        monkeypatch.setattr(ServiceChain, "with_placement", counted)
+        for plan in plans:
+            verify_plan(fig1_chain, fig1_specs, 1.2, plan)
+        assert calls == []
+
+
 def reference_closure(chain: ServiceChain):
     """Reference border-peel closure over chains: breadth-first from the
     input, each state a rebuilt chain whose borders are found from scratch."""

@@ -18,7 +18,6 @@ from chainplan import (
     VnfSpec,
     count_crossings,
     identify_borders,
-    is_overloaded,
     plan_naive,
     plan_pam,
     utilization,
@@ -159,7 +158,7 @@ class TestAlleviated:
 
     @staticmethod
     def alleviated(chain, specs, index, load):
-        return not is_overloaded(chain.with_placement(index, C), specs, S, load)
+        return not utilization(chain.with_placement(index, C), specs, S, load) >= 1.0
 
     def test_golden_chain_without_logger(self, fig1_chain, fig1_specs):
         assert self.alleviated(fig1_chain, fig1_specs, LOGGER, 1.2)
@@ -408,7 +407,8 @@ def chain_order_sum(chain, specs, device, load):
     total = 0.0
     for name, placement in zip(chain.spec_names, chain.placements):
         if placement is device:
-            total += load / specs[name].capacity(device)
+            spec = specs[name]
+            total += load / (spec.cap_smartnic if device is S else spec.cap_cpu)
     return total
 
 
@@ -419,7 +419,7 @@ def reference_plan(chain, specs, load, *, borders_only):
     and every device sum a decision compared with 1.0: the CPU sum plus the
     candidate for each headroom test, the SmartNIC sum for each stop test.
     """
-    if not is_overloaded(chain, specs, S, load):
+    if not utilization(chain, specs, S, load) >= 1.0:
         return MigrationPlan((), PlanOutcome.NOT_OVERLOADED, (), chain), []
     if borders_only:
         pool = set(identify_borders(chain))
@@ -438,7 +438,7 @@ def reference_plan(chain, specs, load, *, borders_only):
         steps.append(work.ids[idx])
         work = work.with_placement(idx, C)
         sums.append(chain_order_sum(work, specs, S, load))
-        if not is_overloaded(work, specs, S, load):
+        if not utilization(work, specs, S, load) >= 1.0:
             outcome = PlanOutcome.RESOLVED
             break
         for j in (idx - 1, idx + 1):

@@ -12,7 +12,6 @@ from chainplan import (
     Placement,
     ServiceChain,
     VnfSpec,
-    is_overloaded,
     max_chain_throughput,
     utilization,
 )
@@ -129,16 +128,18 @@ class TestFits:
 
 
 class TestIsOverloaded:
+    """A device is a hot spot when its utilization is >= 1."""
+
     def test_golden_chain_overloaded_at_1_2(self, fig1_chain, fig1_specs):
-        assert is_overloaded(fig1_chain, fig1_specs, S, 1.2)
+        assert utilization(fig1_chain, fig1_specs, S, 1.2) >= 1.0
 
     def test_exactly_one_is_overloaded(self, fig1_specs):
         chain = golden.chain_from_rows([("Firewall", "Firewall", S)])
-        assert is_overloaded(chain, fig1_specs, S, 10.0)
+        assert utilization(chain, fig1_specs, S, 10.0) >= 1.0
 
     def test_zero_load_is_never_overloaded(self, fig1_chain, fig1_specs):
-        assert not is_overloaded(fig1_chain, fig1_specs, S, 0.0)
-        assert not is_overloaded(fig1_chain, fig1_specs, C, 0.0)
+        assert not utilization(fig1_chain, fig1_specs, S, 0.0) >= 1.0
+        assert not utilization(fig1_chain, fig1_specs, C, 0.0) >= 1.0
 
 
 class TestMaxChainThroughput:
@@ -185,11 +186,9 @@ class TestMaxChainThroughput:
             t = max_chain_throughput(chain, specs)
             below = t * (1 - 1e-9)
             above = t * (1 + 1e-9)
-            assert not is_overloaded(chain, specs, S, below)
-            assert not is_overloaded(chain, specs, C, below)
-            assert is_overloaded(chain, specs, S, above) or is_overloaded(
-                chain, specs, C, above
-            )
+            assert not utilization(chain, specs, S, below) >= 1.0
+            assert not utilization(chain, specs, C, below) >= 1.0
+            assert any(utilization(chain, specs, d, above) >= 1.0 for d in (S, C))
 
     def test_is_one_over_each_devices_utilization_at_one_bit_for_bit(self):
         rng = random.Random(15)

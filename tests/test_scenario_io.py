@@ -809,9 +809,9 @@ class TestBulkLoaderMatchesTheStrictWalks:
         doc["chain"][4]["id"] = "Logger"
         with pytest.raises(ScenarioValidationError) as err:
             scenario_from_dict(doc)
-        assert err.value.report.codes() == (
+        assert [v.code for v in err.value.report.violations] == [
             "unresolved_spec_reference", "duplicate_vnf_id", "duplicate_vnf_id",
-        )
+        ]
         assert str(err.value) == (
             "scenario failed validation: unresolved_spec_reference at chain[Logger].spec; "
             "duplicate_vnf_id at chain[LB]; duplicate_vnf_id at chain[Logger]"

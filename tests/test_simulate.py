@@ -18,7 +18,6 @@ from chainplan import (
     count_crossings,
     enumerate_placements,
     estimate_latency,
-    is_overloaded,
     load_scenario,
     load_trace,
     max_chain_throughput,
@@ -109,7 +108,7 @@ def reference_run_trace(scenario, trace, policy):
         load = point.theta_cur
         if policy == "none":
             migrated = ()
-            overloaded = is_overloaded(chain, specs, S, load)
+            overloaded = utilization(chain, specs, S, load) >= 1.0
             outcome = "Overloaded" if overloaded else "NotOverloaded"
         else:
             plan = planners[policy](chain, specs, load)
@@ -439,6 +438,30 @@ class TestCompare:
         assert list(report.pam.plan.steps) == ["Logger"]
         assert list(report.naive.plan.steps) == ["Logger"]
         assert report.latency_reduction_pct == 0.0
+
+    @pytest.mark.parametrize("path, pcie, pam_us, expected", [
+        (golden.FIG1_SCENARIO, 1e308, math.inf, 0.0),
+        (golden.MONITOR_BOTTLENECK_SCENARIO, 3e307, 1.2e308, 100.0),
+    ], ids=["both-inf", "baseline-inf"])
+    def test_an_infinite_baseline_latency_gives_no_nan(self, path, pcie, pam_us, expected):
+        report = compare(replace(load_scenario(path), pcie_latency_us=pcie))
+        assert (report.pam.latency_after_us, report.naive.latency_after_us) == (pam_us, math.inf)
+        assert report.latency_reduction_pct == expected
+
+    def test_finite_latencies_keep_the_formula_bit_for_bit(self, monkeypatch):
+        scenario = load_scenario(golden.MONITOR_BOTTLENECK_SCENARIO)
+        rng = random.Random(27)
+        edges = (0.0, 5e-324, 1e-300, 1.0, 18.5, 40.0, 1e300, 1.7976931348623157e308)
+        pairs = [(a, b) for a in edges for b in edges]
+        pairs += [(10 ** rng.uniform(-5, 5), 10 ** rng.uniform(-5, 5)) for _ in range(200)]
+        for pam_us, naive_us in pairs:
+            # compare asks for the input's latency, then pam's, then naive's.
+            latencies = iter((0.0, pam_us, naive_us))
+            monkeypatch.setattr(simulate, "estimate_latency", lambda *args: next(latencies))
+            report = compare(scenario)
+            assert (report.pam.latency_after_us, report.naive.latency_after_us) == (pam_us, naive_us)
+            want = 100.0 * (naive_us - pam_us) / naive_us if naive_us > 0 else 0.0
+            assert report.latency_reduction_pct.hex() == want.hex(), (pam_us, naive_us)
 
     def test_throughput_sides_of_the_report(self):
         scenario = load_scenario(golden.MONITOR_BOTTLENECK_SCENARIO)
