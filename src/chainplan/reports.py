@@ -37,34 +37,51 @@ def timeline_to_csv(records: Sequence[TimelineRecord]) -> str:
     id that is empty or holds a `;` would not read back, so it raises a
     ValueError naming the id.
 
-    Latency and max throughput are the same float objects for every record
-    of one chain state, so each is `repr`-ed only when its object changes
-    from the previous record. The cache is keyed by identity, not value:
-    0.0 == -0.0, but their texts differ.
+    Only `t`, `theta_cur_gbps`, `smartnic_util` and `cpu_util` change at
+    every point of a replay, so only they are formatted on every row. The
+    other seven fields (policy, crossings, latency, max throughput, the
+    migrations of the step, the cumulative migrations and the outcome) are
+    the same objects for every record of one chain state: their texts are
+    built once per state, and the migrated ids checked once, then reused
+    while each of the seven is the identical object of the previous
+    record. The rule is identity, not equality: -0.0 == 0.0 and True == 1,
+    but their texts differ, so an equal value in a new object is formatted
+    anew.
     """
     text = _CsvText()
     lines = [",".join(TIMELINE_COLUMNS)]
-    latency = throughput = latency_text = throughput_text = None
-    for (
-        t, theta, policy, nic_util, cpu_util, crossings, lat, tput, migrated, cumulative, outcome,
-    ) in records:
-        if lat is not latency:
-            latency, latency_text = lat, repr(lat)
-        if tput is not throughput:
-            throughput, throughput_text = tput, repr(tput)
-        for vnf_id in migrated:
-            if not vnf_id or ";" in vnf_id:
-                raise ValueError(
-                    f"vNF id {vnf_id!r} cannot be written to the timeline's ;-joined "
-                    "migrations_this_step column"
-                )
-        lines.append(
-            f"{t!r},{theta!r},{text[policy]},{nic_util!r},{cpu_util!r},"
-            f"{crossings},{latency_text},{throughput_text},"
-            f"{text[';'.join(migrated)]},{cumulative},{text[outcome]}"
-        )
-    lines.append("")
+    append = lines.append
+    policy = crossings = latency = throughput = migrated = cumulative = outcome = _UNSET
+    for t, theta, p, nic_util, cpu_util, c, lat, tput, m, cum, o in records:
+        if (
+            p is not policy
+            or c is not crossings
+            or lat is not latency
+            or tput is not throughput
+            or m is not migrated
+            or cum is not cumulative
+            or o is not outcome
+        ):
+            policy, crossings, latency, throughput = p, c, lat, tput
+            migrated, cumulative, outcome = m, cum, o
+            for vnf_id in migrated:
+                if not vnf_id or ";" in vnf_id:
+                    raise ValueError(
+                        f"vNF id {vnf_id!r} cannot be written to the timeline's ;-joined "
+                        "migrations_this_step column"
+                    )
+            head = text[policy]
+            tail = (
+                f"{crossings},{latency!r},{throughput!r},"
+                f"{text[';'.join(migrated)]},{cumulative},{text[outcome]}"
+            )
+        append(f"{t!r},{theta!r},{head},{nic_util!r},{cpu_util!r},{tail}")
+    append("")
     return "\n".join(lines)
+
+
+# Matches no field object, so the first record builds its texts.
+_UNSET = object()
 
 
 class _CsvText(dict):
@@ -198,6 +215,16 @@ def _line_panel(
     ys: Sequence[float],
     y_label: str,
 ) -> str:
+    """One line chart: `ys` against the x coordinate texts `x_texts` (from
+    `_x_texts` over the span `x_span`), as a polyline plus a circle per
+    point, in a panel whose top edge is at `top`.
+
+    Each distinct y is scaled and formatted once, and a point's y text is
+    looked up in that table. The polyline is one `join` of the points'
+    "x,y" texts and the circles one `join` of their 'x" cy="y' texts with
+    the markup between two circles as separator, so no f-string is
+    evaluated per point.
+    """
     box, x0, x1, y0, y1 = _axis_box(top)
     xlo, xhi = x_span
     ylo, yhi = _span(ys, zero_floor=True)
@@ -209,15 +236,15 @@ def _line_panel(
     # distinct. 0.0 and -0.0 share a key: y - ylo is the same for both, or
     # a zero of either sign, and y1 minus a zero is y1.
     y_text = {y: f"{y1 - (y - ylo) / dy * height:.6g}" for y in set(ys)}
-    coords = [(cx, y_text[y]) for cx, y in zip(x_texts, ys)]
+    y_texts = list(map(y_text.__getitem__, ys))
     color = _SERIES_COLORS[0]
     parts = [box, _text(x0, top + _MT - 10, title, size=14)]
-    if len(coords) > 1:
-        points = " ".join([f"{cx},{cy}" for cx, cy in coords])
+    if len(ys) > 1:
+        points = " ".join(map(",".join, zip(x_texts, y_texts)))
         parts.append(f'<polyline points="{points}" fill="none" stroke="{color}" stroke-width="2"/>')
-    parts.append(
-        "\n".join([f'<circle cx="{cx}" cy="{cy}" r="3" fill="{color}"/>' for cx, cy in coords])
-    )
+    between = f'" r="3" fill="{color}"/>\n<circle cx="'
+    circles = between.join(map('" cy="'.join, zip(x_texts, y_texts)))
+    parts.append(f'<circle cx="{circles}" r="3" fill="{color}"/>')
     parts.append(_text(x0 - 8, y1 + 4, _fmt(ylo), anchor="end"))
     parts.append(_text(x0 - 8, y0 + 4, _fmt(yhi), anchor="end"))
     parts.append(_text(x0, y1 + 16, _fmt(xlo)))
@@ -267,7 +294,9 @@ def timeline_svg(records: Sequence[TimelineRecord]) -> str:
     """Latency and throughput over the trace for one policy."""
     if not records:
         raise ValueError("no records to chart")
-    policy = records[0].policy
+    # The policy is chart text: escape it so any policy string keeps the
+    # SVG well-formed. `&` goes first, or the other entities would be mangled.
+    policy = records[0].policy.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
     xs = [r.t for r in records]
     x_span = _span(xs, zero_floor=False)
     x_texts = _x_texts(xs, *x_span)

@@ -80,7 +80,8 @@ def run_trace(
     floor = None
     not_overloaded = PlanOutcome.NOT_OVERLOADED.value
     scale_out = PlanOutcome.SCALE_OUT_REQUIRED.value
-    make = TimelineRecord._make
+    # `_make` is a Python-level call; tuple.__new__ builds the same record in C.
+    new_record = tuple.__new__
     shown = None
     cumulative = 0
     records: list[TimelineRecord] = []
@@ -117,11 +118,12 @@ def run_trace(
         for c in cpu_caps:
             cpu_util += theta / c
         records.append(
-            make(
+            new_record(
+                TimelineRecord,
                 (
                     t, theta, policy, nic_util, cpu_util, crossings, latency,
                     max_throughput, migrated, cumulative, outcome,
-                )
+                ),
             )
         )
     return tuple(records)

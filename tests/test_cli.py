@@ -327,6 +327,9 @@ class TestSteadyStateMemory:
              "--scenario", str(golden.MONITOR_BOTTLENECK_SCENARIO)],
             ["plan", "--policy", "naive", "--scenario", str(rejecting)],
             ["verify", "--scenario", str(golden.TWO_STEP_SCENARIO)],
+            ["simulate", "--scenario", str(golden.FIG1_SCENARIO),
+             "--trace", str(golden.SEASONAL_TRACE), "--policy", "pam",
+             "--out", str(tmp_path / "t.csv"), "--svg", str(tmp_path / "t.svg")],
         ]
 
         def call(argv: list[str]) -> None:

@@ -3,6 +3,7 @@ from __future__ import annotations
 import csv
 import io
 import random
+from xml.etree import ElementTree
 
 import pytest
 
@@ -176,6 +177,51 @@ class TestTimelineCsvMatchesCsvWriter:
             "0.0", "-0.0", "0.0", "0.0", "1.5", "1.5", "nan", "nan", "nan", "-0.0"
         ]
 
+    def test_texts_follow_each_field_object(self):
+        # A replay's records of one chain state share the objects of their
+        # seven non-float fields, and the writer reuses those fields' texts
+        # while every object stays the same. Mid-run, one field switches to
+        # an equal value in a new object; its text must follow the object.
+        twenty = int("20")  # 10 ** twenty builds a new int at each call
+        switches = [
+            ("crossings", lambda: 10**twenty, lambda: 10**twenty),
+            ("cumulative_migrations", lambda: 10**twenty, lambda: 10**twenty),
+            ("crossings", lambda: 1, lambda: True),
+            ("cumulative_migrations", lambda: 1, lambda: True),
+            ("policy", lambda: "pam", lambda: "".join(["pa", "m"])),
+            ("outcome", lambda: "pam", lambda: "".join(["pa", "m"])),
+            ("migrations_this_step", lambda: ("a",), lambda: tuple(["a"])),
+            ("latency_us", lambda: float("0.0"), lambda: float("-0.0")),
+            ("max_throughput_gbps", lambda: float("0.0"), lambda: float("-0.0")),
+        ]
+        rng = random.Random(28)
+        for _ in range(20):
+            records = []
+            for field, old, new in switches:
+                shared = random_record(rng)._asdict()
+                shared[field] = old()
+                length = rng.randint(2, 6)
+                switch_at = rng.randint(1, length - 1)
+                for i in range(length):
+                    if i == switch_at:
+                        assert shared[field] == new() and shared[field] is not new()
+                        shared[field] = new()
+                    floats = {
+                        name: random_float(rng)
+                        for name in ("t", "theta_cur", "smartnic_util", "cpu_util")
+                    }
+                    records.append(TimelineRecord(**{**shared, **floats}))
+            assert timeline_to_csv(records) == reference_timeline_csv(records)
+
+    def test_a_bad_id_shared_by_a_run_of_records_raises(self):
+        first = sample_records()[0]
+        migrated = ("Logger", "a;b")
+        records = [first]
+        records += [first._replace(t=float(i), migrations_this_step=migrated) for i in range(1, 5)]
+        with pytest.raises(ValueError) as err:
+            timeline_to_csv(records)
+        assert repr("a;b") in str(err.value)
+
     def test_replayed_records(self):
         trace = load_trace(golden.SEASONAL_TRACE)
         for path in (golden.FIG1_SCENARIO, golden.TWO_STEP_SCENARIO):
@@ -313,6 +359,16 @@ class TestEmitReport:
         text = out.read_text()
         assert text.startswith("<svg ")
         assert "naive" in text and "pam" in text and "before" in text
+
+    def test_a_policy_with_markup_characters_stays_well_formed(self):
+        records = [r._replace(policy="p<&>") for r in sample_records()]
+        root = ElementTree.fromstring(reports.timeline_svg(records))
+        titles = [
+            node.text
+            for node in root.iter("{http://www.w3.org/2000/svg}text")
+            if node.get("font-size") == "14"
+        ]
+        assert titles == ["latency (p<&>)", "max throughput (p<&>)"]
 
     def test_svg_output_is_deterministic(self, tmp_path):
         a, b = tmp_path / "a.svg", tmp_path / "b.svg"
