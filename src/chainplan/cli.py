@@ -18,7 +18,7 @@ from .oracle import verify_plan
 from .perf import count_crossings
 from .planner import MigrationPlan, plan_pam
 from .reports import comparison_svg, timeline_svg, timeline_to_csv
-from .resources import chain_sum, demand_ratios, hosted
+from .resources import demand_ratios, device_sums
 from .scenario_io import ScenarioValidationError, load_scenario, load_trace
 from .simulate import _PLANNERS, POLICIES, ComparisonReport, PolicyResult, compare, run_trace
 
@@ -94,19 +94,18 @@ _REJECTION_REASON = "cpu_headroom"
 
 def _plan_figures(scenario: Scenario, plan: MigrationPlan) -> tuple:
     """The SmartNIC utilization before and after `plan`, the CPU's, then the
-    crossings. Each utilization is the `chain_sum` of the device's hosted
-    demand ratios, as `utilization` adds them, so a device hosting nothing
-    reads int 0."""
+    crossings. Each utilization is a device's `device_sums` entry, as
+    `utilization` adds it, so a device hosting nothing reads int 0."""
     before, after = scenario.chain, plan.post_chain
     # One set of ratios serves both chains: a plan's post_chain is its input
     # re-placed, with the same spec_names.
     nic, cpu = demand_ratios(before, scenario.specs, scenario.theta_cur)
-    S, C = Placement.SMARTNIC, Placement.CPU
-    return (
-        chain_sum(hosted(nic, before.placements, S)), chain_sum(hosted(nic, after.placements, S)),
-        chain_sum(hosted(cpu, before.placements, C)), chain_sum(hosted(cpu, after.placements, C)),
-        count_crossings(before), count_crossings(after),
-    )
+    nic_before, cpu_before = device_sums(nic, cpu, before.placements)
+    crossings_before = count_crossings(before)
+    if after is before:  # the plan moved nothing
+        return nic_before, nic_before, cpu_before, cpu_before, crossings_before, crossings_before
+    nic_after, cpu_after = device_sums(nic, cpu, after.placements)
+    return nic_before, nic_after, cpu_before, cpu_after, crossings_before, count_crossings(after)
 
 
 # The plan document's fixed text before and after the vNF id of each entry of

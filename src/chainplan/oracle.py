@@ -19,7 +19,7 @@ from typing import Iterator, Mapping, NamedTuple, Sequence
 from .model import Placement, ServiceChain, VnfSpec
 from .perf import count_crossings
 from .planner import MigrationPlan, PlanOutcome, identify_borders
-from .resources import chain_sum, demand_ratios, fits, hosted
+from .resources import demand_ratios, device_sums, fits, hosted
 
 MAX_ORACLE_CHAIN = 20
 
@@ -248,10 +248,8 @@ def verify_plan(
         else:
             s_post, c_post = demand_ratios(post, specs, theta_cur)
             ok = _both_fit(post.placements, s_post, c_post)
-            detail = "" if ok else (
-                f"post placement {_vector_label(post.placements)} has "
-                f"smartnic={chain_sum(hosted(s_post, post.placements, Placement.SMARTNIC))!r}, "
-                f"cpu={chain_sum(hosted(c_post, post.placements, Placement.CPU))!r}"
+            detail = "" if ok else "post placement {} has smartnic={!r}, cpu={!r}".format(
+                _vector_label(post.placements), *device_sums(s_post, c_post, post.placements)
             )
         assertions.append(AssertionResult("resolved_feasibility", ok, detail))
 

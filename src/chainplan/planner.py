@@ -14,6 +14,9 @@ appears at most once in `rejected_candidates`.
 A plan costs O(n + (steps + rejections) * log n) for n vNFs: the loop keeps
 the candidate pool in a heap, the placements in a mutable list and each
 device's demand as a running sum, and builds `post_chain` once at the end.
+Both entry sums come from one `resources.device_sums` pass, and the pools
+are picked with C iterators (`identify_borders` tests only the neighbours
+of the CPU entries).
 Every decision is `resources.fits` on a device's hosted ratios in chain
 order (for headroom, the CPU's followed by the candidate's). A running sum
 differs from that chain-order sum by a rounding error with a proven bound
@@ -27,10 +30,12 @@ from __future__ import annotations
 import heapq
 from dataclasses import replace
 from enum import Enum
+from itertools import compress, repeat
+from operator import is_
 from typing import Mapping, NamedTuple
 
 from .model import Placement, ServiceChain, VnfSpec
-from .resources import below_one, chain_sum, demand_ratios, hosted, rounding_band
+from .resources import below_one, demand_ratios, device_sums, hosted, rounding_band
 
 
 class PlanOutcome(Enum):
@@ -57,11 +62,14 @@ class MigrationPlan(NamedTuple):
 def identify_borders(chain: ServiceChain) -> frozenset[int]:
     """Chain indices of the SmartNIC vNFs with a neighbor on the CPU. Anchors
     count, so with SmartNIC anchors a chain-head vNF borders only downstream."""
-    seq = chain.placement_sequence()
-    return frozenset(
-        i for i, p in enumerate(chain.placements)
-        if p is Placement.SMARTNIC and Placement.CPU in (seq[i], seq[i + 2])
-    )
+    S, C = Placement.SMARTNIC, Placement.CPU
+    seq, placed = chain.placement_sequence(), chain.placements
+    n = len(placed)
+    # seq[k] is vNF k - 1, so a CPU entry at k borders vNFs k - 2 and k.
+    return frozenset([
+        j for k in compress(range(n + 2), map(is_, seq, repeat(C)))
+        for j in (k - 2, k) if 0 <= j < n and placed[j] is S
+    ])
 
 
 def _plan(
@@ -74,9 +82,9 @@ def _plan(
     nic_ratio, cpu_ratio = demand_ratios(chain, specs, theta_cur)
     S, C = Placement.SMARTNIC, Placement.CPU
     placed = list(chain.placements)
-    # `nic` is the SmartNIC's `utilization`, the same additions in the same
-    # order. The SmartNIC is a hot spot when it is >= 1 (NaN is not).
-    nic = chain_sum(hosted(nic_ratio, placed, S))
+    # `nic` and `cpu` are the devices' `utilization`s, the same additions in
+    # the same order. The SmartNIC is a hot spot when it is >= 1 (NaN is not).
+    nic, cpu = device_sums(nic_ratio, cpu_ratio, placed)
     if not nic >= 1.0:
         return MigrationPlan((), PlanOutcome.NOT_OVERLOADED, (), chain)
 
@@ -84,13 +92,15 @@ def _plan(
     cap_nic = [specs[name].cap_smartnic for name in chain.spec_names]
     # An overflowing sum is inf, and so is tol then: every test takes `fits`.
     tol = rounding_band(nic_ratio, cpu_ratio)
-    cpu = chain_sum(hosted(cpu_ratio, placed, C))
 
-    pool = identify_borders(chain) if borders_only else [i for i in range(n) if placed[i] is S]
+    if borders_only:
+        pool = identify_borders(chain)
+    else:
+        pool = list(compress(range(n), map(is_, placed, repeat(S))))
     # An index enters at most once: it then migrates (off the SmartNIC for
     # good) or is rejected, and the CPU sum only grows, so a rejected vNF
     # would be rejected again.
-    heap = [(cap_nic[i], i) for i in pool]
+    heap = list(zip(map(cap_nic.__getitem__, pool), pool))
     heapq.heapify(heap)
     queued = set(pool)
     moved: list[int] = []

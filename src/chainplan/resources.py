@@ -4,19 +4,22 @@ A vNF's resource consumption grows linearly with its throughput, so at chain
 throughput theta it uses the fraction theta / capacity of its device. Device
 utilization is the sum of those fractions over the hosted vNFs.
 
-Every whole-chain device sum is the `chain_sum` (left to right, in chain
-order) of the device's `hosted` `demand_ratios`: `utilization`,
+Every whole-chain device sum is added left to right, in chain order, from
+int 0 over the device's `demand_ratios`: `chain_sum` of the `hosted` ratios
+for one device, `device_sums` for both in one pass. `utilization`,
 `max_chain_throughput`, the planner, the oracle and the CLI's `plan` figures
-all take that form. Trace replay picks each device's capacities with `hosted`
-and adds theta / cap inline, in the same order from int 0. Every capacity
-decision is `fits`: the hosted ratios' chain_sum is below 1. The oracle
-asks it of every set it tests. The planner keeps its sums up to date (from
-the hosted ratios' chain_sum) and decides with `below_one`, which asks `fits`
-only when a carried sum is too close to 1 to stand in for the chain_sum.
+take their pairs from `device_sums`. Trace replay picks each device's
+capacities with `hosted` and adds theta / cap inline, in the same order from
+int 0. Every capacity decision is `fits`: the hosted ratios' chain_sum is
+below 1. The oracle asks it of every set it tests. The planner keeps its
+sums up to date (from `device_sums`) and decides with `below_one`, which
+asks `fits` only when a carried sum is too close to 1 to stand in for the
+chain_sum.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -35,6 +38,22 @@ def chain_sum(values: Iterable[float]) -> float:
 def hosted(values: list[float], placements: Sequence[Placement], device: Placement) -> list[float]:
     """The entries of `values` whose vNF `placements` puts on `device`, in chain order."""
     return [value for value, p in zip(values, placements) if p is device]
+
+
+def device_sums(
+    nic: Sequence[float], cpu: Sequence[float], placements: Sequence[Placement]
+) -> tuple[float, float]:
+    """The `chain_sum` of the `hosted` SmartNIC entries of `nic` and that of
+    the CPU entries of `cpu`, in one pass: the same additions in the same
+    order, so a device hosting nothing reads int 0."""
+    S, C = Placement.SMARTNIC, Placement.CPU
+    nic_sum = cpu_sum = 0
+    for a, b, p in zip(nic, cpu, placements):
+        if p is S:
+            nic_sum += a
+        elif p is C:
+            cpu_sum += b
+    return nic_sum, cpu_sum
 
 
 def fits(ratios: Iterable[float]) -> bool:
@@ -63,8 +82,8 @@ def utilization(
     Not clamped: a value of 1 or more shows how far over capacity a hot spot
     is. Anchors contribute nothing; a device hosting no vNFs reports 0.
     """
-    ratios = demand_ratios(chain, specs, theta_cur)[device is Placement.CPU]
-    return chain_sum(hosted(ratios, chain.placements, device))
+    nic, cpu = device_sums(*demand_ratios(chain, specs, theta_cur), chain.placements)
+    return nic if device is Placement.SMARTNIC else cpu if device is Placement.CPU else 0
 
 
 def max_chain_throughput(chain: ServiceChain, specs: Mapping[str, VnfSpec]) -> float:
@@ -76,11 +95,7 @@ def max_chain_throughput(chain: ServiceChain, specs: Mapping[str, VnfSpec]) -> f
     imposes no bound, so the result is inf when neither device has a
     positive sum. It is also inf when 1 over a subnormal sum overflows.
     """
-    devices = (Placement.SMARTNIC, Placement.CPU)
-    sums = [
-        chain_sum(hosted(ratios, chain.placements, device))
-        for ratios, device in zip(demand_ratios(chain, specs, 1.0), devices)
-    ]
+    sums = device_sums(*demand_ratios(chain, specs, 1.0), chain.placements)
     return min([1.0 / inv for inv in sums if inv > 0.0], default=math.inf)
 
 
@@ -107,10 +122,12 @@ def rounding_band(nic: Sequence[float], cpu: Sequence[float]) -> float:
     A negative or NaN ratio voids the bound, and an overflowing T is
     infinite; tol is then infinite and every test takes the chain_sum.
     """
-    ratios = [*nic, *cpu]
-    if not all(r >= 0.0 for r in ratios):
-        return math.inf
-    return (len(nic) + 2) * 2.0**-50 * (1.0 + chain_sum(ratios))
+    total = 0
+    for r in itertools.chain(nic, cpu):
+        if not r >= 0.0:
+            return math.inf
+        total += r
+    return (len(nic) + 2) * 2.0**-50 * (1.0 + total)
 
 
 def below_one(value: float, tol: float, hosted: Callable[[], Iterable[float]]) -> bool:

@@ -171,16 +171,22 @@ def _policy_result(
         verification = verify_plan(
             chain, specs, theta, plan, require_crossing_nonincrease=check_crossings
         )
-    crossings, latency, max_throughput = before
+    post = plan.post_chain
+    # A plan that moved nothing returns the input chain object.
+    after = before if post is chain else (
+        count_crossings(post),
+        estimate_latency(post, specs, scenario.pcie_latency_us),
+        max_chain_throughput(post, specs),
+    )
     return PolicyResult(
         policy=policy,
         plan=plan,
-        crossings_before=crossings,
-        crossings_after=count_crossings(plan.post_chain),
-        latency_before_us=latency,
-        latency_after_us=estimate_latency(plan.post_chain, specs, scenario.pcie_latency_us),
-        max_throughput_before_gbps=max_throughput,
-        max_throughput_after_gbps=max_chain_throughput(plan.post_chain, specs),
+        crossings_before=before[0],
+        crossings_after=after[0],
+        latency_before_us=before[1],
+        latency_after_us=after[1],
+        max_throughput_before_gbps=before[2],
+        max_throughput_after_gbps=after[2],
         verification=verification,
     )
 

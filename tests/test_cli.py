@@ -1000,6 +1000,27 @@ class TestPlanFigures:
             make = randgen.random_scenario if i % 2 else randgen.boundary_scenario
             self.check(*make(rng, max_len=40))
 
+    def test_a_plan_that_moved_nothing_reuses_the_input_figures(self, monkeypatch):
+        calls = []
+        for name in ("device_sums", "count_crossings"):
+            original = getattr(cli, name)
+
+            def counted(*args, _name=name, _original=original):
+                calls.append(_name)
+                return _original(*args)
+
+            monkeypatch.setattr(cli, name, counted)
+        base = load_scenario(golden.FIG1_SCENARIO)
+        for scenario in (replace(base, theta_cur=0.5), base):
+            for _, plan in _plans(scenario):
+                calls.clear()
+                figures = cli._plan_figures(scenario, plan)
+                if plan.post_chain is scenario.chain:
+                    assert calls == ["device_sums", "count_crossings"]
+                    assert figures[::2] == figures[1::2]
+                else:
+                    assert sorted(calls) == ["count_crossings"] * 2 + ["device_sums"] * 2
+
     def test_device_hosting_nothing_is_int_zero(self):
         rng = random.Random(13)
         for device in (Placement.SMARTNIC, Placement.CPU):

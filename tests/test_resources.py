@@ -19,7 +19,9 @@ from chainplan.resources import (
     below_one,
     chain_sum,
     demand_ratios,
+    device_sums,
     fits,
+    hosted,
     rounding_band,
 )
 
@@ -109,6 +111,92 @@ class TestSummationOrder:
         assert not below_one(1.0 - 2 * tol, float("inf"), lambda: [1.0])
         assert below_one(float("nan"), tol, lambda: [0.5])
         assert not below_one(float("nan"), tol, lambda: [float("nan")])
+
+
+def reference_rounding_band(nic, cpu) -> float:
+    """`rounding_band` as a copy, an `all` and a `chain_sum` of the ratios."""
+    ratios = [*nic, *cpu]
+    if not all(r >= 0.0 for r in ratios):
+        return math.inf
+    return (len(nic) + 2) * 2.0**-50 * (1.0 + chain_sum(ratios))
+
+
+def typed_reprs(values) -> list[tuple[type, str]]:
+    return [(type(v), repr(v)) for v in values]
+
+
+class TestDeviceSums:
+    """`device_sums` is `chain_sum(hosted(...))` on each device, bit for bit."""
+
+    @staticmethod
+    def check(nic, cpu, placements) -> tuple:
+        got = device_sums(nic, cpu, placements)
+        want = (chain_sum(hosted(nic, placements, S)), chain_sum(hosted(cpu, placements, C)))
+        assert typed_reprs(got) == typed_reprs(want)
+        return got
+
+    def test_random_and_boundary_chains(self):
+        rng = random.Random(29)
+        for i in range(600):
+            make = randgen.random_scenario if i % 2 else randgen.boundary_scenario
+            chain, specs, load = make(rng, max_len=rng.choice((4, 12, 40)))
+            for theta in (load, 1.0, -0.0):
+                self.check(*demand_ratios(chain, specs, theta), chain.placements)
+
+    def test_a_device_hosting_nothing_stays_int_zero(self):
+        rng = random.Random(30)
+        chain, specs, load = randgen.random_scenario(rng)
+        nic, cpu = demand_ratios(chain, specs, load)
+        for device in (S, C):
+            sums = self.check(nic, cpu, (device,) * len(chain))
+            empty = sums[device is S]
+            assert empty == 0 and type(empty) is int
+        assert typed_reprs(self.check([], [], ())) == typed_reprs((0, 0))
+
+    def test_negative_zero_load_sums_to_positive_zero(self):
+        # int 0 + -0.0 is 0.0: the sum starts from int 0, not from a ratio.
+        sums = self.check([-0.0, -0.0], [-0.0, -0.0], (S, C))
+        assert typed_reprs(sums) == typed_reprs((0.0, 0.0))
+
+    def test_infinite_and_nan_ratios(self):
+        inf, nan = math.inf, math.nan
+        rng = random.Random(31)
+        specials = (inf, -inf, nan, 1e308, 0.5, -0.0)
+        for _ in range(300):
+            n = rng.randint(0, 8)
+            nic = [rng.choice(specials) for _ in range(n)]
+            cpu = [rng.choice(specials) for _ in range(n)]
+            self.check(nic, cpu, [rng.choice((S, C)) for _ in range(n)])
+
+    def test_a_placement_that_is_neither_member_is_skipped(self):
+        others = (None, "SmartNIC", "CPU", S.value)
+        sums = self.check([0.5, 0.25, 0.125, 2.0, 4.0], [1.0, 2.0, 3.0, 4.0, 5.0], (S, *others))
+        assert typed_reprs(sums) == typed_reprs((0.5, 0))
+
+
+class TestRoundingBand:
+    def test_matches_the_reference_on_random_and_boundary_ratios(self):
+        rng = random.Random(32)
+        for i in range(300):
+            make = randgen.random_scenario if i % 2 else randgen.boundary_scenario
+            chain, specs, load = make(rng, max_len=rng.choice((4, 12, 40)))
+            nic, cpu = demand_ratios(chain, specs, load)
+            assert repr(rounding_band(nic, cpu)) == repr(reference_rounding_band(nic, cpu))
+
+    @pytest.mark.parametrize("bad", (math.nan, -1e-300, -math.inf, math.inf), ids=repr)
+    def test_a_bad_ratio_anywhere_in_either_list(self, bad):
+        base = [0.5, 2.0, 0.25, 1e-3]
+        for which in (0, 1):
+            for position in (0, 2, len(base) - 1):
+                lists = [list(base), [r / 3 for r in base]]
+                lists[which][position] = bad
+                got, want = rounding_band(*lists), reference_rounding_band(*lists)
+                assert repr(got) == repr(want)
+                assert got == math.inf
+
+    def test_empty_and_overflowing_lists(self):
+        for nic, cpu in (([], []), ([0.5], []), ([], [0.5]), ([1e308] * 3, [1e308])):
+            assert repr(rounding_band(nic, cpu)) == repr(reference_rounding_band(nic, cpu))
 
 
 class TestFits:

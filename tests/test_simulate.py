@@ -463,6 +463,37 @@ class TestCompare:
             want = 100.0 * (naive_us - pam_us) / naive_us if naive_us > 0 else 0.0
             assert report.latency_reduction_pct.hex() == want.hex(), (pam_us, naive_us)
 
+    def test_a_plan_that_moved_nothing_reuses_the_input_figures(self, monkeypatch):
+        calls = TestChainColumnsOncePerChainState().count_calls(monkeypatch)
+        base = load_scenario(golden.FIG1_SCENARIO)
+        # The CPU is past capacity with LB alone, so every candidate is rejected.
+        lb = replace(base.specs["LoadBalancer"], cap_cpu=1.0)
+        full_cpu = replace(base, specs={**base.specs, "LoadBalancer": lb})
+        cases = (
+            (replace(base, theta_cur=0.5), "NotOverloaded", 1),
+            (full_cpu, "ScaleOutRequired", 1),
+            (base, "Resolved", 3),
+        )
+        for scenario, outcome, expected_calls in cases:
+            for name in calls:
+                calls[name] = 0
+            report = compare(scenario)
+            # Once for the input chain, and once per post chain that differs.
+            assert calls == dict.fromkeys(calls, expected_calls)
+            for result in (report.pam, report.naive):
+                assert result.plan.outcome.value == outcome
+                moved = result.plan.post_chain is not scenario.chain
+                assert moved is bool(result.plan.steps) is (expected_calls == 3)
+                after = (
+                    result.crossings_after, result.latency_after_us,
+                    result.max_throughput_after_gbps,
+                )
+                before = (
+                    result.crossings_before, result.latency_before_us,
+                    result.max_throughput_before_gbps,
+                )
+                assert moved or after == before
+
     def test_throughput_sides_of_the_report(self):
         scenario = load_scenario(golden.MONITOR_BOTTLENECK_SCENARIO)
         report = compare(scenario)
