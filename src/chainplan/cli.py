@@ -6,12 +6,13 @@ Exit codes: 0 success (and verification pass), 1 validation or parse error,
 
 from __future__ import annotations
 
-import argparse
 import math
 import sys
 from dataclasses import replace
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from .model import Placement, Scenario, validate
 from .oracle import verify_plan
@@ -22,53 +23,16 @@ from .resources import demand_ratios, device_sums
 from .scenario_io import ScenarioValidationError, load_scenario, load_trace
 from .simulate import _PLANNERS, POLICIES, ComparisonReport, PolicyResult, compare, run_trace
 
+if TYPE_CHECKING:
+    import argparse
+
 EXIT_OK = 0
 EXIT_INVALID_INPUT = 1
 EXIT_VERIFICATION_FAILED = 2
 EXIT_IO_ERROR = 3
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """A new parser of the `chainplan` command line; `main` keeps one."""
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--scenario", required=True, help="scenario JSON file")
-    common.add_argument(
-        "--pcie-latency-us",
-        type=float,
-        default=None,
-        help="override the scenario's per-crossing latency",
-    )
-
-    parser = argparse.ArgumentParser(
-        prog="chainplan",
-        description="Plan SmartNIC/CPU migrations for a service chain and estimate their cost.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("plan", parents=[common], help="plan migrations for one load level")
-    p.add_argument("--policy", required=True, choices=tuple(_PLANNERS))
-    p.add_argument("--json", action="store_true", help="emit the plan as JSON")
-    p.set_defaults(func=_cmd_plan)
-
-    p = sub.add_parser("simulate", parents=[common], help="replay a load trace")
-    p.add_argument("--trace", required=True, help="trace CSV file (t,theta_cur_gbps)")
-    p.add_argument("--policy", required=True, choices=POLICIES)
-    p.add_argument("--out", required=True, help="timeline CSV output path")
-    p.add_argument("--svg", default=None, help="also write an SVG chart here")
-    p.set_defaults(func=_cmd_simulate)
-
-    p = sub.add_parser("compare", parents=[common], help="run both policies side by side")
-    p.add_argument("--json", action="store_true", help="emit the comparison as JSON")
-    p.add_argument("--svg", default=None, help="also write an SVG chart here")
-    p.set_defaults(func=_cmd_compare)
-
-    p = sub.add_parser("verify", parents=[common], help="certify the border plan against brute force")
-    p.set_defaults(func=_cmd_verify)
-
-    return parser
-
-
-def _load(args: argparse.Namespace) -> Scenario:
+def _load(args: SimpleNamespace) -> Scenario:
     scenario = load_scenario(args.scenario)
     if args.pcie_latency_us is not None:
         scenario = replace(scenario, pcie_latency_us=args.pcie_latency_us)
@@ -192,7 +156,7 @@ def _print_plan_text(scenario: Scenario, policy: str, plan: MigrationPlan) -> No
     print(f"crossings: {crossings_before} -> {crossings_after}")
 
 
-def _cmd_plan(args: argparse.Namespace) -> int:
+def _cmd_plan(args: SimpleNamespace) -> int:
     scenario = _load(args)
     plan = _PLANNERS[args.policy](scenario.chain, scenario.specs, scenario.theta_cur)
     if args.json:
@@ -202,7 +166,7 @@ def _cmd_plan(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_simulate(args: argparse.Namespace) -> int:
+def _cmd_simulate(args: SimpleNamespace) -> int:
     scenario = _load(args)
     records = run_trace(scenario, load_trace(args.trace), args.policy)
     # Both texts come first: one that raises leaves neither file behind.
@@ -278,7 +242,7 @@ def _print_comparison_text(report: ComparisonReport) -> None:
     print(f"pam latency vs naive: {report.latency_reduction_pct:.1f}% lower")
 
 
-def _cmd_compare(args: argparse.Namespace) -> int:
+def _cmd_compare(args: SimpleNamespace) -> int:
     scenario = _load(args)
     report = compare(scenario)
     # Both texts come first: one that raises leaves no output behind.
@@ -293,7 +257,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
+def _cmd_verify(args: SimpleNamespace) -> int:
     scenario = _load(args)
     chain, specs, theta = scenario.chain, scenario.specs, scenario.theta_cur
     report = verify_plan(chain, specs, theta, plan_pam(chain, specs, theta))
@@ -311,14 +275,146 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_VERIFICATION_FAILED
 
 
-# The parser `main` uses, built once per process: `parse_args` leaves it as it
-# was, and building one takes about 15 times as long as a parse (0.8 against
-# 0.05 ms on CPython 3.11), longer than many whole commands.
-_PARSER = build_parser()
+class _Option(NamedTuple):
+    """One long option of a command: what `build_parser` passes to
+    `add_argument`, and what `_fast_args` checks."""
+
+    flag: str
+    dest: str
+    help: str | None = None
+    required: bool = False
+    store_true: bool = False
+    type: Callable[[str], object] | None = None
+    choices: tuple[str, ...] | None = None
+    default: object = None
+
+
+# The options every command takes first.
+_COMMON = (
+    _Option("--scenario", "scenario", "scenario JSON file", required=True),
+    _Option(
+        "--pcie-latency-us",
+        "pcie_latency_us",
+        "override the scenario's per-crossing latency",
+        type=float,
+    ),
+)
+
+# Each command's help, handler and options, in the order `--help` lists them.
+_COMMANDS = {
+    "plan": ("plan migrations for one load level", _cmd_plan, _COMMON + (
+        _Option("--policy", "policy", required=True, choices=tuple(_PLANNERS)),
+        _Option("--json", "json", "emit the plan as JSON", store_true=True, default=False),
+    )),
+    "simulate": ("replay a load trace", _cmd_simulate, _COMMON + (
+        _Option("--trace", "trace", "trace CSV file (t,theta_cur_gbps)", required=True),
+        _Option("--policy", "policy", required=True, choices=POLICIES),
+        _Option("--out", "out", "timeline CSV output path", required=True),
+        _Option("--svg", "svg", "also write an SVG chart here"),
+    )),
+    "compare": ("run both policies side by side", _cmd_compare, _COMMON + (
+        _Option("--json", "json", "emit the comparison as JSON", store_true=True, default=False),
+        _Option("--svg", "svg", "also write an SVG chart here"),
+    )),
+    "verify": ("certify the border plan against brute force", _cmd_verify, _COMMON),
+}
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """A new argparse parser of the `chainplan` command line, built from
+    `_COMMANDS`; `main` keeps one, built on the first argv it needs."""
+    import argparse
+
+    parser = argparse.ArgumentParser(
+        prog="chainplan",
+        description="Plan SmartNIC/CPU migrations for a service chain and estimate their cost.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, func, options) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for o in options:
+            if o.store_true:
+                kind = {"action": "store_true"}
+            else:
+                kind = {"type": o.type, "choices": o.choices}
+            p.add_argument(
+                o.flag, dest=o.dest, required=o.required, default=o.default, help=o.help, **kind
+            )
+        p.set_defaults(func=func)
+    return parser
+
+
+# Per command: its options by flag, the namespace argparse starts from (every
+# dest at its default), and the dests that must be given.
+_FAST = {
+    name: (
+        {o.flag: o for o in options},
+        {"command": name, **{o.dest: o.default for o in options}, "func": func},
+        frozenset(o.dest for o in options if o.required),
+    )
+    for name, (_, func, options) in _COMMANDS.items()
+}
+
+
+def _fast_args(argv: list[str]) -> SimpleNamespace | None:
+    """The attributes argparse gives `argv`, or None for an argv outside the
+    one spelling read here, which argparse accepts with these attributes.
+
+    That spelling is a command name, then each of its options at most once,
+    by its exact long flag. A value option is followed by a string that does
+    not start with `-` (argparse reads the empty string as a value too),
+    which converts by the option's `type` and is one of its `choices`. Every
+    required option is given. Any other argv (an abbreviation, `--opt=value`,
+    a repeat, a `-`-prefixed value, `--`, `-h`, an error) is argparse's.
+    """
+    tokens = iter(argv)
+    command = _FAST.get(next(tokens, None))
+    if command is None:
+        return None
+    options, defaults, required = command
+    values = {}
+    for flag in tokens:
+        option = options.get(flag)
+        if option is None or option.dest in values:
+            return None
+        if option.store_true:
+            value = True
+        else:
+            value = next(tokens, None)
+            if not isinstance(value, str) or value.startswith("-"):
+                return None
+            if option.type is not None:
+                try:
+                    value = option.type(value)
+                except ValueError:
+                    return None
+            if option.choices is not None and value not in option.choices:
+                return None
+        values[option.dest] = value
+    if not required.issubset(values):
+        return None
+    return SimpleNamespace(**{**defaults, **values})
+
+
+# The parser `main` falls back to, built once per process on the first argv
+# `_fast_args` refuses: `parse_args` leaves it as it was, and building one
+# (with argparse's import) costs more than many whole commands.
+_PARSER = None
+
+
+def _parser() -> argparse.ArgumentParser:
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
+    return _PARSER
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _PARSER.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _fast_args(argv)
+    if args is None:  # help, usage errors and every other spelling
+        args = _parser().parse_args(argv, SimpleNamespace())
     try:
         return args.func(args)
     except ValueError as exc:  # the readers' two error classes are ValueErrors

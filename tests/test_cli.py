@@ -3,12 +3,14 @@ from __future__ import annotations
 import contextlib
 import gc
 import hashlib
+import importlib.util
 import io
 import json
 import math
 import os
 import random
 import re
+import shlex
 import subprocess
 import sys
 from dataclasses import replace
@@ -283,6 +285,12 @@ class TestSharedParser:
         "unknown_flag": ["compare", "--scenario", str(golden.FIG1_SCENARIO), "--fast"],
         "help": ["--help"],
         "plan_help": ["plan", "--help"],
+        # Argvs the fast parse refuses, which argparse must answer alone.
+        "abbreviated_unknown": ["compare", "--scen", str(golden.FIG1_SCENARIO), "--fas"],
+        "equals_bad_policy": ["plan", f"--scenario={golden.FIG1_SCENARIO}", "--policy", "greedy"],
+        "options_then_help": [
+            "plan", "--scenario", str(golden.FIG1_SCENARIO), "--policy", "pam", "-h",
+        ],
     }
 
     @pytest.mark.parametrize("name", sorted(ARGVS))
@@ -305,9 +313,303 @@ class TestSharedParser:
         assert _exit_of(cli.main, argv) == fresh
 
     def test_build_parser_returns_a_new_parser(self):
+        shared = cli._parser()
         first = cli.build_parser()
-        assert first is not cli._PARSER
+        assert first is not shared
         assert cli.build_parser() is not first
+        assert cli._parser() is shared
+
+
+# `chainplan --help` and each command's `--help` at COLUMNS=80, byte for byte
+# (the same on CPython 3.10 to 3.13). "" is the top-level parser.
+HELP_TEXTS = {
+    "": """\
+usage: chainplan [-h] {plan,simulate,compare,verify} ...
+
+Plan SmartNIC/CPU migrations for a service chain and estimate their cost.
+
+positional arguments:
+  {plan,simulate,compare,verify}
+    plan                plan migrations for one load level
+    simulate            replay a load trace
+    compare             run both policies side by side
+    verify              certify the border plan against brute force
+
+options:
+  -h, --help            show this help message and exit
+""",
+    "plan": """\
+usage: chainplan plan [-h] --scenario SCENARIO
+                      [--pcie-latency-us PCIE_LATENCY_US] --policy {pam,naive}
+                      [--json]
+
+options:
+  -h, --help            show this help message and exit
+  --scenario SCENARIO   scenario JSON file
+  --pcie-latency-us PCIE_LATENCY_US
+                        override the scenario's per-crossing latency
+  --policy {pam,naive}
+  --json                emit the plan as JSON
+""",
+    "simulate": """\
+usage: chainplan simulate [-h] --scenario SCENARIO
+                          [--pcie-latency-us PCIE_LATENCY_US] --trace TRACE
+                          --policy {pam,naive,none} --out OUT [--svg SVG]
+
+options:
+  -h, --help            show this help message and exit
+  --scenario SCENARIO   scenario JSON file
+  --pcie-latency-us PCIE_LATENCY_US
+                        override the scenario's per-crossing latency
+  --trace TRACE         trace CSV file (t,theta_cur_gbps)
+  --policy {pam,naive,none}
+  --out OUT             timeline CSV output path
+  --svg SVG             also write an SVG chart here
+""",
+    "compare": """\
+usage: chainplan compare [-h] --scenario SCENARIO
+                         [--pcie-latency-us PCIE_LATENCY_US] [--json]
+                         [--svg SVG]
+
+options:
+  -h, --help            show this help message and exit
+  --scenario SCENARIO   scenario JSON file
+  --pcie-latency-us PCIE_LATENCY_US
+                        override the scenario's per-crossing latency
+  --json                emit the comparison as JSON
+  --svg SVG             also write an SVG chart here
+""",
+    "verify": """\
+usage: chainplan verify [-h] --scenario SCENARIO
+                        [--pcie-latency-us PCIE_LATENCY_US]
+
+options:
+  -h, --help            show this help message and exit
+  --scenario SCENARIO   scenario JSON file
+  --pcie-latency-us PCIE_LATENCY_US
+                        override the scenario's per-crossing latency
+""",
+}
+
+
+class TestHelpTexts:
+    """The parser is built from the option table; its help stays as it was."""
+
+    @pytest.mark.parametrize("command", sorted(HELP_TEXTS))
+    def test_help_is_byte_identical(self, monkeypatch, command):
+        monkeypatch.setenv("COLUMNS", "80")
+        argv = [command, "--help"] if command else ["--help"]
+        assert _exit_of(cli.main, argv) == (0, HELP_TEXTS[command], "")
+
+
+def _attrs(args) -> str:
+    """A namespace's attributes as text, sorted by name: `nan` is not == itself."""
+    return repr(sorted(vars(args).items()))
+
+
+def _parsed(parser, argv: list[str]):
+    """argparse's namespace for `argv`, or None when it exits."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return parser.parse_args(argv)
+        except SystemExit:
+            return None
+
+
+def _options(command: str) -> dict:
+    return {o.flag: o for o in cli._COMMANDS[command][2]}
+
+
+# Plain values: none starts with `-`, and each float text converts.
+_PLAIN_VALUES = (
+    "scenarios/fig1.scenario.json", "out.csv", "", "a b", "plan", "x=y", "Loggeré.json",
+)
+_FLOAT_TEXTS = ("10", "0", "2.5", "1e3", "+3", " 7 ", "1_0", "nan", "inf")
+
+
+def _canonical_argv(rng: random.Random, command: str) -> list[str]:
+    """`command` with every required option and each other one at random, in
+    a random order, each by its exact flag and with a plain value."""
+    options = [o for o in _options(command).values() if o.required or rng.random() < 0.5]
+    rng.shuffle(options)
+    argv = [command]
+    for o in options:
+        argv.append(o.flag)
+        if o.store_true:
+            continue
+        if o.choices is not None:
+            argv.append(rng.choice(o.choices))
+        elif o.type is float:
+            argv.append(rng.choice(_FLOAT_TEXTS))
+        else:
+            argv.append(rng.choice(_PLAIN_VALUES))
+    return argv
+
+
+def _mutated(rng: random.Random, argv: list[str]) -> list[str]:
+    """`argv` with one random change of a kind argparse reads its own way."""
+    argv = list(argv)
+    options = _options(argv[0])
+    flags = [i for i, token in enumerate(argv) if i and token in options]
+    values = [i + 1 for i in flags if i + 1 < len(argv) and not options[argv[i]].store_true]
+    value_of = {argv[i - 1]: i for i in values}
+    kind = rng.randrange(14)
+    if kind == 0 and flags:  # an abbreviation: --scen, --pol, --s (ambiguous), ...
+        i = rng.choice(flags)
+        argv[i] = argv[i][:rng.randrange(3, len(argv[i]))]
+    elif kind == 1 and values:  # --opt=value
+        i = rng.choice(values)
+        argv[i - 1:i + 1] = [argv[i - 1] + "=" + argv[i]]
+    elif kind == 2 and flags:  # a repeated option, with the same or another value
+        i = rng.choice(flags)
+        repeat = argv[i:i + 2] if i + 1 in values else argv[i:i + 1]
+        if len(repeat) == 2 and rng.random() < 0.5:
+            repeat[1] = rng.choice(_PLAIN_VALUES)
+        argv += repeat
+    elif kind == 3 and values:  # a value that starts with -
+        dash_values = ("-5", "-", "--", "-x", "-1e3", "-.5", "--json", "-h")
+        argv[rng.choice(values)] = rng.choice(dash_values)
+    elif kind == 4 and values:
+        argv[rng.choice(values)] = ""
+    elif kind == 5 and "--policy" in value_of:  # a bad choice
+        argv[value_of["--policy"]] = rng.choice(("greedy", "PAM", "none", "", "pam "))
+    elif kind == 6 and "--pcie-latency-us" in value_of:  # a value float rejects
+        argv[value_of["--pcie-latency-us"]] = rng.choice(("abc", "1,5", "0x10", "", "1e", "٣"))
+    elif kind == 7 and flags:  # a missing option: maybe a required one
+        i = rng.choice(flags)
+        del argv[i:i + 2 if i + 1 in values else i + 1]
+    elif kind == 8:  # help
+        argv.insert(rng.randrange(1, len(argv) + 1), rng.choice(("-h", "--help", "--he")))
+    elif kind == 9:  # an unknown flag
+        unknown = ("--fast", "-x", "--scenarios", "--json2")
+        argv.insert(rng.randrange(1, len(argv) + 1), rng.choice(unknown))
+    elif kind == 10 and values:  # a value option at the end, with no value
+        del argv[rng.choice(values):]
+    elif kind == 11:  # a stray positional or --
+        argv.insert(rng.randrange(1, len(argv) + 1), rng.choice(("extra", "--", "-")))
+    elif kind == 12:  # a command argparse does not take as written
+        argv[0] = rng.choice(("pla", "Plan", "", "plans", "-h", "--help"))
+    elif kind == 13:
+        argv = argv[rng.randrange(2):1]  # no command, or only the command
+    return argv
+
+
+class TestFastParse:
+    """`main` parses most argvs from the option table, and leaves every other
+    one to argparse; an argv it accepts, argparse accepts the same way."""
+
+    COMMANDS = ("plan", "simulate", "compare", "verify")
+    FIG1 = str(golden.FIG1_SCENARIO)
+
+    def test_agrees_with_argparse(self):
+        rng = random.Random(0)
+        parser = cli.build_parser()
+        counts = {"fast": 0, "argparse_only": 0, "neither": 0}
+        for _ in range(2000):
+            canonical = _canonical_argv(rng, rng.choice(self.COMMANDS))
+            fast = cli._fast_args(canonical)
+            assert fast is not None, canonical
+            assert _attrs(fast) == _attrs(parser.parse_args(canonical)), canonical
+            argv = canonical
+            for _ in range(rng.randrange(1, 3)):
+                argv = _mutated(rng, argv) if argv and argv[0] in self.COMMANDS else argv
+            fast, parsed = cli._fast_args(argv), _parsed(parser, argv)
+            if fast is not None:
+                assert parsed is not None, argv
+                assert _attrs(fast) == _attrs(parsed), argv
+                counts["fast"] += 1
+            else:
+                counts["argparse_only" if parsed is not None else "neither"] += 1
+        assert min(counts.values()) >= 100, counts
+
+    def test_a_value_that_is_not_a_str_is_argparse_s(self):
+        assert cli._fast_args(["verify", "--scenario", golden.FIG1_SCENARIO]) is None
+        assert cli._fast_args(["verify", "--scenario", None]) is None
+
+    def test_every_benchmark_op_takes_the_fast_path(self, monkeypatch, tmp_path):
+        path = golden.ROOT / "perfbench" / "gen.py"
+        spec = importlib.util.spec_from_file_location("perfbench_gen", path)
+        gen = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, gen)  # dataclasses looks the module up
+        spec.loader.exec_module(gen)
+        parser = cli.build_parser()
+        for workload in ("plan_long", "certify_small", "replay_trace"):
+            for op in gen.generate(workload, 0, tmp_path / workload).ops:
+                fast = cli._fast_args(op.argv)
+                assert fast is not None, op.argv
+                assert _attrs(fast) == _attrs(parser.parse_args(op.argv))
+
+    def test_readme_examples_take_the_fast_path(self):
+        text = (golden.ROOT / "README.md").read_text(encoding="utf-8")
+        block = text.split("## CLI\n\n```sh\n", 1)[1].split("```", 1)[0]
+        lines = [
+            line for line in block.replace("\\\n", " ").splitlines()
+            if line.startswith("chainplan ")
+        ]
+        assert [line.split()[1] for line in lines] == list(self.COMMANDS)
+        parser = cli.build_parser()
+        for line in lines:
+            optional = [group.split() for group in re.findall(r"\[([^\]]*)\]", line)]
+            base = shlex.split(re.sub(r"\[[^\]]*\]", "", line))[1:]
+            for mask in range(2 ** len(optional)):
+                chosen = [group for k, group in enumerate(optional) if mask >> k & 1]
+                argv = base + [token for group in chosen for token in group]
+                fast = cli._fast_args(argv)
+                assert fast is not None, argv
+                assert _attrs(fast) == _attrs(parser.parse_args(argv))
+
+    @pytest.mark.parametrize("spelling, canonical", [
+        (["plan", "--scen", FIG1, "--policy", "pam", "--json"],
+         ["plan", "--scenario", FIG1, "--policy", "pam", "--json"]),
+        (["compare", f"--scenario={FIG1}", "--json"], ["compare", "--scenario", FIG1, "--json"]),
+        (["plan", "--scenario", FIG1, "--policy", "naive", "--policy", "pam"],
+         ["plan", "--scenario", FIG1, "--policy", "pam"]),
+    ])
+    def test_argparse_spellings_run_as_the_canonical_one(self, capsys, spelling, canonical):
+        assert cli._fast_args(spelling) is None
+        assert cli._fast_args(canonical) is not None
+        assert run(capsys, *spelling) == run(capsys, *canonical)
+
+    def test_a_dash_value_is_argparse_s_and_then_validated(self, capsys, tmp_path):
+        """argparse reads `-5` as the value; `validate` then rejects it as it
+        rejects the same latency in the scenario file."""
+        argv = ["plan", "--scenario", self.FIG1, "--policy", "pam", "--pcie-latency-us", "-5"]
+        assert cli._fast_args(argv) is None
+        data = json.loads(golden.FIG1_SCENARIO.read_text(encoding="utf-8"))
+        data["pcie_latency_us"] = -5.0
+        path = tmp_path / "negative.scenario.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert (code, out, err) == run(capsys, "plan", "--scenario", str(path), "--policy", "pam")
+
+    def test_main_without_argv_reads_sys_argv(self, capsys, monkeypatch):
+        canonical = ["plan", "--scenario", self.FIG1, "--policy", "pam", "--json"]
+        expected = run(capsys, *canonical)
+        for argv in (canonical, ["plan", "--scen", self.FIG1, "--pol", "pam", "--json"]):
+            monkeypatch.setattr(sys, "argv", ["chainplan", *argv])
+            code = cli.main()
+            captured = capsys.readouterr()
+            assert (code, captured.out, captured.err) == expected
+
+    def test_argparse_loads_on_the_first_argv_it_must_parse(self):
+        script = (
+            "import contextlib, io, sys\n"
+            "from chainplan import cli\n"
+            "def loaded():\n"
+            "    return 'argparse' in sys.modules, cli._PARSER is not None\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    cli.main(['verify', '--scenario', sys.argv[1]])\n"
+            "    fast = loaded()\n"
+            "    cli.main(['verify', '--scen', sys.argv[1]])\n"
+            "print(fast, loaded())\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(golden.ROOT / "src"))
+        done = subprocess.run(
+            [sys.executable, "-c", script, self.FIG1],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        assert done.stdout == "(False, False) (True, True)\n"
 
 
 class TestSteadyStateMemory:
@@ -330,6 +632,8 @@ class TestSteadyStateMemory:
             ["simulate", "--scenario", str(golden.FIG1_SCENARIO),
              "--trace", str(golden.SEASONAL_TRACE), "--policy", "pam",
              "--out", str(tmp_path / "t.csv"), "--svg", str(tmp_path / "t.svg")],
+            # Parsed by argparse: the fast parse takes no abbreviation.
+            ["plan", "--scen", str(golden.FIG1_SCENARIO), "--pol", "naive", "--json"],
         ]
 
         def call(argv: list[str]) -> None:
