@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import replace
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from types import SimpleNamespace
@@ -35,7 +34,7 @@ EXIT_IO_ERROR = 3
 def _load(args: SimpleNamespace) -> Scenario:
     scenario = load_scenario(args.scenario)
     if args.pcie_latency_us is not None:
-        scenario = replace(scenario, pcie_latency_us=args.pcie_latency_us)
+        scenario = scenario._replace(pcie_latency_us=args.pcie_latency_us)
         report = validate(scenario)
         if not report.ok:
             raise ScenarioValidationError(report)

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Mapping, NamedTuple
 
@@ -18,22 +17,72 @@ class Placement(Enum):
     CPU = "CPU"
 
 
-@dataclass(frozen=True)
-class VnfSpec:
+_set = object.__setattr__
+
+
+class _Record:
+    """An immutable value record whose fields, named in order by `_fields`,
+    are its `__slots__`.
+
+    It prints, compares and hashes by its fields, and `_replace` copies it
+    with some fields changed, as on the package's NamedTuple records. It is
+    not a tuple: it does not iterate, and it equals only a record of its own
+    type. Each subclass writes its fields in `__init__` with `_set`.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...]
+
+    def _values(self) -> tuple:
+        # From a list, so the tuple is built at its final size. tuple(map(...))
+        # builds it at a guessed size and shrinks it, and that parks one more
+        # tuple per call on the free list of the final size.
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r} of {type(self).__qualname__}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r} of {type(self).__qualname__}")
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values()))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self) -> tuple:
+        return type(self), self._values()
+
+    def _replace(self, **changes: object):
+        """A copy with `changes` applied; an unknown field raises TypeError."""
+        return type(self)(**{**{name: getattr(self, name) for name in self._fields}, **changes})
+
+
+class VnfSpec(_Record):
     """Throughput capacities (Gbps) and per-packet processing latencies (us) of one vNF type."""
 
-    name: str
-    cap_smartnic: float
-    cap_cpu: float
-    proc_latency_smartnic: float = 0.0
-    proc_latency_cpu: float = 0.0
+    _fields = __slots__ = ("name", "cap_smartnic", "cap_cpu", "proc_latency_smartnic", "proc_latency_cpu")
+
+    def __init__(self, name: str, cap_smartnic: float, cap_cpu: float,
+                 proc_latency_smartnic: float = 0.0, proc_latency_cpu: float = 0.0) -> None:
+        _set(self, "name", name)
+        _set(self, "cap_smartnic", cap_smartnic)
+        _set(self, "cap_cpu", cap_cpu)
+        _set(self, "proc_latency_smartnic", proc_latency_smartnic)
+        _set(self, "proc_latency_cpu", proc_latency_cpu)
 
     def proc_latency(self, device: Placement) -> float:
         return self.proc_latency_smartnic if device is Placement.SMARTNIC else self.proc_latency_cpu
 
 
-@dataclass(frozen=True)
-class ServiceChain:
+class ServiceChain(_Record):
     """vNFs in traffic order as three equal-length columns (their ids, the
     names of their specs and their placements), bracketed by the NIC-side
     anchors.
@@ -43,18 +92,21 @@ class ServiceChain:
     therefore not adjacent to the CPU.
     """
 
-    ids: tuple[str, ...]
-    spec_names: tuple[str, ...]
-    placements: tuple[Placement, ...]
-    ingress_anchor: Placement = Placement.SMARTNIC
-    egress_anchor: Placement = Placement.SMARTNIC
+    _fields = __slots__ = ("ids", "spec_names", "placements", "ingress_anchor", "egress_anchor")
 
-    def __post_init__(self) -> None:
-        if not len(self.ids) == len(self.spec_names) == len(self.placements):
+    def __init__(self, ids: tuple[str, ...], spec_names: tuple[str, ...], placements: tuple[Placement, ...],
+                 ingress_anchor: Placement = Placement.SMARTNIC,
+                 egress_anchor: Placement = Placement.SMARTNIC) -> None:
+        if not len(ids) == len(spec_names) == len(placements):
             raise ValueError(
-                f"chain columns differ in length: {len(self.ids)} ids, "
-                f"{len(self.spec_names)} spec names, {len(self.placements)} placements"
+                f"chain columns differ in length: {len(ids)} ids, "
+                f"{len(spec_names)} spec names, {len(placements)} placements"
             )
+        _set(self, "ids", ids)
+        _set(self, "spec_names", spec_names)
+        _set(self, "placements", placements)
+        _set(self, "ingress_anchor", ingress_anchor)
+        _set(self, "egress_anchor", egress_anchor)
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -66,17 +118,20 @@ class ServiceChain:
     def with_placement(self, index: int, placement: Placement) -> "ServiceChain":
         placements = list(self.placements)
         placements[index] = placement
-        return replace(self, placements=tuple(placements))
+        return self._replace(placements=tuple(placements))
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(_Record):
     """A chain and its specs at throughput theta_cur (Gbps, uniform along the chain)."""
 
-    chain: ServiceChain
-    specs: Mapping[str, VnfSpec]
-    theta_cur: float
-    pcie_latency_us: float = DEFAULT_PCIE_LATENCY_US
+    _fields = __slots__ = ("chain", "specs", "theta_cur", "pcie_latency_us")
+
+    def __init__(self, chain: ServiceChain, specs: Mapping[str, VnfSpec], theta_cur: float,
+                 pcie_latency_us: float = DEFAULT_PCIE_LATENCY_US) -> None:
+        _set(self, "chain", chain)
+        _set(self, "specs", specs)
+        _set(self, "theta_cur", theta_cur)
+        _set(self, "pcie_latency_us", pcie_latency_us)
 
 
 class Violation(NamedTuple):

@@ -28,7 +28,6 @@ decides.
 from __future__ import annotations
 
 import heapq
-from dataclasses import replace
 from enum import Enum
 from itertools import compress, repeat
 from operator import is_
@@ -133,7 +132,7 @@ def _plan(
     # guessed length and resizes it, parking a spare tuple on its free lists.
     steps = tuple([chain.ids[i] for i in moved])
     rejections = tuple([chain.ids[i] for i in rejected])
-    post_chain = replace(chain, placements=tuple(placed)) if moved else chain
+    post_chain = chain._replace(placements=tuple(placed)) if moved else chain
     return MigrationPlan(steps, outcome, rejections, post_chain)
 
 

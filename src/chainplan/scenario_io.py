@@ -14,7 +14,6 @@ import io
 import json
 import math
 import operator
-from dataclasses import MISSING, fields, replace
 from itertools import repeat
 from pathlib import Path
 from typing import Callable, Iterator, NamedTuple, TypeVar
@@ -35,8 +34,8 @@ CHAIN_ENTRY_KEYS = ("id", "spec", "placement")
 ANCHOR_KEYS = ("ingress", "egress")
 # Every VnfSpec number may be overridden; a new spec must carry the ones
 # without a default (both capacities).
-OVERRIDE_KEYS = tuple(f.name for f in fields(VnfSpec) if f.name != "name")
-NEW_SPEC_KEYS = tuple(f.name for f in fields(VnfSpec) if f.name != "name" and f.default is MISSING)
+OVERRIDE_KEYS = VnfSpec._fields[1:]
+NEW_SPEC_KEYS = OVERRIDE_KEYS[:-len(VnfSpec.__init__.__defaults__)]
 
 TRACE_HEADER = ("t", "theta_cur_gbps")
 
@@ -178,7 +177,7 @@ def scenario_from_dict(data: object) -> Scenario:
         base = specs.get(name)
         entry = _object(entry, where, OVERRIDE_KEYS, required=NEW_SPEC_KEYS if base is None else ())
         numbers = {key: _number(value, f"{where}.{key}") for key, value in entry.items()}
-        specs[name] = VnfSpec(name=name, **numbers) if base is None else replace(base, **numbers)
+        specs[name] = VnfSpec(name=name, **numbers) if base is None else base._replace(**numbers)
 
     theta_cur = _number(data["theta_cur"], "theta_cur")
     pcie = _number(data.get("pcie_latency_us", DEFAULT_PCIE_LATENCY_US), "pcie_latency_us")

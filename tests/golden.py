@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import replace
 from pathlib import Path
 
 from chainplan import (
@@ -67,7 +66,7 @@ def golden_scenario(theta: float = 1.2, pcie: float = 10.0, specs=None) -> Scena
 def monitor_bottleneck_specs() -> dict[str, VnfSpec]:
     """Monitor's SmartNIC capacity drops to 1.8 Gbps, making it the bottleneck."""
     specs = golden_specs()
-    specs["Monitor"] = replace(specs["Monitor"], cap_smartnic=1.8)
+    specs["Monitor"] = specs["Monitor"]._replace(cap_smartnic=1.8)
     return specs
 
 
@@ -75,7 +74,7 @@ def two_step_specs() -> dict[str, VnfSpec]:
     """Monitor bottleneck plus CPU capacities of 8 for LB, Logger and C2."""
     specs = monitor_bottleneck_specs()
     for name in ("LoadBalancer", "Logger", "C2"):
-        specs[name] = replace(specs[name], cap_cpu=8.0)
+        specs[name] = specs[name]._replace(cap_cpu=8.0)
     return specs
 
 

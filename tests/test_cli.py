@@ -13,7 +13,6 @@ import re
 import shlex
 import subprocess
 import sys
-from dataclasses import replace
 
 import pytest
 
@@ -612,6 +611,21 @@ class TestFastParse:
         assert done.stdout == "(False, False) (True, True)\n"
 
 
+class TestStartupImports:
+    def test_the_cli_import_loads_neither_dataclasses_nor_inspect(self):
+        """By the modules it adds: a `site` hook may load `inspect` itself."""
+        script = (
+            "import sys\n"
+            "before = set(sys.modules)\n"
+            "import chainplan.cli\n"
+            "added = set(sys.modules) - before\n"
+            "print(sorted(added & {'dataclasses', 'inspect'}), 'chainplan.cli' in added)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(golden.ROOT / "src"))
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+        assert done.stdout == "[] True\n"
+
+
 class TestSteadyStateMemory:
     """Repeated commands in one process hold no more memory: no cyclic
     garbage for the collector to find, no tuples parked per call."""
@@ -629,6 +643,9 @@ class TestSteadyStateMemory:
              "--scenario", str(golden.MONITOR_BOTTLENECK_SCENARIO)],
             ["plan", "--policy", "naive", "--scenario", str(rejecting)],
             ["verify", "--scenario", str(golden.TWO_STEP_SCENARIO)],
+            # Scenario._replace: the latency flag overrides the file's.
+            ["plan", "--policy", "pam", "--json", "--pcie-latency-us", "5",
+             "--scenario", str(golden.FIG1_SCENARIO)],
             ["simulate", "--scenario", str(golden.FIG1_SCENARIO),
              "--trace", str(golden.SEASONAL_TRACE), "--policy", "pam",
              "--out", str(tmp_path / "t.csv"), "--svg", str(tmp_path / "t.svg")],
@@ -1245,7 +1262,7 @@ class TestPlanJson:
         rng = random.Random(2028)
         for _ in range(200):
             chain, specs, theta = randgen.random_scenario(rng, max_len=len(ODD_STRINGS))
-            chain = replace(chain, ids=tuple(rng.sample(ODD_STRINGS, len(chain))))
+            chain = chain._replace(ids=tuple(rng.sample(ODD_STRINGS, len(chain))))
             _check_plan_writers(Scenario(chain, specs, theta))
 
     def test_empty_smartnic_reads_int_zero(self):
@@ -1262,7 +1279,7 @@ class TestPlanJson:
 
     def test_plan_without_steps_or_rejections(self):
         # The golden chain at a load the SmartNIC carries: NotOverloaded.
-        scenario = replace(golden.golden_scenario(), theta_cur=0.1)
+        scenario = golden.golden_scenario()._replace(theta_cur=0.1)
         for plan, doc in _check_plan_writers(scenario):
             assert plan.steps == plan.rejected_candidates == ()
             assert '"steps": [],\n  "rejected_candidates": [],' in doc
@@ -1315,7 +1332,7 @@ class TestPlanFigures:
 
             monkeypatch.setattr(cli, name, counted)
         base = load_scenario(golden.FIG1_SCENARIO)
-        for scenario in (replace(base, theta_cur=0.5), base):
+        for scenario in (base._replace(theta_cur=0.5), base):
             for _, plan in _plans(scenario):
                 calls.clear()
                 figures = cli._plan_figures(scenario, plan)
@@ -1329,7 +1346,7 @@ class TestPlanFigures:
         rng = random.Random(13)
         for device in (Placement.SMARTNIC, Placement.CPU):
             chain, specs, theta = randgen.random_scenario(rng)
-            chain = replace(chain, placements=(device,) * len(chain))
+            chain = chain._replace(placements=(device,) * len(chain))
             nic, cpu = self.check(chain, specs, theta)
             empty = cpu if device is Placement.SMARTNIC else nic
             assert empty == 0 and type(empty) is int
@@ -1339,7 +1356,7 @@ class TestPlanFigures:
         for _ in range(50):
             chain, specs, theta = randgen.random_scenario(rng)
             name = rng.choice(list(specs))
-            specs[name] = replace(specs[name], cap_smartnic=5e-324, cap_cpu=5e-324)
+            specs[name] = specs[name]._replace(cap_smartnic=5e-324, cap_cpu=5e-324)
             nic, cpu = self.check(chain, specs, theta)
             assert math.inf in (nic, cpu)
 
@@ -1462,12 +1479,12 @@ class TestCompareJson:
         rng = random.Random(2029)
         for _ in range(200):
             chain, specs, theta = randgen.random_scenario(rng, max_len=len(ODD_STRINGS))
-            chain = replace(chain, ids=tuple(rng.sample(ODD_STRINGS, len(chain))))
+            chain = chain._replace(ids=tuple(rng.sample(ODD_STRINGS, len(chain))))
             _check_compare_writers(compare(Scenario(chain, specs, theta)))
 
     def test_plans_without_steps_or_rejections(self):
         # The golden chain at a load the SmartNIC carries: NotOverloaded.
-        report = compare(replace(golden.golden_scenario(), theta_cur=0.1))
+        report = compare(golden.golden_scenario()._replace(theta_cur=0.1))
         for result in (report.pam, report.naive):
             assert result.plan.steps == result.plan.rejected_candidates == ()
         doc = _check_compare_writers(report)
@@ -1476,8 +1493,8 @@ class TestCompareJson:
     def test_non_finite_latency_raises_json_value_error(self):
         scenario = golden.golden_scenario()
         specs = dict(scenario.specs)
-        specs["Logger"] = replace(specs["Logger"], proc_latency_cpu=math.inf)
-        report = compare(replace(scenario, specs=specs))
+        specs["Logger"] = specs["Logger"]._replace(proc_latency_cpu=math.inf)
+        report = compare(scenario._replace(specs=specs))
         payload = reference_comparison_payload(report)
         raised = _raised(cli._comparison_json, report)
         assert raised == _raised(_dumps, payload)

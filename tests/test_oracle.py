@@ -3,7 +3,6 @@ from __future__ import annotations
 import math
 import random
 from collections import deque
-from dataclasses import replace
 
 import pytest
 
@@ -212,7 +211,7 @@ class TestVerifyPlan:
         # The placements agree, so the placement labels alone would not say
         # what differs.
         plan = plan_pam(fig1_chain, fig1_specs, 1.2)
-        post = replace(plan.post_chain, **{column: value})
+        post = plan.post_chain._replace(**{column: value})
         report = verify_plan(fig1_chain, fig1_specs, 1.2, plan._replace(post_chain=post))
         assert report.assertions[0] == ("reachability", False, detail)
 
@@ -232,7 +231,7 @@ class TestVerifyPlan:
 
     def test_unknown_post_chain_spec_fails_resolved_feasibility(self, fig1_chain, fig1_specs):
         plan = plan_pam(fig1_chain, fig1_specs, 1.2)
-        post = replace(plan.post_chain, spec_names=("Nope",) * len(fig1_chain))
+        post = plan.post_chain._replace(spec_names=("Nope",) * len(fig1_chain))
         report = verify_plan(fig1_chain, fig1_specs, 1.2, plan._replace(post_chain=post))
         failed = {a.name: a.detail for a in report.assertions if not a.passed}
         assert failed["resolved_feasibility"] == "post_chain names unknown spec 'Nope'"
@@ -294,14 +293,14 @@ def malformed_plan(rng: random.Random, chain: ServiceChain, plan: MigrationPlan)
         rng.shuffle(steps)
     elif kind == "placement":
         flipped = C if post.placements[j] is S else S
-        post = replace(post, placements=(*post.placements[:j], flipped, *post.placements[j + 1:]))
+        post = post._replace(placements=(*post.placements[:j], flipped, *post.placements[j + 1:]))
     elif kind == "id":
-        post = replace(post, ids=(*post.ids[:j], post.ids[j] + "'", *post.ids[j + 1:]))
+        post = post._replace(ids=(*post.ids[:j], post.ids[j] + "'", *post.ids[j + 1:]))
     elif kind == "spec":
-        post = replace(post, spec_names=(*post.spec_names[:j], "Nope", *post.spec_names[j + 1:]))
+        post = post._replace(spec_names=(*post.spec_names[:j], "Nope", *post.spec_names[j + 1:]))
     elif kind == "anchor":
         side = rng.choice(("ingress_anchor", "egress_anchor"))
-        post = replace(post, **{side: C if getattr(post, side) is S else S})
+        post = post._replace(**{side: C if getattr(post, side) is S else S})
     return plan._replace(steps=tuple(steps), post_chain=post)
 
 
@@ -316,7 +315,7 @@ class TestReachabilityReplay:
             generate = randgen.boundary_scenario if i % 2 else randgen.random_scenario
             chain, specs, load = generate(rng)
             if i % 3 == 0:
-                chain = replace(chain, ingress_anchor=rng.choice((S, C)), egress_anchor=rng.choice((S, C)))
+                chain = chain._replace(ingress_anchor=rng.choice((S, C)), egress_anchor=rng.choice((S, C)))
             plan = rng.choice((plan_pam, plan_naive))(chain, specs, load)
             if i % 5:
                 plan = malformed_plan(rng, chain, plan)
@@ -366,8 +365,7 @@ def reference_closure(chain: ServiceChain):
 
 
 def random_anchored_chain(rng: random.Random, max_len: int = randgen.MAX_CHAIN) -> ServiceChain:
-    return replace(
-        randgen.random_scenario(rng, max_len)[0],
+    return randgen.random_scenario(rng, max_len)[0]._replace(
         ingress_anchor=rng.choice((S, C)),
         egress_anchor=rng.choice((S, C)),
     )
@@ -561,7 +559,7 @@ class TestGlobalFeasibleSubset:
             generate = randgen.boundary_scenario if i % 2 else randgen.random_scenario
             chain, specs, load = generate(rng, max_len=8 if i % 2 else 10)
             ingress, egress = rng.choice((S, C)), rng.choice((S, C))
-            chain = replace(chain, ingress_anchor=ingress, egress_anchor=egress)
+            chain = chain._replace(ingress_anchor=ingress, egress_anchor=egress)
             results += [*self.check(chain, specs, load), self.check_claim(chain, specs, load)]
         found = {expected for expected, _ in results}
         assert len(results) >= 400
@@ -582,7 +580,7 @@ class TestGlobalFeasibleSubset:
             ]
             chain, specs = chain_from(placements, caps)
             ingress, egress = rng.choice((S, C)), rng.choice((S, C))
-            chain = replace(chain, ingress_anchor=ingress, egress_anchor=egress)
+            chain = chain._replace(ingress_anchor=ingress, egress_anchor=egress)
             load = math.inf if i % 2 else rng.uniform(0.1, 4.0)
             assert validate(Scenario(chain, specs, load)).ok
             found.add((load == math.inf, self.check_claim(chain, specs, load)[0]))
@@ -615,7 +613,7 @@ def brute_force_subset(chain, specs, load) -> str:
                 vec[j] = C
         nic = chain_sum(theta / specs[n].cap_smartnic for n, p in zip(chain.spec_names, vec) if p is S)
         cpu = chain_sum(theta / specs[n].cap_cpu for n, p in zip(chain.spec_names, vec) if p is C)
-        crossings = count_crossings(replace(chain, placements=tuple(vec)))
+        crossings = count_crossings(chain._replace(placements=tuple(vec)))
         if nic < 1.0 and cpu < 1.0 and crossings <= base_crossings:
             return label(vec)
     return "none"
@@ -712,7 +710,7 @@ class TestScaleOutCertificate:
             generate = randgen.boundary_scenario if i % 2 else randgen.random_scenario
             chain, specs, load = generate(rng, max_len=8 if i % 2 else 12)
             if i % 3 == 0:
-                chain = replace(chain, ingress_anchor=rng.choice((S, C)), egress_anchor=rng.choice((S, C)))
+                chain = chain._replace(ingress_anchor=rng.choice((S, C)), egress_anchor=rng.choice((S, C)))
             kinds += self.check(chain, specs, load)
         for chain, specs, load in (greedy_limitation(), greedy_limitation(cpu_padding=11),
                                    unreachable_subset_chain()):

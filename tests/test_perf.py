@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -46,8 +45,7 @@ class TestCountCrossings:
         anchors = (S, C)
         for _ in range(300):
             chain, _, _ = randgen.random_scenario(rng)
-            chain = replace(
-                chain,
+            chain = chain._replace(
                 ingress_anchor=rng.choice(anchors),
                 egress_anchor=rng.choice(anchors),
             )
@@ -63,8 +61,7 @@ class TestCountCrossings:
         anchors = (S, C)
         for _ in range(300):
             chain, _, _ = randgen.random_scenario(rng)
-            chain = replace(
-                chain,
+            chain = chain._replace(
                 ingress_anchor=rng.choice(anchors),
                 egress_anchor=rng.choice(anchors),
             )
@@ -85,7 +82,7 @@ class TestEstimateLatency:
     def test_zero_pcie_leaves_processing_only(self, fig1_chain):
         specs = golden.monitor_bottleneck_specs()
         specs = {
-            name: replace(spec, proc_latency_smartnic=5.0, proc_latency_cpu=5.0)
+            name: spec._replace(proc_latency_smartnic=5.0, proc_latency_cpu=5.0)
             for name, spec in specs.items()
         }
         assert estimate_latency(fig1_chain, specs, 0.0) == 25.0

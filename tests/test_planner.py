@@ -3,7 +3,6 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -393,7 +392,7 @@ class TestLoadBalancerStandIn:
             reference = (plan_pam(chain, specs, theta), plan_naive(chain, specs, theta))
             for cap in (10.01, 100.0):
                 varied = dict(specs)
-                varied["LoadBalancer"] = replace(specs["LoadBalancer"], cap_smartnic=cap)
+                varied["LoadBalancer"] = specs["LoadBalancer"]._replace(cap_smartnic=cap)
                 got_pam = plan_pam(chain, varied, theta)
                 got_naive = plan_naive(chain, varied, theta)
                 assert got_pam.steps == reference[0].steps

@@ -4,7 +4,6 @@ import json
 import math
 import random
 import sys
-from dataclasses import replace
 from pathlib import Path
 from typing import Callable
 
@@ -98,6 +97,10 @@ class TestLoadScenario:
         doc["spec_overrides"]["C2"] = {"cap_cpu": 4.0}
         with pytest.raises(ScenarioFormatError, match="cap_smartnic"):
             scenario_from_dict(doc)
+
+    def test_override_keys_are_the_spec_numbers(self):
+        assert sio.OVERRIDE_KEYS == ("cap_smartnic", "cap_cpu", "proc_latency_smartnic", "proc_latency_cpu")
+        assert sio.NEW_SPEC_KEYS == ("cap_smartnic", "cap_cpu")
 
     def test_validation_failures_propagate(self):
         doc = fig1_doc()
@@ -387,11 +390,11 @@ class TestRoundTrip:
         # reader rejects the `Infinity` token json.dumps would write.
         scenario = load_scenario(golden.FIG1_SCENARIO)
         if where == "theta_cur":
-            scenario = replace(scenario, theta_cur=math.inf)
+            scenario = scenario._replace(theta_cur=math.inf)
         else:
             specs = dict(scenario.specs)
-            specs["Logger"] = replace(specs["Logger"], cap_smartnic=math.inf)
-            scenario = replace(scenario, specs=specs)
+            specs["Logger"] = specs["Logger"]._replace(cap_smartnic=math.inf)
+            scenario = scenario._replace(specs=specs)
         assert validate(scenario).ok
         saved = tmp_path / "saved.scenario.json"
         with pytest.raises(ValueError):
@@ -610,7 +613,7 @@ def _reference_from_dict(data: object) -> Scenario:
         base = specs.get(name)
         entry = sio._object(entry, where, sio.OVERRIDE_KEYS, required=sio.NEW_SPEC_KEYS if base is None else ())
         numbers = {key: sio._number(value, f"{where}.{key}") for key, value in entry.items()}
-        specs[name] = VnfSpec(name=name, **numbers) if base is None else replace(base, **numbers)
+        specs[name] = VnfSpec(name=name, **numbers) if base is None else base._replace(**numbers)
     theta_cur = sio._number(data["theta_cur"], "theta_cur")
     pcie = sio._number(data.get("pcie_latency_us", DEFAULT_PCIE_LATENCY_US), "pcie_latency_us")
     columns = tuple(map(tuple, zip(*rows))) if rows else ((), (), ())
@@ -840,7 +843,7 @@ class TestStrictParseRunsOnlyToNameAnError:
         expected = load_scenario(golden.FIG1_SCENARIO)
         ids = tuple(vnf_id.replace("Monitor", "Mon:itor") for vnf_id in expected.chain.ids)
         assert strict_calls == []
-        assert load_scenario(path) == replace(expected, chain=replace(expected.chain, ids=ids))
+        assert load_scenario(path) == expected._replace(chain=expected.chain._replace(ids=ids))
         assert len(strict_calls) == text.count("{")  # each object once
 
     def test_an_escaped_repeat_of_a_key_is_named(self, tmp_path, strict_calls):
@@ -858,7 +861,7 @@ class TestStrictParseRunsOnlyToNameAnError:
         path.write_text(text.replace('"id": "Monitor"', '"id": "Mon{itor"'))
         expected = load_scenario(golden.FIG1_SCENARIO)
         ids = tuple(vnf_id.replace("Monitor", "Mon{itor") for vnf_id in expected.chain.ids)
-        assert load_scenario(path) == replace(expected, chain=replace(expected.chain, ids=ids))
+        assert load_scenario(path) == expected._replace(chain=expected.chain._replace(ids=ids))
         assert strict_calls == []
 
     def test_a_rejected_scenario_goes_through_it_once(self, tmp_path, strict_calls):

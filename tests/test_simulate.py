@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import is_dataclass, replace
+from dataclasses import is_dataclass
 
 import pytest
 
@@ -427,7 +427,7 @@ class TestCompare:
 
     def test_underloaded_scenario_is_a_wash(self):
         scenario = load_scenario(golden.FIG1_SCENARIO)
-        report = compare(replace(scenario, theta_cur=0.5))
+        report = compare(scenario._replace(theta_cur=0.5))
         assert report.pam.plan.outcome.value == "NotOverloaded"
         assert report.naive.plan.outcome.value == "NotOverloaded"
         assert report.latency_reduction_pct == 0.0
@@ -444,7 +444,7 @@ class TestCompare:
         (golden.MONITOR_BOTTLENECK_SCENARIO, 3e307, 1.2e308, 100.0),
     ], ids=["both-inf", "baseline-inf"])
     def test_an_infinite_baseline_latency_gives_no_nan(self, path, pcie, pam_us, expected):
-        report = compare(replace(load_scenario(path), pcie_latency_us=pcie))
+        report = compare(load_scenario(path)._replace(pcie_latency_us=pcie))
         assert (report.pam.latency_after_us, report.naive.latency_after_us) == (pam_us, math.inf)
         assert report.latency_reduction_pct == expected
 
@@ -467,10 +467,10 @@ class TestCompare:
         calls = TestChainColumnsOncePerChainState().count_calls(monkeypatch)
         base = load_scenario(golden.FIG1_SCENARIO)
         # The CPU is past capacity with LB alone, so every candidate is rejected.
-        lb = replace(base.specs["LoadBalancer"], cap_cpu=1.0)
-        full_cpu = replace(base, specs={**base.specs, "LoadBalancer": lb})
+        lb = base.specs["LoadBalancer"]._replace(cap_cpu=1.0)
+        full_cpu = base._replace(specs={**base.specs, "LoadBalancer": lb})
         cases = (
-            (replace(base, theta_cur=0.5), "NotOverloaded", 1),
+            (base._replace(theta_cur=0.5), "NotOverloaded", 1),
             (full_cpu, "ScaleOutRequired", 1),
             (base, "Resolved", 3),
         )
