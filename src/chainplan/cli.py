@@ -6,7 +6,10 @@ Exit codes: 0 success (and verification pass), 1 validation or parse error,
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import math
+import os
 import sys
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -134,48 +137,42 @@ def _plan_json(scenario: Scenario, policy: str, plan: MigrationPlan) -> str:
     ))
 
 
-def _print_plan_text(scenario: Scenario, policy: str, plan: MigrationPlan) -> None:
+def _plan_text(scenario: Scenario, policy: str, plan: MigrationPlan) -> str:
     nic_before, nic_after, cpu_before, cpu_after, crossings_before, crossings_after = (
         _plan_figures(scenario, plan)
     )
-    print(f"policy: {policy}")
-    print(f"theta_cur: {scenario.theta_cur} Gbps")
-    print(f"outcome: {plan.outcome.value}")
+    lines = [
+        f"policy: {policy}", f"theta_cur: {scenario.theta_cur} Gbps", f"outcome: {plan.outcome.value}"
+    ]
     if plan.steps:
-        print("steps:")
-        for i, vnf_id in enumerate(plan.steps, start=1):
-            print(f"  {i}. {vnf_id}: SmartNIC -> CPU")
+        lines.append("steps:")
+        lines += [f"  {i}. {step}: SmartNIC -> CPU" for i, step in enumerate(plan.steps, 1)]
     else:
-        print("steps: (none)")
+        lines.append("steps: (none)")
     if plan.rejected_candidates:
         rejected = ", ".join(f"{r} ({_REJECTION_REASON})" for r in plan.rejected_candidates)
-        print(f"rejected: {rejected}")
-    print(f"smartnic utilization: {nic_before!r} -> {nic_after!r}")
-    print(f"cpu utilization: {cpu_before!r} -> {cpu_after!r}")
-    print(f"crossings: {crossings_before} -> {crossings_after}")
+        lines.append(f"rejected: {rejected}")
+    lines += (
+        f"smartnic utilization: {nic_before!r} -> {nic_after!r}",
+        f"cpu utilization: {cpu_before!r} -> {cpu_after!r}",
+        f"crossings: {crossings_before} -> {crossings_after}",
+    )
+    return "\n".join(lines)
 
 
-def _cmd_plan(args: SimpleNamespace) -> int:
-    scenario = _load(args)
+def _cmd_plan(scenario: Scenario, args: SimpleNamespace) -> tuple[int, str, dict]:
     plan = _PLANNERS[args.policy](scenario.chain, scenario.specs, scenario.theta_cur)
-    if args.json:
-        print(_plan_json(scenario, args.policy, plan))
-    else:
-        _print_plan_text(scenario, args.policy, plan)
-    return EXIT_OK
+    write = _plan_json if args.json else _plan_text
+    return EXIT_OK, write(scenario, args.policy, plan), {}
 
 
-def _cmd_simulate(args: SimpleNamespace) -> int:
-    scenario = _load(args)
+def _cmd_simulate(scenario: Scenario, args: SimpleNamespace) -> tuple[int, str, dict]:
     records = run_trace(scenario, load_trace(args.trace), args.policy)
-    # Both texts come first: one that raises leaves neither file behind.
-    timeline = timeline_to_csv(records)
-    chart = timeline_svg(records) if args.svg else None
-    Path(args.out).write_text(timeline, encoding="utf-8")
-    if chart is not None:
-        Path(args.svg).write_text(chart, encoding="utf-8")
-    print(f"wrote {len(records)} records to {args.out}")
-    return EXIT_OK
+    # An `--svg` naming the `--out` path takes the CSV's entry: that file holds the SVG.
+    files = {args.out: timeline_to_csv(records)}
+    if args.svg:
+        files[args.svg] = timeline_svg(records)
+    return EXIT_OK, f"wrote {len(records)} records to {args.out}", files
 
 
 def _policy_json(result: PolicyResult) -> str:
@@ -223,97 +220,84 @@ def _comparison_json(report: ComparisonReport) -> str:
     ))
 
 
-def _print_comparison_text(report: ComparisonReport) -> None:
-    print(f"theta_cur: {report.theta_cur} Gbps, pcie latency: {report.pcie_latency_us} us/crossing")
+def _comparison_text(report: ComparisonReport) -> str:
+    lines = [f"theta_cur: {report.theta_cur} Gbps, pcie latency: {report.pcie_latency_us} us/crossing"]
     for result in (report.pam, report.naive):
         steps = result.plan.steps
-        print(f"== {result.policy} ==")
-        print(f"outcome: {result.plan.outcome.value}")
-        print(f"steps: {', '.join(steps) if steps else '(none)'}")
-        print(f"crossings: {result.crossings_before} -> {result.crossings_after}")
-        print(f"latency_us: {result.latency_before_us!r} -> {result.latency_after_us!r}")
-        print(
+        lines += (
+            f"== {result.policy} ==",
+            f"outcome: {result.plan.outcome.value}",
+            f"steps: {', '.join(steps) if steps else '(none)'}",
+            f"crossings: {result.crossings_before} -> {result.crossings_after}",
+            f"latency_us: {result.latency_before_us!r} -> {result.latency_after_us!r}",
             f"max_throughput_gbps: {result.max_throughput_before_gbps!r} -> "
-            f"{result.max_throughput_after_gbps!r}"
+            f"{result.max_throughput_after_gbps!r}",
         )
         if result.verification is not None:
-            print(f"verification: {'pass' if result.verification.passed else 'fail'}")
-    print(f"pam latency vs naive: {report.latency_reduction_pct:.1f}% lower")
+            lines.append(f"verification: {'pass' if result.verification.passed else 'fail'}")
+    lines.append(f"pam latency vs naive: {report.latency_reduction_pct:.1f}% lower")
+    return "\n".join(lines)
 
 
-def _cmd_compare(args: SimpleNamespace) -> int:
-    scenario = _load(args)
+def _cmd_compare(scenario: Scenario, args: SimpleNamespace) -> tuple[int, str, dict]:
     report = compare(scenario)
-    # Both texts come first: one that raises leaves no output behind.
-    document = _comparison_json(report) if args.json else None
-    chart = comparison_svg(report) if args.svg else None
-    if document is None:
-        _print_comparison_text(report)
-    else:
-        print(document)
-    if chart is not None:
-        Path(args.svg).write_text(chart, encoding="utf-8")
-    return EXIT_OK
+    text = _comparison_json(report) if args.json else _comparison_text(report)
+    files = {args.svg: comparison_svg(report)} if args.svg else {}
+    return EXIT_OK, text, files
 
 
-def _cmd_verify(args: SimpleNamespace) -> int:
-    scenario = _load(args)
+def _cmd_verify(scenario: Scenario, args: SimpleNamespace) -> tuple[int, str, dict]:
     chain, specs, theta = scenario.chain, scenario.specs, scenario.theta_cur
     report = verify_plan(chain, specs, theta, plan_pam(chain, specs, theta))
-    for a in report.assertions:
-        line = f"{'PASS' if a.passed else 'FAIL'} {a.name}"
-        if a.detail:
-            line += f": {a.detail}"
-        print(line)
-    for key, value in report.info:
-        print(f"info {key}: {value}")
-    if report.passed:
-        print("verified")
-        return EXIT_OK
-    print("verification failed")
-    return EXIT_VERIFICATION_FAILED
+    lines = [
+        f"{'PASS' if a.passed else 'FAIL'} {a.name}" + (f": {a.detail}" if a.detail else "")
+        for a in report.assertions
+    ]
+    lines += [f"info {key}: {value}" for key, value in report.info]
+    lines.append("verified" if report.passed else "verification failed")
+    return EXIT_OK if report.passed else EXIT_VERIFICATION_FAILED, "\n".join(lines), {}
 
 
 class _Option(NamedTuple):
     """One long option of a command: what `build_parser` passes to
-    `add_argument`, and what `_fast_args` checks."""
+    `add_argument`, and what `_fast_args` checks. argparse derives its dest
+    (below) and default (False for a `store_true` option, else None)."""
 
     flag: str
-    dest: str
     help: str | None = None
     required: bool = False
     store_true: bool = False
     type: Callable[[str], object] | None = None
     choices: tuple[str, ...] | None = None
-    default: object = None
+
+    @property
+    def dest(self) -> str:
+        return self.flag[2:].replace("-", "_")
 
 
 # The options every command takes first.
 _COMMON = (
-    _Option("--scenario", "scenario", "scenario JSON file", required=True),
-    _Option(
-        "--pcie-latency-us",
-        "pcie_latency_us",
-        "override the scenario's per-crossing latency",
-        type=float,
-    ),
+    _Option("--scenario", "scenario JSON file", required=True),
+    _Option("--pcie-latency-us", "override the scenario's per-crossing latency", type=float),
 )
 
 # Each command's help, handler and options, in the order `--help` lists them.
+# A handler returns its exit code, its stdout text and the files to write
+# ({path: text}, in order) for `main` to emit.
 _COMMANDS = {
     "plan": ("plan migrations for one load level", _cmd_plan, _COMMON + (
-        _Option("--policy", "policy", required=True, choices=tuple(_PLANNERS)),
-        _Option("--json", "json", "emit the plan as JSON", store_true=True, default=False),
+        _Option("--policy", required=True, choices=tuple(_PLANNERS)),
+        _Option("--json", "emit the plan as JSON", store_true=True),
     )),
     "simulate": ("replay a load trace", _cmd_simulate, _COMMON + (
-        _Option("--trace", "trace", "trace CSV file (t,theta_cur_gbps)", required=True),
-        _Option("--policy", "policy", required=True, choices=POLICIES),
-        _Option("--out", "out", "timeline CSV output path", required=True),
-        _Option("--svg", "svg", "also write an SVG chart here"),
+        _Option("--trace", "trace CSV file (t,theta_cur_gbps)", required=True),
+        _Option("--policy", required=True, choices=POLICIES),
+        _Option("--out", "timeline CSV output path", required=True),
+        _Option("--svg", "also write an SVG chart here"),
     )),
     "compare": ("run both policies side by side", _cmd_compare, _COMMON + (
-        _Option("--json", "json", "emit the comparison as JSON", store_true=True, default=False),
-        _Option("--svg", "svg", "also write an SVG chart here"),
+        _Option("--json", "emit the comparison as JSON", store_true=True),
+        _Option("--svg", "also write an SVG chart here"),
     )),
     "verify": ("certify the border plan against brute force", _cmd_verify, _COMMON),
 }
@@ -336,19 +320,18 @@ def build_parser() -> argparse.ArgumentParser:
                 kind = {"action": "store_true"}
             else:
                 kind = {"type": o.type, "choices": o.choices}
-            p.add_argument(
-                o.flag, dest=o.dest, required=o.required, default=o.default, help=o.help, **kind
-            )
+            p.add_argument(o.flag, required=o.required, help=o.help, **kind)
         p.set_defaults(func=func)
     return parser
 
 
-# Per command: its options by flag, the namespace argparse starts from (every
-# dest at its default), and the dests that must be given.
+# Per command: its options and their dests by flag, the namespace argparse
+# starts from (every dest at argparse's default), and the dests that must be given.
 _FAST = {
     name: (
-        {o.flag: o for o in options},
-        {"command": name, **{o.dest: o.default for o in options}, "func": func},
+        {o.flag: (o, o.dest) for o in options},
+        {"command": name, "func": func,
+         **{o.dest: False if o.store_true else None for o in options}},
         frozenset(o.dest for o in options if o.required),
     )
     for name, (_, func, options) in _COMMANDS.items()
@@ -373,8 +356,8 @@ def _fast_args(argv: list[str]) -> SimpleNamespace | None:
     options, defaults, required = command
     values = {}
     for flag in tokens:
-        option = options.get(flag)
-        if option is None or option.dest in values:
+        option, dest = options.get(flag, (None, None))
+        if option is None or dest in values:
             return None
         if option.store_true:
             value = True
@@ -389,7 +372,7 @@ def _fast_args(argv: list[str]) -> SimpleNamespace | None:
                     return None
             if option.choices is not None and value not in option.choices:
                 return None
-        values[option.dest] = value
+        values[dest] = value
     if not required.issubset(values):
         return None
     return SimpleNamespace(**{**defaults, **values})
@@ -398,24 +381,38 @@ def _fast_args(argv: list[str]) -> SimpleNamespace | None:
 # The parser `main` falls back to, built once per process on the first argv
 # `_fast_args` refuses: `parse_args` leaves it as it was, and building one
 # (with argparse's import) costs more than many whole commands.
-_PARSER = None
+_parser = functools.cache(build_parser)
 
 
-def _parser() -> argparse.ArgumentParser:
-    global _PARSER
-    if _PARSER is None:
-        _PARSER = build_parser()
-    return _PARSER
+def _emit(text: str, files: dict[str, str]) -> None:
+    """Write `files` in order, then print `text`. If any of it raises, only
+    the files written in full are removed (a refused `open` truncated
+    nothing), and a failed removal does not replace the error."""
+    written = []
+    try:
+        for path, content in files.items():
+            Path(path).write_text(content, encoding="utf-8")
+            written.append(path)
+        print(text)
+    except BaseException:
+        for path in written:
+            with contextlib.suppress(OSError):
+                os.remove(path)
+        raise
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command and emit what it returns: no output is written until
+    every text is built, so an exit of 1 or 3 leaves no output file."""
     if argv is None:
         argv = sys.argv[1:]
     args = _fast_args(argv)
     if args is None:  # help, usage errors and every other spelling
         args = _parser().parse_args(argv, SimpleNamespace())
     try:
-        return args.func(args)
+        code, text, files = args.func(_load(args), args)
+        _emit(text, files)
+        return code
     except ValueError as exc:  # the readers' two error classes are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID_INPUT

@@ -3,18 +3,18 @@
 from __future__ import annotations
 
 import math
-from typing import NamedTuple, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
-from .model import Placement, Scenario
+from .model import Placement, Scenario, ServiceChain, VnfSpec
 from .oracle import MAX_ORACLE_CHAIN, VerificationReport, verify_plan
 from .perf import count_crossings, estimate_latency
 from .planner import MigrationPlan, PlanOutcome, plan_naive, plan_pam
 from .resources import hosted, max_chain_throughput
 from .scenario_io import TracePoint
 
-POLICIES = ("pam", "naive", "none")
-
 _PLANNERS = {"pam": plan_pam, "naive": plan_naive}
+
+POLICIES = (*_PLANNERS, "none")
 
 
 class TimelineRecord(NamedTuple):
@@ -31,6 +31,15 @@ class TimelineRecord(NamedTuple):
     migrations_this_step: tuple[str, ...]
     cumulative_migrations: int
     outcome: str
+
+
+def _figures(chain: ServiceChain, specs: Mapping[str, VnfSpec], pcie_latency_us: float) -> tuple:
+    """The chain's crossings, latency and max throughput."""
+    return (
+        count_crossings(chain),
+        estimate_latency(chain, specs, pcie_latency_us),
+        max_chain_throughput(chain, specs),
+    )
 
 
 def run_trace(
@@ -111,9 +120,7 @@ def run_trace(
                     nic_util += theta / c
         if chain is not shown:
             shown = chain
-            crossings = count_crossings(chain)
-            latency = estimate_latency(chain, specs, scenario.pcie_latency_us)
-            max_throughput = max_chain_throughput(chain, specs)
+            crossings, latency, max_throughput = _figures(chain, specs, scenario.pcie_latency_us)
         cpu_util = 0
         for c in cpu_caps:
             cpu_util += theta / c
@@ -160,24 +167,20 @@ class ComparisonReport(NamedTuple):
 
 
 def _policy_result(
-    scenario: Scenario, policy: str, before: tuple[int, float, float], check_crossings: bool
+    scenario: Scenario, policy: str, before: tuple[int, float, float]
 ) -> PolicyResult:
-    """One policy's result; `before` holds the input chain's crossings,
-    latency and max throughput, which both policies share."""
+    """One policy's result; `before` holds the input chain's `_figures`,
+    which both policies share. Only pam's verification checks crossings."""
     chain, specs, theta = scenario.chain, scenario.specs, scenario.theta_cur
     plan = _PLANNERS[policy](chain, specs, theta)
     verification = None
     if len(chain) <= MAX_ORACLE_CHAIN:
         verification = verify_plan(
-            chain, specs, theta, plan, require_crossing_nonincrease=check_crossings
+            chain, specs, theta, plan, require_crossing_nonincrease=policy == "pam"
         )
     post = plan.post_chain
     # A plan that moved nothing returns the input chain object.
-    after = before if post is chain else (
-        count_crossings(post),
-        estimate_latency(post, specs, scenario.pcie_latency_us),
-        max_chain_throughput(post, specs),
-    )
+    after = before if post is chain else _figures(post, specs, scenario.pcie_latency_us)
     return PolicyResult(
         policy=policy,
         plan=plan,
@@ -197,14 +200,9 @@ def compare(scenario: Scenario) -> ComparisonReport:
     The baseline is allowed to add crossings, so its verification skips the
     crossing check; everything else is certified for both plans.
     """
-    chain, specs = scenario.chain, scenario.specs
-    before = (
-        count_crossings(chain),
-        estimate_latency(chain, specs, scenario.pcie_latency_us),
-        max_chain_throughput(chain, specs),
-    )
-    pam = _policy_result(scenario, "pam", before, check_crossings=True)
-    naive = _policy_result(scenario, "naive", before, check_crossings=False)
+    before = _figures(scenario.chain, scenario.specs, scenario.pcie_latency_us)
+    pam = _policy_result(scenario, "pam", before)
+    naive = _policy_result(scenario, "naive", before)
     pam_us, naive_us = pam.latency_after_us, naive.latency_after_us
     if pam_us == naive_us or not naive_us > 0:
         reduction = 0.0

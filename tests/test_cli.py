@@ -8,6 +8,7 @@ import io
 import json
 import math
 import os
+import pathlib
 import random
 import re
 import shlex
@@ -596,7 +597,7 @@ class TestFastParse:
             "import contextlib, io, sys\n"
             "from chainplan import cli\n"
             "def loaded():\n"
-            "    return 'argparse' in sys.modules, cli._PARSER is not None\n"
+            "    return 'argparse' in sys.modules, cli._parser.cache_info().currsize == 1\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             "    cli.main(['verify', '--scenario', sys.argv[1]])\n"
             "    fast = loaded()\n"
@@ -796,6 +797,105 @@ class TestErrorHandling:
         )
         assert code == 3
         assert "i/o error" in err
+
+
+class TestExitContract:
+    """`main` is the CLI's one writer: an error exit prints nothing to stdout
+    and leaves no file this command wrote, and an error never removes a
+    file the command did not write."""
+
+    SIMULATE = (
+        "simulate", "--scenario", str(golden.FIG1_SCENARIO),
+        "--trace", str(golden.RAMP_TRACE), "--policy", "pam",
+    )
+    COMPARE = ("compare", "--scenario", str(golden.FIG1_SCENARIO))
+
+    @staticmethod
+    def _refuse(monkeypatch, refused) -> None:
+        """Make each `Path.write_text` to `refused` raise PermissionError
+        before it opens the file, as a refused `open` does."""
+        original = pathlib.Path.write_text
+
+        def write_text(path, *args, **kwargs):
+            if path == refused:
+                raise PermissionError(13, "Permission denied", str(path))
+            return original(path, *args, **kwargs)
+
+        monkeypatch.setattr(pathlib.Path, "write_text", write_text)
+
+    def test_simulate_with_an_unwritable_svg_leaves_no_csv(self, capsys, tmp_path):
+        out_csv = tmp_path / "timeline.csv"
+        code, out, err = run(
+            capsys, *self.SIMULATE, "--out", str(out_csv), "--svg", str(tmp_path / "missing" / "t.svg"),
+        )
+        assert (code, out) == (3, "")
+        assert err.startswith("i/o error: ") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("json_flag", [(), ("--json",)], ids=["text", "json"])
+    def test_compare_with_an_unwritable_svg_prints_nothing(self, capsys, tmp_path, json_flag):
+        code, out, err = run(capsys, *self.COMPARE, *json_flag, "--svg", str(tmp_path / "missing" / "c.svg"))
+        assert (code, out) == (3, "")
+        assert err.startswith("i/o error: ") and err.count("\n") == 1
+
+    def test_a_refused_write_keeps_the_file_it_did_not_write(self, capsys, tmp_path, monkeypatch):
+        out_csv, out_svg = tmp_path / "timeline.csv", tmp_path / "chart.svg"
+        out_svg.write_text("the user's file")
+        self._refuse(monkeypatch, out_svg)
+        code, out, err = run(capsys, *self.SIMULATE, "--out", str(out_csv), "--svg", str(out_svg))
+        assert (code, out) == (3, "")
+        assert "Permission denied" in err
+        assert not out_csv.exists()
+        assert out_svg.read_text() == "the user's file"
+
+    def test_a_failed_removal_keeps_the_first_error(self, capsys, tmp_path, monkeypatch):
+        out_csv, out_svg = tmp_path / "timeline.csv", tmp_path / "chart.svg"
+        self._refuse(monkeypatch, out_svg)
+
+        def remove(path):
+            raise OSError(16, "Device or resource busy", path)
+
+        monkeypatch.setattr(os, "remove", remove)
+        code, out, err = run(capsys, *self.SIMULATE, "--out", str(out_csv), "--svg", str(out_svg))
+        assert (code, out) == (3, "")
+        assert err == f"i/o error: [Errno 13] Permission denied: '{out_svg}'\n"
+        assert out_csv.exists()  # its removal failed
+
+    def test_a_failed_print_removes_the_files(self, capsys, tmp_path, monkeypatch):
+        class BrokenPipe(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        out_csv, out_svg = tmp_path / "timeline.csv", tmp_path / "chart.svg"
+        monkeypatch.setattr(sys, "stdout", BrokenPipe())
+        code = cli.main([*self.SIMULATE, "--out", str(out_csv), "--svg", str(out_svg)])
+        monkeypatch.undo()
+        assert code == 3
+        assert "Broken pipe" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_an_svg_at_the_out_path_is_what_it_holds(self, capsys, tmp_path):
+        both, svg = tmp_path / "both", tmp_path / "timeline.svg"
+        assert run(capsys, *self.SIMULATE, "--out", str(both), "--svg", str(svg))[0] == 0
+        code, out, err = run(capsys, *self.SIMULATE, "--out", str(both), "--svg", str(both))
+        assert (code, out, err) == (0, f"wrote 2 records to {both}\n", "")
+        assert both.read_bytes() == svg.read_bytes()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["both", "timeline.svg"]
+
+    @pytest.mark.parametrize("command", [
+        ("plan", "--policy", "pam"), ("plan", "--policy", "naive", "--json"), ("verify",),
+        ("compare", "--svg", "SVG"), ("compare", "--json"),
+        ("simulate", "--trace", str(golden.RAMP_TRACE), "--policy", "pam", "--out", "CSV", "--svg", "SVG"),
+    ], ids=["plan", "plan-json", "verify", "compare-svg", "compare-json", "simulate"])
+    def test_commands_return_what_main_emits(self, capsys, tmp_path, command):
+        paths = {"CSV": str(tmp_path / "timeline.csv"), "SVG": str(tmp_path / "chart.svg")}
+        argv = [paths.get(arg, arg) for arg in command] + ["--scenario", str(golden.FIG1_SCENARIO)]
+        args = cli._fast_args(argv)
+        code, text, files = args.func(cli._load(args), args)
+        assert capsys.readouterr() == ("", "")
+        assert list(tmp_path.iterdir()) == []
+        assert run(capsys, *argv) == (code, text + "\n", "")
+        assert {str(p): p.read_text(encoding="utf-8") for p in tmp_path.iterdir()} == files
 
 
 class TestPcieOverride:
@@ -1226,7 +1326,7 @@ def _check_plan_writers(scenario: Scenario) -> list:
         payload = reference_payload(scenario, policy, plan)
         doc = cli._plan_json(scenario, policy, plan)
         assert doc == _dumps(payload), (policy, plan)
-        assert _stdout(cli._print_plan_text, scenario, policy, plan) == _stdout(
+        assert _stdout(print, cli._plan_text(scenario, policy, plan)) == _stdout(
             _print_reference_text, payload
         )
         written.append((plan, doc))
@@ -1234,8 +1334,8 @@ def _check_plan_writers(scenario: Scenario) -> list:
 
 
 class TestPlanJson:
-    """`cli._plan_json` and `cli._print_plan_text`, which write `plan`'s
-    output straight from the plan, against the reference payload's
+    """`cli._plan_json` and `cli._plan_text`, which write `plan`'s output
+    straight from the plan, against the reference payload's
     `json.dumps(indent=2, allow_nan=False)` and its text printer."""
 
     @pytest.mark.parametrize("name", sorted(CLI_SCENARIOS))
@@ -1291,7 +1391,7 @@ class TestPlanJson:
             raised = _raised(lambda _: cli._plan_json(scenario, policy, plan), None)
             assert raised == _raised(_dumps, payload)
             assert raised[0] is ValueError
-            assert _stdout(cli._print_plan_text, scenario, policy, plan) == _stdout(
+            assert _stdout(print, cli._plan_text(scenario, policy, plan)) == _stdout(
                 _print_reference_text, payload
             )
 
@@ -1422,14 +1522,14 @@ def _check_compare_writers(report: ComparisonReport) -> str:
     payload = reference_comparison_payload(report)
     doc = cli._comparison_json(report)
     assert doc == _dumps(payload), report
-    assert _stdout(cli._print_comparison_text, report) == _stdout(
+    assert _stdout(print, cli._comparison_text(report)) == _stdout(
         _print_reference_comparison_text, payload
     )
     return doc
 
 
 class TestCompareJson:
-    """`cli._comparison_json` and `cli._print_comparison_text`, which write
+    """`cli._comparison_json` and `cli._comparison_text`, which write
     `compare`'s output straight from the report, against the reference
     payload's `json.dumps(indent=2, allow_nan=False)` and its text printer."""
 
@@ -1499,7 +1599,7 @@ class TestCompareJson:
         raised = _raised(cli._comparison_json, report)
         assert raised == _raised(_dumps, payload)
         assert raised[0] is ValueError
-        assert _stdout(cli._print_comparison_text, report) == _stdout(
+        assert _stdout(print, cli._comparison_text(report)) == _stdout(
             _print_reference_comparison_text, payload
         )
 
