@@ -10,9 +10,9 @@ import contextlib
 import functools
 import math
 import os
+import stat
 import sys
 from json.encoder import encode_basestring_ascii
-from pathlib import Path
 from types import SimpleNamespace
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
@@ -74,25 +74,6 @@ def _plan_figures(scenario: Scenario, plan: MigrationPlan) -> tuple:
     return nic_before, nic_after, cpu_before, cpu_after, crossings_before, count_crossings(after)
 
 
-# The plan document's fixed text before and after the vNF id of each entry of
-# its `steps`, `rejected_candidates` and `post_placements`.
-_VNF_ID_HEAD = '{\n      "vnf_id": '
-_STEP_TAIL = (
-    ',\n      "from": "SmartNIC",\n      "to": "CPU",\n      "reason": "min_smartnic_capacity",'
-    '\n      "selected_as_candidate": true\n    }'
-)
-_REJECTION_TAIL = ',\n      "reason": ' + encode_basestring_ascii(_REJECTION_REASON) + "\n    }"
-_PLACEMENT_HEAD = '{\n      "id": '
-_NIC_TAIL, _CPU_TAIL = [
-    ',\n      "placement": ' + encode_basestring_ascii(p.value) + "\n    }"
-    for p in (Placement.SMARTNIC, Placement.CPU)
-]
-# The `compare` document's rejections, whose list sits two spaces deeper.
-_POLICY_REJECTION_HEAD, _POLICY_REJECTION_TAIL = [
-    text.replace("\n", "\n  ") for text in (_VNF_ID_HEAD, _REJECTION_TAIL)
-]
-
-
 def _entries(texts: list[str], indent: str) -> str:
     """The JSON list of the written `texts`, its `]` at `indent`. The small
     parts are joined first: each `+` on the long body copies it."""
@@ -105,26 +86,28 @@ def _plan_json(scenario: Scenario, policy: str, plan: MigrationPlan) -> str:
 
     It is the text `json.dumps(payload, indent=2, allow_nan=False)` returns for
     the plan's payload of dicts (`reference_payload` in tests/test_cli.py), with
-    one concatenation per vNF. Scalars are encoded first, in document order,
+    one f-string per vNF. Scalars are encoded first, in document order,
     so a non-finite utilization raises json's ValueError.
     """
     theta, nic_before, nic_after, cpu_before, cpu_after, crossings_before, crossings_after = [
         _number_text(x) for x in (scenario.theta_cur, *_plan_figures(scenario, plan))
     ]
-    enc = encode_basestring_ascii
-    # `is` on the two members: a dict keyed by Placement would hash each
-    # member through Enum's Python-level __hash__.
-    nic, nic_tail, cpu_tail = Placement.SMARTNIC, _NIC_TAIL, _CPU_TAIL
+    enc, nic = encode_basestring_ascii, Placement.SMARTNIC
     return "".join((
         '{\n  "policy": ', enc(policy),
         ',\n  "theta_cur_gbps": ', theta,
         ',\n  "outcome": ', enc(plan.outcome.value),
-        ',\n  "steps": ', _entries([_VNF_ID_HEAD + enc(i) + _STEP_TAIL for i in plan.steps], "  "),
-        ',\n  "rejected_candidates": ', _entries(
-            [_VNF_ID_HEAD + enc(i) + _REJECTION_TAIL for i in plan.rejected_candidates], "  "
-        ),
+        ',\n  "steps": ', _entries([
+            f'{{\n      "vnf_id": {enc(i)},\n      "from": "SmartNIC",\n      "to": "CPU",'
+            f'\n      "reason": "min_smartnic_capacity",\n      "selected_as_candidate": true\n    }}'
+            for i in plan.steps
+        ], "  "),
+        ',\n  "rejected_candidates": ', _entries([
+            f'{{\n      "vnf_id": {enc(i)},\n      "reason": "{_REJECTION_REASON}"\n    }}'
+            for i in plan.rejected_candidates
+        ], "  "),
         ',\n  "post_placements": ', _entries([
-            _PLACEMENT_HEAD + enc(i) + (nic_tail if p is nic else cpu_tail)
+            f'{{\n      "id": {enc(i)},\n      "placement": "{"SmartNIC" if p is nic else "CPU"}"\n    }}'
             for i, p in zip(plan.post_chain.ids, plan.post_chain.placements)
         ], "  "),
         ',\n  "smartnic_util_before": ', nic_before,
@@ -186,7 +169,7 @@ def _policy_json(result: PolicyResult) -> str:
         '{\n    "outcome": ', enc(plan.outcome.value),
         ',\n    "steps": ', _entries([enc(i) for i in plan.steps], "    "),
         ',\n    "rejected_candidates": ', _entries([
-            _POLICY_REJECTION_HEAD + enc(i) + _POLICY_REJECTION_TAIL
+            f'{{\n        "vnf_id": {enc(i)},\n        "reason": "{_REJECTION_REASON}"\n      }}'
             for i in plan.rejected_candidates
         ], "    "),
         ',\n    "crossings_before": ', _number_text(result.crossings_before),
@@ -385,17 +368,36 @@ _parser = functools.cache(build_parser)
 
 
 def _emit(text: str, files: dict[str, str]) -> None:
-    """Write `files` in order, then print `text`. If any of it raises, only
-    the files written in full are removed (a refused `open` truncated
-    nothing), and a failed removal does not replace the error."""
-    written = []
+    """Open every file in `files` without truncating it, then write them in
+    order, then print `text`. If any of it raises, the files this call
+    created or wrote in full are removed, so a refused `open` leaves every
+    path as it was; a file that was there before and whose write raised stays
+    as it stopped, and a device stays. A failed removal does not replace the
+    error."""
+    ours = []
     try:
-        for path, content in files.items():
-            Path(path).write_text(content, encoding="utf-8")
-            written.append(path)
+        with contextlib.ExitStack() as stack:
+            opened = []
+            for path, content in files.items():
+                try:
+                    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+                    ours.append(path)
+                except FileExistsError:
+                    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+                opened.append((path, content, stack.enter_context(open(fd, "w", encoding="utf-8"))))
+            for path, content, out in opened:
+                # Not a device such as /dev/null: it cannot be truncated, and
+                # a failure must not remove it.
+                regular = stat.S_ISREG(os.fstat(out.fileno()).st_mode)
+                if regular:
+                    out.truncate()
+                out.write(content)
+                out.close()
+                if regular and path not in ours:
+                    ours.append(path)
         print(text)
     except BaseException:
-        for path in written:
+        for path in ours:
             with contextlib.suppress(OSError):
                 os.remove(path)
         raise

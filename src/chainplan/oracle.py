@@ -155,30 +155,31 @@ def _first_reachable_witness(
     cross0 = sum(1 for a, b in zip(row, row[1:]) if a is not b and None not in (a, b))
     if cross0 > base_crossings or not fits(hosted(c_ratio, row[1:-1], Placement.CPU)):
         return None
+    return _walk(row, free, len(free) - 1, cross0, base_crossings, s_ratio, c_ratio)
 
-    def walk(t: int, cross: int) -> tuple[Placement, ...] | None:
-        if t < 0:
-            return tuple(row[1:-1])
-        p = free[t]
-        left, right = row[p], row[p + 2]  # right is decided, left only if fixed
-        for place, ratios in ((Placement.SMARTNIC, s_ratio), (Placement.CPU, c_ratio)):
-            cross_next = cross + (place is not right) + (left is not None and place is not left)
-            if cross_next > base_crossings:
-                continue
-            row[p + 1] = place
-            if fits(hosted(ratios, row[1:-1], place)):
-                found = walk(t - 1, cross_next)
-                if found is not None:
-                    return found
-        row[p + 1] = None
-        return None
 
-    try:
-        return walk(len(free) - 1, cross0)
-    finally:
-        # `walk` refers to itself; dropping it here frees it, and the lists it
-        # holds, without waiting for the cycle collector.
-        del walk
+def _walk(
+    row: list[Placement | None], free: list[int], t: int, cross: int,
+    base_crossings: int, s_ratio: list[float], c_ratio: list[float],
+) -> tuple[Placement, ...] | None:
+    """`_first_reachable_witness`'s walk below the decisions of `free[t + 1:]`,
+    with `cross` crossings decided so far. It leaves `row` as it found it
+    unless it returns a leaf."""
+    if t < 0:
+        return tuple(row[1:-1])
+    p = free[t]
+    left, right = row[p], row[p + 2]  # right is decided, left only if fixed
+    for place, ratios in ((Placement.SMARTNIC, s_ratio), (Placement.CPU, c_ratio)):
+        cross_next = cross + (place is not right) + (left is not None and place is not left)
+        if cross_next > base_crossings:
+            continue
+        row[p + 1] = place
+        if fits(hosted(ratios, row[1:-1], place)):
+            found = _walk(row, free, t - 1, cross_next, base_crossings, s_ratio, c_ratio)
+            if found is not None:
+                return found
+    row[p + 1] = None
+    return None
 
 
 def verify_plan(

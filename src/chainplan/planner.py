@@ -14,27 +14,23 @@ appears at most once in `rejected_candidates`.
 A plan costs O(n + (steps + rejections) * log n) for n vNFs: the loop keeps
 the candidate pool in a heap, the placements in a mutable list and each
 device's demand as a running sum, and builds `post_chain` once at the end.
-Both entry sums come from one `resources.device_sums` pass, and the pools
-are picked with C iterators (`identify_borders` tests only the neighbours
-of the CPU entries).
+Both entry sums come from one `resources.device_sums` pass.
 Every decision is `resources.fits` on a device's hosted ratios in chain
 order (for headroom, the CPU's followed by the candidate's). A running sum
 differs from that chain-order sum by a rounding error with a proven bound
 (`resources.rounding_band`), so it decides only when it lies farther than
-that bound from 1.0; inside the bound `fits` on the current placements
-decides.
+that bound from 1.0; inside the bound (or for NaN) `fits` on the current
+placements decides.
 """
 
 from __future__ import annotations
 
 import heapq
 from enum import Enum
-from itertools import compress, repeat
-from operator import is_
 from typing import Mapping, NamedTuple
 
 from .model import Placement, ServiceChain, VnfSpec
-from .resources import below_one, demand_ratios, device_sums, hosted, rounding_band
+from .resources import demand_ratios, device_sums, fits, hosted, rounding_band
 
 
 class PlanOutcome(Enum):
@@ -66,7 +62,7 @@ def identify_borders(chain: ServiceChain) -> frozenset[int]:
     n = len(placed)
     # seq[k] is vNF k - 1, so a CPU entry at k borders vNFs k - 2 and k.
     return frozenset([
-        j for k in compress(range(n + 2), map(is_, seq, repeat(C)))
+        j for k, p in enumerate(seq) if p is C
         for j in (k - 2, k) if 0 <= j < n and placed[j] is S
     ])
 
@@ -89,17 +85,20 @@ def _plan(
 
     n = len(chain)
     cap_nic = [specs[name].cap_smartnic for name in chain.spec_names]
-    # An overflowing sum is inf, and so is tol then: every test takes `fits`.
+    # A carried sum below lo or above hi is on its chain_sum's side of 1.0;
+    # from lo to hi (or for NaN) `fits` on the chain-order ratios decides. An
+    # overflowing sum is inf, and so is tol then: every test takes `fits`.
     tol = rounding_band(nic_ratio, cpu_ratio)
+    lo, hi = 1.0 - tol, 1.0 + tol
 
     if borders_only:
         pool = identify_borders(chain)
     else:
-        pool = list(compress(range(n), map(is_, placed, repeat(S))))
+        pool = [i for i, p in enumerate(placed) if p is S]
     # An index enters at most once: it then migrates (off the SmartNIC for
     # good) or is rejected, and the CPU sum only grows, so a rejected vNF
     # would be rejected again.
-    heap = list(zip(map(cap_nic.__getitem__, pool), pool))
+    heap = [(cap_nic[i], i) for i in pool]
     heapq.heapify(heap)
     queued = set(pool)
     moved: list[int] = []
@@ -108,7 +107,8 @@ def _plan(
     while heap:
         _, idx = heapq.heappop(heap)
         cpu_next = cpu + cpu_ratio[idx]
-        if not below_one(cpu_next, tol, lambda: [*hosted(cpu_ratio, placed, C), cpu_ratio[idx]]):
+        if not (cpu_next < lo or not cpu_next > hi
+                and fits([*hosted(cpu_ratio, placed, C), cpu_ratio[idx]])):
             rejected.append(idx)
             continue
         moved.append(idx)
@@ -119,7 +119,7 @@ def _plan(
         # NaN. It is not: the plan returned early unless the SmartNIC's
         # chain_sum was >= 1, so no hosted ratio is NaN, and ratios >= 0 (as
         # `validate` ensures) never sum to NaN.
-        if below_one(nic, tol, lambda: hosted(nic_ratio, placed, S)):
+        if nic < lo or not nic > hi and fits(hosted(nic_ratio, placed, S)):
             outcome = PlanOutcome.RESOLVED
             break
         # A migrated vNF's SmartNIC neighbors become borders.

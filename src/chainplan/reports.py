@@ -259,17 +259,13 @@ def _bar_panel(
 ) -> str:
     box, x0, x1, y0, y1 = _axis_box(top)
     ylo, yhi = _span(values, zero_floor=True)
-
-    def sy(y: float) -> float:
-        return y1 - (y - ylo) / (yhi - ylo) * (y1 - y0)
-
     n = len(values)
     slot = (x1 - x0) / n
     width = slot * 0.6
     parts = [box, _text(x0, top + _MT - 10, title, size=14)]
     for i, (label, value) in enumerate(zip(labels, values)):
         bx = x0 + i * slot + (slot - width) / 2
-        by = sy(value)
+        by = y1 - (value - ylo) / (yhi - ylo) * (y1 - y0)
         color = _SERIES_COLORS[i % len(_SERIES_COLORS)]
         parts.append(
             f'<rect x="{_fmt(bx)}" y="{_fmt(by)}" width="{_fmt(width)}" '

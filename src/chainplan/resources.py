@@ -12,8 +12,8 @@ take their pairs from `device_sums`. Trace replay picks each device's
 capacities with `hosted` and adds theta / cap inline, in the same order from
 int 0. Every capacity decision is `fits`: the hosted ratios' chain_sum is
 below 1. The oracle asks it of every set it tests. The planner keeps its
-sums up to date (from `device_sums`) and decides with `below_one`, which
-asks `fits` only when a carried sum is too close to 1 to stand in for the
+sums up to date (from `device_sums`) and asks `fits` only when a carried sum
+lies within the `rounding_band` of 1, too close to stand in for the
 chain_sum.
 """
 
@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .model import Placement, ServiceChain, VnfSpec
 
@@ -128,13 +128,3 @@ def rounding_band(nic: Sequence[float], cpu: Sequence[float]) -> float:
             return math.inf
         total += r
     return (len(nic) + 2) * 2.0**-50 * (1.0 + total)
-
-
-def below_one(value: float, tol: float, hosted: Callable[[], Iterable[float]]) -> bool:
-    """`fits` for `value`, a carried sum of the ratios `hosted()` returns in
-    chain order: inside its `rounding_band` tol (or for NaN) `fits` decides."""
-    if value < 1.0 - tol:
-        return True
-    if value > 1.0 + tol:
-        return False
-    return fits(hosted())

@@ -8,7 +8,6 @@ import io
 import json
 import math
 import os
-import pathlib
 import random
 import re
 import shlex
@@ -812,16 +811,16 @@ class TestExitContract:
 
     @staticmethod
     def _refuse(monkeypatch, refused) -> None:
-        """Make each `Path.write_text` to `refused` raise PermissionError
-        before it opens the file, as a refused `open` does."""
-        original = pathlib.Path.write_text
+        """Make each `os.open` of `refused` raise PermissionError, as a
+        refused `open` does."""
+        original = os.open
 
-        def write_text(path, *args, **kwargs):
-            if path == refused:
-                raise PermissionError(13, "Permission denied", str(path))
+        def os_open(path, *args, **kwargs):
+            if os.fspath(path) == os.fspath(refused):
+                raise PermissionError(13, "Permission denied", os.fspath(path))
             return original(path, *args, **kwargs)
 
-        monkeypatch.setattr(pathlib.Path, "write_text", write_text)
+        monkeypatch.setattr(os, "open", os_open)
 
     def test_simulate_with_an_unwritable_svg_leaves_no_csv(self, capsys, tmp_path):
         out_csv = tmp_path / "timeline.csv"
@@ -848,6 +847,33 @@ class TestExitContract:
         assert not out_csv.exists()
         assert out_svg.read_text() == "the user's file"
 
+    def test_an_unwritable_svg_keeps_an_existing_out(self, capsys, tmp_path):
+        out_csv, missing = tmp_path / "timeline.csv", tmp_path / "missing" / "t.svg"
+        out_csv.write_bytes(b"the user's bytes")
+        code, out, err = run(capsys, *self.SIMULATE, "--out", str(out_csv), "--svg", str(missing))
+        assert (code, out) == (3, "")
+        assert err == f"i/o error: [Errno 2] No such file or directory: '{missing}'\n"
+        assert out_csv.read_bytes() == b"the user's bytes"
+        assert list(tmp_path.iterdir()) == [out_csv]
+
+    def test_out_to_dev_null_writes_the_svg(self, capsys, tmp_path):
+        svg, reference = tmp_path / "t.svg", tmp_path / "reference.svg"
+        assert run(capsys, *self.SIMULATE, "--out", str(tmp_path / "t.csv"), "--svg", str(reference))[0] == 0
+        code, out, err = run(capsys, *self.SIMULATE, "--out", os.devnull, "--svg", str(svg))
+        assert (code, out, err) == (0, f"wrote 2 records to {os.devnull}\n", "")
+        assert svg.read_bytes() == reference.read_bytes()
+
+    def test_a_new_file_gets_the_mode_open_gives(self, capsys, tmp_path):
+        out_csv, reference = tmp_path / "timeline.csv", tmp_path / "reference"
+        umask = os.umask(0o007)
+        try:
+            with open(reference, "w"):
+                pass
+            assert run(capsys, *self.SIMULATE, "--out", str(out_csv))[0] == 0
+        finally:
+            os.umask(umask)
+        assert out_csv.stat().st_mode == reference.stat().st_mode
+
     def test_a_failed_removal_keeps_the_first_error(self, capsys, tmp_path, monkeypatch):
         out_csv, out_svg = tmp_path / "timeline.csv", tmp_path / "chart.svg"
         self._refuse(monkeypatch, out_svg)
@@ -861,18 +887,28 @@ class TestExitContract:
         assert err == f"i/o error: [Errno 13] Permission denied: '{out_svg}'\n"
         assert out_csv.exists()  # its removal failed
 
-    def test_a_failed_print_removes_the_files(self, capsys, tmp_path, monkeypatch):
-        class BrokenPipe(io.StringIO):
-            def write(self, text):
-                raise BrokenPipeError(32, "Broken pipe")
+    class BrokenPipe(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
 
+    def test_a_failed_print_removes_the_files(self, capsys, tmp_path, monkeypatch):
         out_csv, out_svg = tmp_path / "timeline.csv", tmp_path / "chart.svg"
-        monkeypatch.setattr(sys, "stdout", BrokenPipe())
+        monkeypatch.setattr(sys, "stdout", self.BrokenPipe())
         code = cli.main([*self.SIMULATE, "--out", str(out_csv), "--svg", str(out_svg)])
         monkeypatch.undo()
         assert code == 3
         assert "Broken pipe" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+    def test_a_failed_print_removes_no_device(self, capsys, tmp_path, monkeypatch):
+        removed, out_svg = [], tmp_path / "chart.svg"
+        monkeypatch.setattr(os, "remove", removed.append)
+        monkeypatch.setattr(sys, "stdout", self.BrokenPipe())
+        code = cli.main([*self.SIMULATE, "--out", os.devnull, "--svg", str(out_svg)])
+        monkeypatch.undo()
+        assert code == 3
+        assert "Broken pipe" in capsys.readouterr().err
+        assert removed == [str(out_svg)]
 
     def test_an_svg_at_the_out_path_is_what_it_holds(self, capsys, tmp_path):
         both, svg = tmp_path / "both", tmp_path / "timeline.svg"

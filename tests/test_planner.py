@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+import chainplan.planner
 import golden
 import independent_oracle as oracle_script
 import randgen
@@ -22,6 +23,7 @@ from chainplan import (
     utilization,
     verify_plan,
 )
+from chainplan.resources import chain_sum, demand_ratios, rounding_band
 
 S = Placement.SMARTNIC
 C = Placement.CPU
@@ -541,3 +543,75 @@ class TestBoundaryWitness:
     def test_oracle_accepts_pam_plan(self):
         chain, specs, load = boundary_witness()
         assert verify_plan(chain, specs, load, plan_pam(chain, specs, load)).passed
+
+
+class TestChainOrderTestInsideTheBand:
+    """`_plan`'s carried sums decide outside their `rounding_band` tol, and
+    `planner.fits` on the chain-order ratios decides inside it.
+
+    A NaN carried sum cannot occur at a finite band: a NaN ratio makes tol
+    infinite, so every test of such a chain takes `fits`.
+    """
+
+    @staticmethod
+    def plan_counting_fits(monkeypatch, plan, chain, specs, load):
+        """The plan, and the ratios each `fits` call of it was asked about."""
+        calls = []
+        real = chainplan.planner.fits
+
+        def counting(ratios):
+            calls.append(list(ratios))
+            return real(ratios)
+
+        monkeypatch.setattr(chainplan.planner, "fits", counting)
+        return plan(chain, specs, load), calls
+
+    @staticmethod
+    def far_from_one(n0_cap_smartnic=4.0):
+        """C,S,S,S at theta = 1.0. naive rejects n1 (CPU 10.25) and moves n2,
+        which leaves the SmartNIC at 0.925; pam rejects n1, its one border."""
+        caps = ((n0_cap_smartnic, 4.0), (1.25, 0.1), (2.0, 4.0), (8.0, 4.0))
+        specs = {f"n{i}": VnfSpec(f"n{i}", cap_smartnic=s, cap_cpu=c) for i, (s, c) in enumerate(caps)}
+        chain = golden.chain_from_rows([(f"n{i}", f"n{i}", p) for i, p in enumerate((C, S, S, S))])
+        return chain, specs, 1.0
+
+    @pytest.mark.parametrize("plan", [plan_pam, plan_naive])
+    def test_sums_far_from_one_make_no_call(self, monkeypatch, plan):
+        got, calls = self.plan_counting_fits(monkeypatch, plan, *self.far_from_one())
+        assert got.rejected_candidates == ("n1",)
+        assert got.steps == (() if plan is plan_pam else ("n2",))
+        assert calls == []
+
+    def test_the_boundary_witness_asks_inside_the_band(self, monkeypatch):
+        chain, specs, load = boundary_witness()
+        tol = rounding_band(*demand_ratios(chain, specs, load))
+        got, calls = self.plan_counting_fits(monkeypatch, plan_pam, chain, specs, load)
+        # The plan `TestBoundaryWitness::test_current_plans` pins, decided in band.
+        assert got.outcome is PlanOutcome.RESOLVED and got.steps == ("n1", "n2")
+        assert calls and all(abs(chain_sum(ratios) - 1.0) < 2 * tol for ratios in calls)
+
+    def test_random_chains_ask_only_inside_the_band(self, monkeypatch):
+        rng = random.Random(33)
+        asked = 0
+        for _ in range(300):
+            chain, specs, load = randgen.boundary_scenario(rng)
+            tol = rounding_band(*demand_ratios(chain, specs, load))
+            for plan in (plan_pam, plan_naive):
+                _, calls = self.plan_counting_fits(monkeypatch, plan, chain, specs, load)
+                assert all(abs(chain_sum(ratios) - 1.0) < 2 * tol for ratios in calls)
+                asked += len(calls)
+        assert asked > 0
+
+    @pytest.mark.parametrize("n0_cap_smartnic", [-4.0, 1e-310])
+    @pytest.mark.parametrize("plan", [plan_pam, plan_naive])
+    def test_an_infinite_band_asks_at_every_test(self, monkeypatch, plan, n0_cap_smartnic):
+        # n0 sits on the CPU, so its SmartNIC ratio (negative, or 1 / 1e-310
+        # overflowing to inf) leaves every sum as it was but voids the bound.
+        chain, specs, load = self.far_from_one(n0_cap_smartnic)
+        assert rounding_band(*demand_ratios(chain, specs, load)) == math.inf
+        got, calls = self.plan_counting_fits(monkeypatch, plan, chain, specs, load)
+        assert got.rejected_candidates == ("n1",)
+        assert got.steps == (() if plan is plan_pam else ("n2",))
+        # One headroom test per heap pop, one stop test per move.
+        pops = len(got.steps) + len(got.rejected_candidates)
+        assert len(calls) == pops + len(got.steps)

@@ -16,7 +16,6 @@ from chainplan import (
     utilization,
 )
 from chainplan.resources import (
-    below_one,
     chain_sum,
     demand_ratios,
     device_sums,
@@ -97,20 +96,6 @@ class TestSummationOrder:
         assert 0.0 < rounding_band([0.5, 2.0], [0.25, 0.1]) < 1e-12
         assert rounding_band([0.5, -0.1], [0.25, 0.1]) == float("inf")
         assert rounding_band([0.5, 2.0], [float("nan"), 0.1]) == float("inf")
-
-    def test_below_one_asks_the_chain_order_test_only_inside_the_band(self):
-        def fail() -> list[float]:
-            raise AssertionError("decided outside the band")
-
-        tol = 1e-12
-        assert below_one(1.0 - 2 * tol, tol, fail)
-        assert not below_one(1.0 + 2 * tol, tol, fail)
-        # Inside the band (or for NaN) `fits` on the hosted ratios decides.
-        assert below_one(1.0, tol, lambda: [0.7, 0.2, 0.1])
-        assert not below_one(1.0 - 2 * tol, tol * 4, lambda: [0.1, 0.2, 0.7])
-        assert not below_one(1.0 - 2 * tol, float("inf"), lambda: [1.0])
-        assert below_one(float("nan"), tol, lambda: [0.5])
-        assert not below_one(float("nan"), tol, lambda: [float("nan")])
 
 
 def reference_rounding_band(nic, cpu) -> float:
